@@ -25,7 +25,7 @@ from scipy.signal import lfilter
 
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_grid
-from flexts.regression import pairwise_sq_dists
+from flexts.regression import k_candidates, nearest_order, pairwise_sq_dists
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -66,7 +66,7 @@ class NnkcdeModel:
         for start in range(0, eval_u.shape[0], chunk):
             rows = eval_u[start : start + chunk]
             sq = pairwise_sq_dists(rows, self.train_u)
-            order = np.argsort(sq, axis=1, kind="stable")[:, : self.k]
+            order = nearest_order(sq, self.k)
             neigh_y = self.train_y[order]  # (chunk, k)
             raw = _gaussian_kde_rows(neigh_y, self.h, grid_y)
             out[start : start + rows.shape[0]] = _renormalize_rows(raw, grid_y)
@@ -129,25 +129,7 @@ def nnkcde_fit(
     n_tr = train_u.shape[0]
     if n_tr == 0 or val_u.shape[0] == 0:
         raise DataError("nnkcde needs nonempty training and validation blocks")
-    if k_grid is None:
-        k_grid = [5, 10, 20, 40, 80, int(round(np.sqrt(n_tr)))]
-        k_grid = sorted({min(max(k, 1), n_tr) for k in k_grid})
-    else:
-        kept = []
-        for k in k_grid:
-            k = int(k)
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            if k > n_tr:
-                warnings.warn(
-                    f"skipping k={k}: larger than the {n_tr} training rows",
-                    RuntimeWarning,
-                )
-                continue
-            kept.append(k)
-        if not kept:
-            raise ValueError("no usable k candidates after filtering")
-        k_grid = kept
+    k_grid = k_candidates(k_grid, n_tr)
     if h_grid is None:
         h_grid = default_bandwidth_grid(train_y)
     h_grid = [float(h) for h in h_grid]
@@ -160,7 +142,7 @@ def nnkcde_fit(
 
     # one neighbor ordering shared by every candidate pair
     sq = pairwise_sq_dists(val_u, train_u)
-    order = np.argsort(sq, axis=1, kind="stable")[:, :k_max]
+    order = nearest_order(sq, k_max)
     neigh_y = train_y[order]  # (n_val, k_max)
 
     best = None  # (loss, h_index, k_index)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from flexts.errors import DataError
+
 SQRT2 = float(np.sqrt(2.0))
 
 BASIS_KINDS = ("cosine", "fourier")
@@ -143,5 +145,5 @@ def fit_scaler(y_train, pad=0.05):
     y_max = float(y_train.max())
     rng = y_max - y_min
     if rng == 0.0:
-        raise ValueError("training responses are constant; scaler range is empty")
+        raise DataError("training responses are constant; scaler range is empty")
     return Scaler(lo=y_min - pad * rng, hi=y_max + pad * rng, pad=pad)

@@ -24,8 +24,8 @@ from flexts.regression import (
     LassoModel,
     NadarayaWatsonModel,
     default_delta_grid,
-    default_k_grid,
     default_lambda_grid,
+    k_candidates,
     knn_predict_grid,
     lasso_path,
     nw_predict_grid,
@@ -120,22 +120,7 @@ def _candidate_predictions(u_tr, phi_tr, u_va, config):
         preds = nw_predict_grid(u_tr, phi_tr, u_va, hypers)
         return list(hypers), preds, None
     if kind == "knn":
-        n_tr = u_tr.shape[0]
-        if config.hyper_grid is None:
-            hypers = default_k_grid(n_tr)
-        else:
-            hypers = []
-            for k in config.hyper_grid:
-                k = int(k)
-                if k > n_tr:
-                    warnings.warn(
-                        f"skipping k={k}: larger than the {n_tr} training rows",
-                        RuntimeWarning,
-                    )
-                    continue
-                hypers.append(k)
-            if not hypers:
-                raise ValueError("no usable k candidates after filtering")
+        hypers = k_candidates(config.hyper_grid, u_tr.shape[0])
         preds = knn_predict_grid(u_tr, phi_tr, u_va, hypers)
         return list(hypers), preds, None
     # lasso

@@ -21,15 +21,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from flexts.errors import DataError
+
 BACKEND_KINDS = ("nw", "knn", "lasso")
+
+# rows per block in the row-blocked passes over a distance matrix; bounds
+# their scratch to ROW_BLOCK * n_train values whatever the query count
+ROW_BLOCK = 256
 
 
 def pairwise_sq_dists(a, b):
-    """Squared Euclidean distances between rows of a (n, d) and b (m, d)."""
+    """Squared Euclidean distances between rows of a (n, d) and b (m, d).
+
+    Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, formed in place in the
+    product's buffer one row block at a time, so the only (n, m) array
+    allocated is the result.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    sq -= 2.0 * (a @ b.T)
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    sq = a @ b.T
+    sq *= 2.0
+    for start in range(0, sq.shape[0], ROW_BLOCK):
+        rows = sq[start : start + ROW_BLOCK]
+        np.subtract(aa[start : start + ROW_BLOCK, None] + bb, rows, out=rows)
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -129,7 +145,7 @@ def default_delta_grid(train_u, n_candidates=8):
     off_diag = sq[np.triu_indices(sample.shape[0], k=1)]
     median = float(np.sqrt(np.median(off_diag)))
     if median == 0.0:
-        raise ValueError("covariates are degenerate; pairwise distances all zero")
+        raise DataError("covariates are degenerate; pairwise distances all zero")
     center = median * n ** (-1.0 / (2.0 + d))
     return np.geomspace(center / 4.0, center * 4.0, n_candidates)
 
@@ -149,11 +165,40 @@ class KnnModel:
         return knn_predict(self.train_u, self.train_phi, eval_u, self.k)
 
 
+def nearest_order(sq_dists, k):
+    """Column indices of the k smallest entries of each row, nearest first.
+
+    Equal to ``np.argsort(sq_dists, axis=1, kind="stable")[:, :k]``: among
+    tied distances the lower training index comes first. Each block of
+    rows is partitioned rather than sorted, and only the k selected
+    entries are ordered, by (distance, index). A row whose k-th distance
+    also occurs outside the selection (or that holds NaN) cannot be
+    settled that way and is stably sorted in full.
+    """
+    n_rows, n_cols = sq_dists.shape
+    if k >= n_cols:
+        return np.argsort(sq_dists, axis=1, kind="stable")[:, :k]
+    out = np.empty((n_rows, k), dtype=np.intp)
+    for start in range(0, n_rows, ROW_BLOCK):
+        block = sq_dists[start : start + ROW_BLOCK]
+        sel = np.argpartition(block, k - 1, axis=1)[:, :k]
+        vals = np.take_along_axis(block, sel, axis=1)
+        # lexsort's last key is the primary one: by distance, then index
+        sel = np.take_along_axis(sel, np.lexsort((sel, vals), axis=1), axis=1)
+        kth = np.take_along_axis(block, sel[:, -1:], axis=1)
+        # exactly k entries <= the k-th distance means no tie crosses the
+        # cut; a NaN k-th distance counts zero and falls through as well
+        unsettled = np.flatnonzero((block <= kth).sum(axis=1) != k)
+        if unsettled.size:
+            full = np.argsort(block[unsettled], axis=1, kind="stable")
+            sel[unsettled] = full[:, :k]
+        out[start : start + block.shape[0]] = sel
+    return out
+
+
 def _knn_order(train_u, eval_u, k_max):
     sq_dists = pairwise_sq_dists(np.asarray(eval_u, dtype=float), train_u)
-    # stable sort keeps the lower training index first among tied distances
-    order = np.argsort(sq_dists, axis=1, kind="stable")
-    return order[:, :k_max]
+    return nearest_order(sq_dists, k_max)
 
 
 def knn_predict(train_u, train_phi, eval_u, k):
@@ -190,6 +235,32 @@ def default_k_grid(n_train):
     ks = [5, 10, 20, 40, 80, int(round(np.sqrt(n_train)))]
     ks = sorted({min(max(k, 1), n_train) for k in ks})
     return ks
+
+
+def k_candidates(k_grid, n_train):
+    """The neighbor counts to try: default_k_grid when k_grid is None.
+
+    From an explicit grid, each k larger than the training size is
+    skipped with a warning; nonpositive k and a grid left empty are
+    errors.
+    """
+    if k_grid is None:
+        return default_k_grid(n_train)
+    kept = []
+    for k in k_grid:
+        k = int(k)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if k > n_train:
+            warnings.warn(
+                f"skipping k={k}: larger than the {n_train} training rows",
+                RuntimeWarning,
+            )
+            continue
+        kept.append(k)
+    if not kept:
+        raise ValueError("no usable k candidates after filtering")
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -336,5 +407,5 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10, ratio=1e-4):
     yc = train_phi - train_phi.mean(axis=0)
     lam_max = float(np.abs(x.T @ yc).max() / n)
     if lam_max <= 0.0 or not np.isfinite(lam_max):
-        raise ValueError("all targets are constant; penalty grid is undefined")
+        raise DataError("all targets are constant; penalty grid is undefined")
     return np.geomspace(lam_max, lam_max * ratio, n_candidates)

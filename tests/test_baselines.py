@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from flexts import baselines
 from flexts.errors import DataError
 from flexts.baselines import (
     GarchModel,
@@ -102,6 +103,21 @@ def test_nnkcde_skips_oversized_k_with_warning():
     assert model.k == 5
     with pytest.raises(ValueError):
         nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, k_grid=[10_000])
+
+
+def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):
+    # responses on a 0.1 grid make many lag vectors tie in distance
+    y = np.round(generate("ar", 1500, 4), 1)
+    u_tr, y_tr, u_va, y_va = split_series(y)
+    fast = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-6, hi=5, grid_size=201)
+    fast_dens = fast.predict_density_batch(u_va)
+    monkeypatch.setattr(
+        baselines, "nearest_order",
+        lambda sq, k: np.argsort(sq, axis=1, kind="stable")[:, :k],
+    )
+    ref = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-6, hi=5, grid_size=201)
+    assert (fast.k, fast.h) == (ref.k, ref.h)
+    assert np.array_equal(fast_dens, ref.predict_density_batch(u_va))
 
 
 def test_nnkcde_rejects_degenerate_inputs():

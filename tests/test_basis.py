@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flexts.basis import SQRT2, Scaler, basis_function, basis_matrix, fit_scaler
+from flexts.errors import DataError
 
 
 def trapezoid_gram(kind, i_max, n_grid=4001):
@@ -76,9 +77,9 @@ def test_fit_scaler_default_pad():
 
 
 def test_fit_scaler_constant_series_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fit_scaler([5.0, 5.0, 5.0], pad=0.05)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         fit_scaler([5.0, 5.0, 5.0], pad=0.0)
 
 

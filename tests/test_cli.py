@@ -147,6 +147,14 @@ def test_fit_insufficient_rows(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_fit_constant_series_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "flat.csv"
+    cli.write_csv(data, ["y"], [(2.5,) for _ in range(200)])
+    code, _, err = run(["fit", "--input", data, "-o", tmp_path / "m.json"], capsys)
+    assert code == 3
+    assert err.startswith("flexts: error: data: training responses are constant")
+
+
 def test_fit_parse_error_reports_line(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("y\n1.0\noops\n2.0\n")

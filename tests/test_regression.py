@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flexts import regression
+from flexts.errors import DataError
 from flexts.regression import (
+    ROW_BLOCK,
     default_delta_grid,
     default_k_grid,
     default_lambda_grid,
@@ -11,6 +16,7 @@ from flexts.regression import (
     knn_predict_grid,
     lasso_fit,
     lasso_path,
+    nearest_order,
     nw_predict,
     nw_predict_grid,
     pairwise_sq_dists,
@@ -24,6 +30,17 @@ def random_problem(seed, n=120, d=3, n_targets=4):
     train_phi = rng.normal(size=(n, n_targets))
     eval_u = rng.normal(size=(7, d))
     return train_u, train_phi, eval_u
+
+
+def test_pairwise_sq_dists_matches_one_shot_formula():
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(ROW_BLOCK + 37, 3))
+    b = rng.normal(size=(90, 3))
+    b[5] = a[2]  # an exact zero distance
+    one_shot = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+    one_shot -= 2.0 * (a @ b.T)
+    np.maximum(one_shot, 0.0, out=one_shot)
+    assert np.array_equal(pairwise_sq_dists(a, b), one_shot)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +133,7 @@ def test_default_delta_grid_shape():
     assert len(deltas) == 8
     assert np.all(np.diff(deltas) > 0) and deltas[0] > 0
     assert deltas[-1] / deltas[0] == pytest.approx(16.0, rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         default_delta_grid(np.zeros((40, 2)))
 
 
@@ -189,6 +206,70 @@ def test_knn_rejects_bad_k():
         knn_predict(train_u, train_phi, eval_u, 0)
     with pytest.raises(ValueError):
         knn_predict(train_u, train_phi, eval_u, len(train_u) + 1)
+
+
+def stable_prefix(sq_dists, k):
+    """The full-sort neighbor ordering that nearest_order must reproduce."""
+    return np.argsort(sq_dists, axis=1, kind="stable")[:, :k]
+
+
+def lag_rows(series, n_lags=3):
+    n = series.size - n_lags
+    return np.column_stack([series[j : n + j] for j in range(n_lags)])
+
+
+def distance_rows(kind, n_rows, n_cols, seed):
+    """Query-to-training squared distances with a chosen amount of ties."""
+    rng = np.random.default_rng(seed)
+    if kind == "all_equal":
+        return np.full((n_rows, n_cols), float(rng.integers(0, 3)))
+    if kind == "integer_lags":
+        u = lag_rows(rng.integers(0, 3, size=n_rows + n_cols + 3).astype(float))
+    else:
+        u = rng.normal(size=(n_rows + n_cols, 3))
+        if kind == "rounded":
+            u = np.round(u, 1)
+    sq = pairwise_sq_dists(u[:n_rows], u[n_rows : n_rows + n_cols])
+    if kind == "with_nan":
+        sq[rng.random(sq.shape) < 0.05] = np.nan
+    return sq
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["continuous", "rounded", "integer_lags", "all_equal", "with_nan"]
+    ),
+    n_rows=st.integers(1, 2 * ROW_BLOCK + 50),
+    n_cols=st.integers(1, 60),
+    k_rule=st.sampled_from(["one", "n_train-1", "n_train", "any"]),
+    k_any=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="integer_lags", n_rows=ROW_BLOCK + 3, n_cols=40,
+         k_rule="any", k_any=7, seed=0)
+@example(kind="continuous", n_rows=ROW_BLOCK + 3, n_cols=40,
+         k_rule="any", k_any=7, seed=0)
+def test_nearest_order_equals_stable_argsort_prefix(kind, n_rows, n_cols, k_rule,
+                                                    k_any, seed):
+    sq = distance_rows(kind, n_rows, n_cols, seed)
+    k = {"one": 1, "n_train-1": max(n_cols - 1, 1), "n_train": n_cols,
+         "any": min(k_any, n_cols)}[k_rule]
+    assert np.array_equal(nearest_order(sq, k), stable_prefix(sq, k))
+
+
+def test_knn_grid_on_tied_design_matches_full_sort(monkeypatch):
+    rng = np.random.default_rng(31)
+    series = np.round(rng.normal(size=3000), 1)
+    u = lag_rows(series)
+    phi = rng.normal(size=(u.shape[0], 5))
+    train_u, train_phi, eval_u = u[:2000], phi[:2000], u[2000:]
+    ks = default_k_grid(train_u.shape[0])
+    fast = knn_predict_grid(train_u, train_phi, eval_u, ks)
+    monkeypatch.setattr(regression, "nearest_order", stable_prefix)
+    reference = knn_predict_grid(train_u, train_phi, eval_u, ks)
+    for out, ref in zip(fast, reference):
+        assert np.array_equal(out.b_hat, ref.b_hat)
 
 
 def test_default_k_grid_examples():
@@ -323,5 +404,5 @@ def test_lasso_objective_not_worse_than_perturbations():
 
 def test_degenerate_targets_reject_lambda_grid():
     train_u, train_phi, _ = random_problem(26)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         default_lambda_grid(train_u, np.ones_like(train_phi))
