@@ -24,6 +24,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from flexts.errors import DataError, NumericError
+from flexts.estimator import renormalize_rows
 from flexts.evaluation import cde_loss_grid
 from flexts.regression import k_candidates, nearest_order, pairwise_sq_dists
 
@@ -50,10 +51,8 @@ class NnkcdeModel:
     def grid(self):
         return np.linspace(self.lo, self.hi, self.grid_size)
 
-    def predict_density_batch(self, eval_u, grid_y=None, chunk=64):
-        """Renormalized neighbor-KDE densities, one row per query."""
-        if grid_y is None:
-            grid_y = self.grid()
+    def neighbor_responses(self, eval_u, chunk=64):
+        """Training responses of each query's k nearest neighbors, (n, k)."""
         eval_u = np.asarray(eval_u, dtype=float)
         if eval_u.ndim == 1:
             eval_u = eval_u[None, :]
@@ -62,35 +61,33 @@ class NnkcdeModel:
                 f"query has {eval_u.shape[1]} features, model expects "
                 f"{self.train_u.shape[1]}"
             )
-        out = np.empty((eval_u.shape[0], grid_y.size))
+        if not np.all(np.isfinite(eval_u)):
+            raise DataError("covariates contain non-finite values")
+        out = np.empty((eval_u.shape[0], self.k))
         for start in range(0, eval_u.shape[0], chunk):
-            rows = eval_u[start : start + chunk]
-            sq = pairwise_sq_dists(rows, self.train_u)
-            order = nearest_order(sq, self.k)
-            neigh_y = self.train_y[order]  # (chunk, k)
-            raw = _gaussian_kde_rows(neigh_y, self.h, grid_y)
-            out[start : start + rows.shape[0]] = _renormalize_rows(raw, grid_y)
+            sq = pairwise_sq_dists(eval_u[start : start + chunk], self.train_u)
+            out[start : start + chunk] = self.train_y[nearest_order(sq, self.k)]
         return out
+
+    def density_rows(self, neigh_y, grid_y, chunk=64):
+        """Renormalized Gaussian KDE over each row of neighbor responses."""
+        out = np.empty((neigh_y.shape[0], grid_y.size))
+        for start in range(0, neigh_y.shape[0], chunk):
+            block = neigh_y[start : start + chunk]
+            diff = (grid_y[None, None, :] - block[:, :, None]) / self.h
+            raw = np.exp(-0.5 * diff * diff).mean(axis=1) / (self.h * SQRT_2PI)
+            out[start : start + chunk] = renormalize_rows(raw, grid_y)[0]
+        return out
+
+    def predict_density_batch(self, eval_u, grid_y=None, chunk=64):
+        """Renormalized neighbor-KDE densities, one row per query."""
+        if grid_y is None:
+            grid_y = self.grid()
+        neigh_y = self.neighbor_responses(eval_u, chunk)
+        return self.density_rows(neigh_y, grid_y, chunk)
 
     def predict_density(self, u, grid_y=None):
         return self.predict_density_batch(u, grid_y=grid_y)[0]
-
-
-def _gaussian_kde_rows(neigh_y, h, grid_y):
-    """Mean Gaussian kernel over each row's neighbor responses."""
-    diff = (grid_y[None, None, :] - neigh_y[:, :, None]) / h
-    kern = np.exp(-0.5 * diff * diff)
-    return kern.mean(axis=1) / (h * SQRT_2PI)
-
-
-def _renormalize_rows(raw, grid_y):
-    mass = np.trapezoid(raw, grid_y, axis=1)
-    bad = ~(mass > 0.0) | ~np.isfinite(mass)
-    safe = np.where(bad, 1.0, mass)
-    dens = raw / safe[:, None]
-    if bad.any():
-        dens[bad] = 1.0 / (grid_y[-1] - grid_y[0])
-    return dens
 
 
 def default_bandwidth_grid(train_y):
@@ -158,7 +155,7 @@ def nnkcde_fit(
                 cums[start : start + block.shape[0], ki] = csum[:, k - 1, :]
         for ki, k in enumerate(k_grid):
             raw = cums[:, ki, :] / (k * h * SQRT_2PI)
-            dens = _renormalize_rows(raw, grid_y)
+            dens, _ = renormalize_rows(raw, grid_y)
             loss = cde_loss_grid(grid_y, dens, val_y).loss
             key = (loss, hi_idx, ki)
             if best is None or key < best:
@@ -380,4 +377,4 @@ def garch_density_rows(means, s2, grid_y):
     sd = np.sqrt(s2)
     zz = (grid_y[None, :] - means[:, None]) / sd[:, None]
     raw = np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
-    return _renormalize_rows(raw, grid_y)
+    return renormalize_rows(raw, grid_y)[0]

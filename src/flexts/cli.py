@@ -6,6 +6,12 @@ shortest round-trip formatting and bench rows are emitted in sorted
 cell order, so reruns produce byte-identical outputs. Errors exit with
 a single-line ``flexts: error: ...`` message on stderr and a category
 code: 2 for usage, 3 for data problems, 4 for numeric failures.
+
+Every method (flexcode, nnkcde, garch) is fitted by ``_fit`` and
+tabulated by ``_densities``, which computes a model's per-row state once
+and gives its densities on any grid. Each method is scored on its
+fit-time response grid: the padded training range, with the ``pad`` and
+``grid_size`` that ``fit`` records in the model metadata.
 """
 
 import argparse
@@ -120,6 +126,9 @@ def _parse_taus(text):
     taus = [float(p) for p in text.split(",") if p]
     if not taus:
         raise ValueError("no quantile levels given")
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"quantile level {tau} outside (0, 1)")
     return taus
 
 
@@ -162,6 +171,8 @@ def _metadata_from_args(args, method):
         "split": [args.split_spec.train_frac, args.split_spec.val_frac,
                   args.split_spec.test_frac],
         "method": method,
+        "pad": args.pad,
+        "grid_size": args.grid_size,
     }
 
 
@@ -177,9 +188,10 @@ def _table_from_meta(meta, path):
     return SeriesTable(response=cols[target], exogenous=exog, exog_names=exog_names)
 
 
-def _design_from_meta(meta, table):
+def _features_from_meta(meta, table, build=lag_embed):
+    """Build the fit's features on ``table`` with lag_embed or next_step_covariates."""
     rolling = [RollingSpec(stat=s, window=int(w)) for s, w in meta.get("rolling", [])]
-    return lag_embed(
+    return build(
         table,
         int(meta["n_lags"]),
         rolling=rolling,
@@ -228,91 +240,151 @@ def cmd_simulate(args):
 
 
 # ---------------------------------------------------------------------------
-# fit
+# fitting and tabulating any method
 # ---------------------------------------------------------------------------
 
+# the grid flag of the hyperparameter each flexcode backend tunes
+HYPER_NAMES = {"nw": "delta", "knn": "k", "lasso": "lam"}
 
-def _fit_flexcode(args, design, split):
-    hyper_grid = None
-    if args.backend == "nw" and args.delta:
-        hyper_grid = tuple(float(v) for v in args.delta.split(","))
-    elif args.backend == "knn" and args.k:
-        hyper_grid = tuple(int(v) for v in args.k.split(","))
-    elif args.backend == "lasso" and args.lam:
-        hyper_grid = tuple(float(v) for v in args.lam.split(","))
-    config = estimator.FitConfig(
-        basis=args.basis,
-        i_max=args.i_max,
-        backend=args.backend,
-        hyper_grid=hyper_grid,
-        grid_size=args.grid_size,
-        pad=args.pad,
-        refit_final=args.refit_final,
-        select_postprocessed=args.select_postprocessed,
-    )
-    model = estimator.fit(design, split, config)
-    print(f"method: flexcode backend={model.backend_kind}")
-    hyper_name = {"nw": "delta", "knn": "k", "lasso": "lam"}[model.backend_kind]
-    hyper = model.hyper if hyper_name != "k" else int(model.hyper)
-    print(f"selected {hyper_name}={hyper} I={model.i_selected}")
-    print(
-        f"validation loss {model.diagnostics['val_loss']:.6f} "
-        f"over {model.diagnostics['n_val']} rows"
-    )
-    print("validation loss curve (selected candidate):")
-    for i, (loss, se) in enumerate(zip(model.val_losses, model.val_std_errors)):
-        print(f"  I={i} loss={loss:.6f} se={se:.6f}")
-    return model
+
+def _fit(method, meta, table, design, backend="nw", grids=None, **config):
+    """Fit any method on a design, split as ``meta`` records.
+
+    ``meta`` gives the split fractions, ``pad`` and ``grid_size``; a
+    flexcode fit adds its backend and basis to it. ``grids`` maps a
+    hyperparameter name (delta, k, lam; k and h for NNKCDE) to its
+    candidates, absent names taking the defaults; ``config`` holds the
+    other flexcode FitConfig fields. Returns (model, i_selected, hyper,
+    report): the selection as ``bench`` tabulates it and the lines
+    ``flexts fit`` prints.
+    """
+    grids = grids or {}
+    split = _split_from_meta(meta)
+    tr, va, _ = temporal_split(design.n_rows, split)
+    if method == "flexcode":
+        config = estimator.FitConfig(
+            backend=backend,
+            hyper_grid=grids.get(HYPER_NAMES.get(backend)),
+            grid_size=meta["grid_size"],
+            pad=meta["pad"],
+            **config,
+        )
+        model = estimator.fit(design, split, config)
+        meta.update(backend=model.backend_kind, basis=model.basis)
+        hyper_name = HYPER_NAMES[model.backend_kind]
+        hyper = int(model.hyper) if hyper_name == "k" else model.hyper
+        report = [
+            f"method: flexcode backend={model.backend_kind}",
+            f"selected {hyper_name}={hyper} I={model.i_selected}",
+            f"validation loss {model.diagnostics['val_loss']:.6f} "
+            f"over {model.diagnostics['n_val']} rows",
+            "validation loss curve (selected candidate):",
+        ]
+        report += [
+            f"  I={i} loss={loss:.6f} se={se:.6f}"
+            for i, (loss, se) in enumerate(zip(model.val_losses, model.val_std_errors))
+        ]
+        return model, model.i_selected, model.hyper, report
+    if method == "nnkcde":
+        y_tr = design.y[tr.start : tr.stop]
+        scaler = fit_scaler(y_tr, pad=meta["pad"])
+        model = baselines.nnkcde_fit(
+            design.u[tr.start : tr.stop],
+            y_tr,
+            design.u[va.start : va.stop],
+            design.y[va.start : va.stop],
+            scaler.lo,
+            scaler.hi,
+            k_grid=grids.get("k"),
+            h_grid=grids.get("h"),
+            grid_size=meta["grid_size"],
+        )
+        return model, model.k, model.h, [
+            f"method: nnkcde selected k={model.k} h={model.h!r}"
+        ]
+    if method == "garch":
+        if len(design.feature_names) != design.n_lags:
+            raise ValueError("garch supports lag features only")
+        # fit on the series prefix covered by the training rows
+        prefix_end = int(design.origin_index[tr.stop - 1]) + 1
+        model = baselines.garch_fit(table.response[:prefix_end], design.n_lags)
+        return model, "", model.alpha + model.beta, [
+            f"method: garch p={model.p} omega={model.omega:.6g} "
+            f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
+            f"loglik={model.loglik:.6f}"
+        ]
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _densities(method, model, meta, u, table=None, design=None, rows=None):
+    """Densities of some rows on any response grid, from state computed once.
+
+    The state is the flexcode backend's coefficients or the NNKCDE
+    neighbor responses of the covariate rows ``u``, or the GARCH means
+    and variances at design ``rows`` of ``table``'s series (with
+    ``rows=None``, one step past its end). Returns (grid_y, tabulate):
+    the fit-time response grid, and tabulate(grid) -> (density, raw,
+    degenerate); raw (the flexcode expansion before clipping) and
+    degenerate (its rows without mass) are None for the baselines.
+    """
+    if method == "flexcode":
+        pred = estimator.predict_coefficients(model, u)
+
+        def tabulate(grid_y):
+            batch = estimator.tabulate_density(model, pred, grid_y)
+            return batch.density, batch.raw_density, batch.degenerate
+
+        return model.grid(), tabulate
+    if method == "nnkcde":
+        neigh_y = model.neighbor_responses(u)
+        return model.grid(), lambda grid_y: (
+            model.density_rows(neigh_y, grid_y), None, None
+        )
+    if method == "garch":
+        if table is None:
+            raise ValueError(
+                "garch prediction needs --input (the variance recursion "
+                "state depends on the whole series)"
+            )
+        if rows is None:
+            mean, var = baselines.garch_forecast(model, table.response)
+            means, s2 = np.array([mean]), np.array([var])
+        else:
+            means, s2 = baselines.garch_filter(model, table.response)
+            means, s2 = means[rows], s2[rows]
+        # the grid a flexcode or NNKCDE fit keeps: padded training range
+        tr, _, _ = temporal_split(design.n_rows, _split_from_meta(meta))
+        scaler = fit_scaler(design.y[tr.start : tr.stop], pad=meta.get("pad", 0.05))
+        grid = np.linspace(scaler.lo, scaler.hi, meta.get("grid_size", 1001))
+        return grid, lambda grid_y: (
+            baselines.garch_density_rows(means, s2, grid_y), None, None
+        )
+    raise ValueError(f"unknown method {method!r}")
+
+
+# ---------------------------------------------------------------------------
+# fit
+# ---------------------------------------------------------------------------
 
 
 def cmd_fit(args):
     args.split_spec = _parse_split(args.split)
     meta = _metadata_from_args(args, args.method)
     table = _table_from_meta(meta, args.input)
-    design = _design_from_meta(meta, table)
-    split = args.split_spec
-    tr, va, te = temporal_split(design.n_rows, split)
-
-    if args.method == "flexcode":
-        model = _fit_flexcode(args, design, split)
-        meta["backend"] = model.backend_kind
-        meta["basis"] = model.basis
-        persistence.save_model(args.output, "flexcode", model, meta)
-    elif args.method == "nnkcde":
-        scaler = fit_scaler(design.y[tr.start : tr.stop], pad=args.pad)
-        k_grid = (
-            [int(v) for v in args.k.split(",")] if args.k else None
-        )
-        h_grid = (
-            [float(v) for v in args.h.split(",")] if args.h else None
-        )
-        model = baselines.nnkcde_fit(
-            design.u[tr.start : tr.stop],
-            design.y[tr.start : tr.stop],
-            design.u[va.start : va.stop],
-            design.y[va.start : va.stop],
-            scaler.lo,
-            scaler.hi,
-            k_grid=k_grid,
-            h_grid=h_grid,
-            grid_size=args.grid_size,
-        )
-        print(f"method: nnkcde selected k={model.k} h={model.h!r}")
-        persistence.save_model(args.output, "nnkcde", model, meta)
-    elif args.method == "garch":
-        if args.rolling or args.exog:
-            raise ValueError("garch supports lag features only")
-        # fit on the series prefix covered by the training rows
-        prefix_end = int(design.origin_index[tr.stop - 1]) + 1
-        model = baselines.garch_fit(table.response[:prefix_end], args.lags)
-        print(
-            f"method: garch p={model.p} omega={model.omega:.6g} "
-            f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
-            f"loglik={model.loglik:.6f}"
-        )
-        persistence.save_model(args.output, "garch", model, meta)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+    design = _features_from_meta(meta, table)
+    grids = {}
+    for name in ("delta", "k", "lam", "h"):
+        parse = int if name == "k" else float
+        if getattr(args, name):
+            grids[name] = tuple(parse(v) for v in getattr(args, name).split(","))
+    model, _, _, report = _fit(
+        args.method, meta, table, design, backend=args.backend, grids=grids,
+        basis=args.basis, i_max=args.i_max, refit_final=args.refit_final,
+        select_postprocessed=args.select_postprocessed,
+    )
+    for line in report:
+        print(line)
+    persistence.save_model(args.output, args.method, model, meta)
     print(f"model written: {args.output}")
     return 0
 
@@ -322,41 +394,11 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 
 
-def _test_densities(method, model, meta, table, design, rows, grid_y=None):
-    """Tabulated test-row densities for any method on its response grid."""
-    u_rows = design.u[rows.start : rows.stop]
-    if method == "flexcode":
-        if grid_y is None:
-            batch = estimator.predict_density_batch(model, u_rows)
-            return batch.grid_y, batch.density
-        batch = estimator.predict_density_batch(model, u_rows, grid_size=grid_y.size)
-        return grid_y, batch.density
-    if method == "nnkcde":
-        grid = model.grid() if grid_y is None else grid_y
-        return grid, model.predict_density_batch(u_rows, grid_y=grid)
-    # garch: filter the whole series once, take the requested rows
-    means, s2 = baselines.garch_filter(model, table.response)
-    if grid_y is None:
-        raise ValueError("garch evaluation needs an explicit grid")
-    return grid_y, baselines.garch_density_rows(
-        means[rows.start : rows.stop], s2[rows.start : rows.stop], grid_y
-    )
-
-
-def _garch_grid(meta, design, split, grid_size, pad=0.05):
-    tr, _, _ = temporal_split(design.n_rows, split)
-    scaler = fit_scaler(design.y[tr.start : tr.stop], pad=pad)
-    return np.linspace(scaler.lo, scaler.hi, grid_size)
-
-
 DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 
 def cmd_evaluate(args):
     taus = _parse_taus(args.quantiles) if args.quantiles else list(DEFAULT_TAUS)
-    for tau in taus:
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"quantile level {tau} outside (0, 1)")
     header = ["model", "method", "n_test", "n_outside_grid", "cde_loss",
               "cde_loss_se"]
     if args.oracle_scenario:
@@ -368,17 +410,14 @@ def cmd_evaluate(args):
     for path in args.model:
         method, model, meta = persistence.load_model(path)
         table = _table_from_meta(meta, args.input)
-        design = _design_from_meta(meta, table)
-        split = _split_from_meta(meta)
-        _, _, te = temporal_split(design.n_rows, split)
-        y_te = design.y[te.start : te.stop]
-
-        if method == "garch":
-            grid_y = _garch_grid(meta, design, split, args.grid_size)
-            grid_y, dens = _test_densities(method, model, meta, table, design, te,
-                                           grid_y)
-        else:
-            grid_y, dens = _test_densities(method, model, meta, table, design, te)
+        design = _features_from_meta(meta, table)
+        _, _, te = temporal_split(design.n_rows, _split_from_meta(meta))
+        rows = slice(te.start, te.stop)
+        y_te = design.y[rows]
+        grid_y, tabulate = _densities(
+            method, model, meta, design.u[rows], table, design, rows
+        )
+        dens, _, _ = tabulate(grid_y)
         rep = cde_loss_grid(grid_y, dens, y_te)
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
@@ -387,16 +426,14 @@ def cmd_evaluate(args):
                 raise ValueError(
                     "oracle loss needs at least 3 lagged covariates in the design"
                 )
-            u_te = design.u[te.start : te.stop]
             truth = scenarios.density_rows(
-                args.oracle_scenario, u_te[:, :3], grid_y, sigma_nm=args.sigma_nm
+                args.oracle_scenario, design.u[rows, :3], grid_y,
+                sigma_nm=args.sigma_nm,
             )
             orep = oracle_cde_loss(truth, dens, grid_y)
             row += [orep.loss, orep.std_error]
 
-        qmat = np.empty((dens.shape[0], len(taus)))
-        for r in range(dens.shape[0]):
-            qmat[r] = estimator.quantiles_from_grid_density(grid_y, dens[r], taus)
+        qmat = estimator.quantiles_from_grid_density(grid_y, dens, taus)
         pinballs = [pinball_loss(qmat[:, j], y_te, tau)
                     for j, tau in enumerate(taus)]
         row += pinballs
@@ -420,91 +457,40 @@ def _resolve_row(design, row):
     return resolved
 
 
-def _write_density_csv(path, grid_y, density, raw=None):
-    if raw is None:
-        write_csv(path, ["y", "density"], list(zip(grid_y, density)))
-    else:
-        write_csv(
-            path, ["y", "density", "raw_density"], list(zip(grid_y, density, raw))
-        )
-
-
 def cmd_predict(args):
     method, model, meta = persistence.load_model(args.model)
     taus = _parse_taus(args.taus) if args.taus else None
     if args.u is None and args.input is None:
         raise ValueError("predict needs either --u or --input")
 
-    if method == "garch":
-        if args.u is not None:
-            raise ValueError(
-                "garch one-step prediction needs --input (the variance "
-                "recursion state depends on the whole series)"
-            )
-        table = _table_from_meta(meta, args.input)
-        design = _design_from_meta(meta, table)
-        grid_y = _garch_grid(meta, design, _split_from_meta(meta), args.grid_size)
-        if args.row is None:
-            mean, var = baselines.garch_forecast(model, table.response)
-            label = "one step past the series end"
-        else:
-            row = _resolve_row(design, args.row)
-            means, s2 = baselines.garch_filter(model, table.response)
-            mean, var = means[row], s2[row]
-            label = f"design row {row}"
-        dens = baselines.garch_density_rows(
-            np.array([mean]), np.array([var]), grid_y
-        )[0]
-        if taus is not None:
-            q = estimator.quantiles_from_grid_density(grid_y, dens, taus)
-            write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-        else:
-            _write_density_csv(args.output, grid_y, dens)
-        print(f"prediction for {label} written: {args.output}")
-        return 0
-
+    table = design = rows = None
     if args.u is not None:
         u = np.array([float(v) for v in args.u.split(",")])
         label = "explicit covariates"
     else:
         table = _table_from_meta(meta, args.input)
+        design = _features_from_meta(meta, table)
         if args.row is None:
-            rolling = [
-                RollingSpec(stat=s, window=int(w))
-                for s, w in meta.get("rolling", [])
-            ]
-            u = next_step_covariates(
-                table,
-                int(meta["n_lags"]),
-                rolling=rolling,
-                exog_contemporaneous=bool(meta.get("exog_contemporaneous", False)),
-            )
+            u = _features_from_meta(meta, table, next_step_covariates)
             label = "one step past the series end"
         else:
-            design = _design_from_meta(meta, table)
             row = _resolve_row(design, args.row)
-            u = design.u[row]
+            rows = slice(row, row + 1)
+            u = design.u[rows]
             label = f"design row {row}"
 
-    if method == "flexcode":
-        if taus is not None:
-            q = estimator.predict_quantiles(model, u, taus)
-            write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-        else:
-            est = estimator.predict_density(model, u)
-            _write_density_csv(
-                args.output, est.grid_y, est.density, raw=est.raw_density
-            )
-            if est.degenerate:
-                print("warning: clipped density had no mass; wrote uniform")
-    else:  # nnkcde
-        grid_y = model.grid()
-        dens = model.predict_density(u)
-        if taus is not None:
-            q = estimator.quantiles_from_grid_density(grid_y, dens, taus)
-            write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-        else:
-            _write_density_csv(args.output, grid_y, dens)
+    grid_y, tabulate = _densities(method, model, meta, u, table, design, rows)
+    dens, raw, degenerate = tabulate(grid_y)
+    if taus is not None:
+        q = estimator.quantiles_from_grid_density(grid_y, dens[0], taus)
+        write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
+    elif raw is None:
+        write_csv(args.output, ["y", "density"], list(zip(grid_y, dens[0])))
+    else:
+        write_csv(args.output, ["y", "density", "raw_density"],
+                  list(zip(grid_y, dens[0], raw[0])))
+        if degenerate[0]:
+            print("warning: clipped density had no mass; wrote uniform")
     print(f"prediction for {label} written: {args.output}")
     return 0
 
@@ -528,7 +514,7 @@ def cmd_importance(args):
                 "pass --input with the fitting data"
             )
         table = _table_from_meta(meta, args.input)
-        design = _design_from_meta(meta, table)
+        design = _features_from_meta(meta, table)
         split = _split_from_meta(meta)
         _, va, _ = temporal_split(design.n_rows, split)
         scores = estimator.importance(
@@ -603,63 +589,22 @@ def run_bench_cell(
     y = scenarios.generate(
         cell.scenario, cell.n, cell.seed, burn_in=burn_in, sigma_nm=sigma_nm
     )
-    design = lag_embed(SeriesTable(y), cell.lags)
-    tr, va, te = temporal_split(design.n_rows, split)
-    u_tr = design.u[tr.start : tr.stop]
-    y_tr = design.y[tr.start : tr.stop]
-    u_va = design.u[va.start : va.stop]
-    y_va = design.y[va.start : va.stop]
-    u_te = design.u[te.start : te.stop]
-    y_te = design.y[te.start : te.stop]
-    scaler = fit_scaler(y_tr, pad=pad)
-    grid_y = np.linspace(scaler.lo, scaler.hi, grid_size)
-
-    i_selected = ""
-    hyper = ""
-    if cell.method == "flexcode":
-        config = estimator.FitConfig(
-            basis=basis,
-            i_max=i_max,
-            backend=backend,
-            grid_size=grid_size,
-            pad=pad,
-        )
-        model = estimator.fit(design, split, config)
-        dens = estimator.predict_density_batch(model, u_te).density
-        i_selected = model.i_selected
-        hyper = model.hyper
-
-        def fine_densities(fine_grid):
-            return estimator.predict_density_batch(
-                model, u_te, grid_size=fine_grid.size
-            ).density
-
-    elif cell.method == "nnkcde":
-        model = baselines.nnkcde_fit(
-            u_tr, y_tr, u_va, y_va, scaler.lo, scaler.hi, grid_size=grid_size
-        )
-        dens = model.predict_density_batch(u_te, grid_y=grid_y)
-        hyper = model.h
-        i_selected = model.k
-
-        def fine_densities(fine_grid):
-            return model.predict_density_batch(u_te, grid_y=fine_grid)
-
-    elif cell.method == "garch":
-        prefix_end = int(design.origin_index[tr.stop - 1]) + 1
-        model = baselines.garch_fit(y[:prefix_end], cell.lags)
-        means, s2 = baselines.garch_filter(model, y)
-        m_te, s2_te = means[te.start : te.stop], s2[te.start : te.stop]
-        dens = baselines.garch_density_rows(m_te, s2_te, grid_y)
-        hyper = model.alpha + model.beta
-
-        def fine_densities(fine_grid):
-            return baselines.garch_density_rows(m_te, s2_te, fine_grid)
-
-    else:
-        raise ValueError(f"unknown bench method {cell.method!r}")
-
-    rep = cde_loss_grid(grid_y, dens, y_te)
+    table = SeriesTable(y)
+    design = lag_embed(table, cell.lags)
+    meta = {
+        "split": [split.train_frac, split.val_frac, split.test_frac],
+        "pad": pad,
+        "grid_size": grid_size,
+    }
+    model, i_selected, hyper, _ = _fit(
+        cell.method, meta, table, design, backend=backend, basis=basis, i_max=i_max
+    )
+    _, _, te = temporal_split(design.n_rows, split)
+    rows = slice(te.start, te.stop)
+    grid_y, tabulate = _densities(
+        cell.method, model, meta, design.u[rows], table, design, rows
+    )
+    rep = cde_loss_grid(grid_y, tabulate(grid_y)[0], design.y[rows])
     result = {
         "scenario": cell.scenario,
         "n": cell.n,
@@ -676,11 +621,12 @@ def run_bench_cell(
         "n_test": rep.n_eval,
     }
     if oracle and cell.lags >= 3:
-        fine_grid = np.linspace(scaler.lo, scaler.hi, oracle_grid_size)
+        # every method's grid spans the training scaler's range exactly
+        fine_grid = np.linspace(grid_y[0], grid_y[-1], oracle_grid_size)
         truth = scenarios.density_rows(
-            cell.scenario, u_te[:, :3], fine_grid, sigma_nm=sigma_nm
+            cell.scenario, design.u[rows, :3], fine_grid, sigma_nm=sigma_nm
         )
-        orep = oracle_cde_loss(truth, fine_densities(fine_grid), fine_grid)
+        orep = oracle_cde_loss(truth, tabulate(fine_grid)[0], fine_grid)
         result["oracle_cde_loss"] = orep.loss
         result["oracle_cde_loss_se"] = orep.std_error
     return result
@@ -838,7 +784,6 @@ def build_parser():
     p_eval.add_argument("--log-pinball", action="store_true")
     p_eval.add_argument("--oracle-scenario", choices=scenarios.SCENARIO_NAMES)
     p_eval.add_argument("--sigma-nm", type=float, default=0.5)
-    p_eval.add_argument("--grid-size", type=int, default=1001)
     p_eval.add_argument("-o", "--output", required=True)
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -848,7 +793,6 @@ def build_parser():
     p_pred.add_argument("--input", help="CSV series for one-step-ahead forecasting")
     p_pred.add_argument("--row", type=int, default=None)
     p_pred.add_argument("--taus", help="comma list of quantile levels")
-    p_pred.add_argument("--grid-size", type=int, default=1001)
     p_pred.add_argument("-o", "--output", required=True)
     p_pred.set_defaults(func=cmd_predict)
 

@@ -80,6 +80,10 @@ class CoefficientModel:
     n_lags: int
     diagnostics: dict = field(default_factory=dict)
 
+    def grid(self):
+        """The fit-time response grid densities are tabulated on."""
+        return np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
+
 
 @dataclass
 class DensityBatch:
@@ -137,16 +141,19 @@ def _candidate_predictions(u_tr, phi_tr, u_va, config):
     return list(lams), preds, models
 
 
-def _postprocess_raw(raw, grid_y, width):
-    """Clip negatives and renormalize rows to unit mass on the grid."""
-    clipped = np.maximum(raw, 0.0)
-    mass = np.trapezoid(clipped, grid_y, axis=1)
+def renormalize_rows(density, grid_y):
+    """Scale nonnegative density rows to unit trapezoid mass on grid_y.
+
+    Rows without positive finite mass become uniform over the grid.
+    Returns (density, degenerate), the second flagging those rows.
+    """
+    mass = np.trapezoid(density, grid_y, axis=1)
     degenerate = ~(mass > 0.0) | ~np.isfinite(mass)
     safe = np.where(degenerate, 1.0, mass)
-    density = clipped / safe[:, None]
+    out = density / safe[:, None]
     if degenerate.any():
-        density[degenerate] = 1.0 / width
-    return density, degenerate
+        out[degenerate] = 1.0 / (grid_y[-1] - grid_y[0])
+    return out, degenerate
 
 
 def _postprocessed_loss_curve(b_hat, grid_y, phi_grid, width, y_va):
@@ -156,7 +163,7 @@ def _postprocessed_loss_curve(b_hat, grid_y, phi_grid, width, y_va):
     raw = np.zeros((b_hat.shape[0], grid_y.size))
     for i in range(n_coef):
         raw += np.outer(b_hat[:, i], phi_grid[:, i]) / width
-        density, _ = _postprocess_raw(raw, grid_y, width)
+        density, _ = renormalize_rows(np.maximum(raw, 0.0), grid_y)
         losses[i] = cde_loss_grid(grid_y, density, y_va).loss
     return losses
 
@@ -304,19 +311,19 @@ def predict_coefficients(model, u):
     return model.backend.predict(u)
 
 
-def predict_density_batch(model, u, grid_size=None):
-    """Post-processed conditional densities for many covariate rows."""
-    u = _check_u(model, u)
-    gs = model.grid_size if grid_size is None else int(grid_size)
-    if gs < 2:
-        raise ValueError(f"grid_size must be >= 2, got {gs}")
-    scaler = model.scaler
-    grid_y = np.linspace(scaler.lo, scaler.hi, gs)
-    phi_grid = basis_matrix(model.basis, scaler.transform(grid_y), model.i_selected)
-    pred = model.backend.predict(u)
+def tabulate_density(model, pred, grid_y):
+    """Post-processed densities of predicted coefficients on any response grid.
+
+    ``pred`` is the backend's prediction for some covariate rows; the
+    expansion is cut at the selected I, evaluated on ``grid_y``, clipped
+    at zero and renormalized.
+    """
+    phi_grid = basis_matrix(
+        model.basis, model.scaler.transform(grid_y), model.i_selected
+    )
     coeffs = pred.b_hat[:, : model.i_selected + 1]
-    raw = (coeffs @ phi_grid.T) / scaler.width
-    density, degenerate = _postprocess_raw(raw, grid_y, scaler.width)
+    raw = (coeffs @ phi_grid.T) / model.scaler.width
+    density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
     return DensityBatch(
         grid_y=grid_y,
         density=density,
@@ -324,6 +331,11 @@ def predict_density_batch(model, u, grid_size=None):
         degenerate=degenerate,
         n_fallback=getattr(pred, "n_fallback", 0),
     )
+
+
+def predict_density_batch(model, u):
+    """Post-processed conditional densities for many covariate rows."""
+    return tabulate_density(model, predict_coefficients(model, u), model.grid())
 
 
 def predict_density(model, u):
@@ -340,16 +352,21 @@ def predict_density(model, u):
 
 
 def quantiles_from_grid_density(grid_y, density, taus):
-    """Invert the CDF of one tabulated density by linear interpolation."""
+    """Invert the CDF of tabulated densities by linear interpolation.
+
+    ``density`` is one row on ``grid_y`` or a 2-D array of rows; the
+    result has one quantile per tau, per row for 2-D input.
+    """
+    rows = np.atleast_2d(density)
     steps = np.diff(grid_y)
-    cdf = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * steps)]
-    )
-    total = cdf[-1]
-    if total <= 0 or not np.isfinite(total):
+    cdf = np.zeros((rows.shape[0], grid_y.size))
+    cdf[:, 1:] = np.cumsum(0.5 * (rows[:, 1:] + rows[:, :-1]) * steps, axis=1)
+    total = cdf[:, -1:]
+    if not np.all((total > 0) & np.isfinite(total)):
         raise NumericError("density has no positive mass; quantiles undefined")
     cdf /= total
-    return np.interp(taus, cdf, grid_y)
+    out = np.array([np.interp(taus, row, grid_y) for row in cdf])
+    return out[0] if np.ndim(density) == 1 else out
 
 
 def predict_quantiles(model, u, taus):
@@ -358,9 +375,7 @@ def predict_quantiles(model, u, taus):
     if taus.size == 0 or np.any(taus <= 0.0) or np.any(taus >= 1.0):
         raise ValueError(f"quantile levels must lie strictly in (0, 1), got {taus}")
     batch = predict_density_batch(model, u)
-    out = np.empty((batch.density.shape[0], taus.size))
-    for r in range(batch.density.shape[0]):
-        out[r] = quantiles_from_grid_density(batch.grid_y, batch.density[r], taus)
+    out = quantiles_from_grid_density(batch.grid_y, batch.density, taus)
     if out.shape[0] == 1 and np.asarray(u).ndim == 1:
         return out[0]
     return out

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from flexts import cli
+from flexts import baselines, cli, estimator, regression
+from flexts.features import SeriesTable, SplitSpec, lag_embed, temporal_split
 from flexts.persistence import load_model
 from flexts.scenarios import generate
 
@@ -315,6 +317,96 @@ def test_predict_argument_errors(tmp_path, fitted_trio):
                 "-o", out]) == 2
     assert run(["predict", "--model", models["flexcode"], "--u", "0,0",
                 "-o", out]) == 3
+
+
+def test_predict_rejects_quantile_levels_outside_unit_interval(tmp_path,
+                                                               fitted_trio):
+    data, models = fitted_trio
+    for name, model in models.items():
+        code = run(["predict", "--model", model, "--input", data,
+                    "--taus", "1.5,0.5", "-o", tmp_path / f"q_{name}.csv"])
+        assert code == 2, name
+
+
+def test_predict_rejects_non_finite_covariates(tmp_path, fitted_trio, capsys):
+    _, models = fitted_trio
+    for name in ("flexcode", "nnkcde"):
+        code, _, err = run(["predict", "--model", models[name], "--u", "nan,0,0",
+                            "-o", tmp_path / "x.csv"], capsys)
+        assert code == 3, name
+        assert "non-finite" in err
+
+
+def test_baselines_are_scored_on_their_fit_time_grid(tmp_path):
+    data = simulate(tmp_path, n=500)
+    grid_flags = ("--pad", "0.3", "--grid-size", "501")
+    columns = {}
+    for method in ("nnkcde", "garch"):
+        model = fit(tmp_path, data, method=method, extra=grid_flags)
+        meta = load_model(model)[2]
+        assert (meta["pad"], meta["grid_size"]) == (0.3, 501)
+        out = tmp_path / f"row_{method}.csv"
+        assert run(["predict", "--model", model, "--input", data,
+                    "--row", -1, "-o", out]) == 0
+        columns[method] = [r[0] for r in read_rows(out)[1:]]
+    assert len(columns["garch"]) == 501
+    assert columns["garch"] == columns["nnkcde"]
+
+
+def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
+    data, models = fitted_trio
+    for method, path in models.items():
+        _, model, meta = load_model(path)
+        table = cli._table_from_meta(meta, data)
+        design = cli._features_from_meta(meta, table)
+        _, _, te = temporal_split(design.n_rows, cli._split_from_meta(meta))
+        rows = slice(te.start, te.stop)
+        grid_y, tabulate = cli._densities(
+            method, model, meta, design.u[rows], table, design, rows
+        )
+        fine = np.linspace(grid_y[0], grid_y[-1], 2001)
+        for grid in (grid_y, fine):
+            got = tabulate(grid)[0]
+            if method == "flexcode":
+                regridded = dataclasses.replace(model, grid_size=grid.size)
+                assert np.array_equal(regridded.grid(), grid)
+                want = estimator.predict_density_batch(
+                    regridded, design.u[rows]).density
+            elif method == "nnkcde":
+                want = model.predict_density_batch(design.u[rows], grid_y=grid)
+            else:
+                means, s2 = baselines.garch_filter(model, table.response)
+                want = baselines.garch_density_rows(means[rows], s2[rows], grid)
+            assert np.array_equal(got, want), method
+
+
+def test_bench_cell_computes_test_row_state_once(monkeypatch):
+    design = lag_embed(SeriesTable(generate("ar", 300, 0)), 3)
+    _, va, te = temporal_split(design.n_rows, SplitSpec())
+
+    predicted = []
+    nw_predict = regression.NadarayaWatsonModel.predict
+
+    def counting_predict(self, eval_u):
+        predicted.append(np.shape(eval_u)[0])
+        return nw_predict(self, eval_u)
+
+    monkeypatch.setattr(regression.NadarayaWatsonModel, "predict",
+                        counting_predict)
+    row = cli.run_bench_cell(cli.BenchCell("ar", 300, "flexcode", 3, 0))
+    assert row["status"] == "ok" and row["oracle_cde_loss"] != ""
+    assert predicted == [len(te)]
+
+    distance_rows = []
+
+    def counting_dists(a, b):
+        distance_rows.append(np.shape(a)[0])
+        return regression.pairwise_sq_dists(a, b)
+
+    monkeypatch.setattr(baselines, "pairwise_sq_dists", counting_dists)
+    row = cli.run_bench_cell(cli.BenchCell("ar", 300, "nnkcde", 3, 0))
+    assert row["status"] == "ok" and row["oracle_cde_loss"] != ""
+    assert distance_rows == [len(va), len(te)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from flexts.estimator import (
     predict_density_batch,
     predict_quantiles,
     quantiles_from_grid_density,
+    renormalize_rows,
+    tabulate_density,
 )
 from flexts.evaluation import cde_loss_from_coeffs
 from flexts.features import DesignMatrix, SeriesTable, SplitSpec, lag_embed
@@ -222,9 +224,15 @@ def test_appending_zero_coefficients_keeps_raw_density():
 
 def test_density_batch_grid_override():
     model = fit(ar_design(n=400))
-    batch = predict_density_batch(model, np.zeros((2, 3)), grid_size=2001)
+    u = np.zeros((2, 3))
+    fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
+    batch = tabulate_density(model, predict_coefficients(model, u), fine)
     assert batch.grid_y.shape == (2001,)
     assert batch.density.shape == (2, 2001)
+    np.testing.assert_allclose(np.trapezoid(batch.density, fine, axis=1), 1.0)
+    # on the fit-time grid it is the batch prediction, bit for bit
+    own = tabulate_density(model, predict_coefficients(model, u), model.grid())
+    assert np.array_equal(own.density, predict_density_batch(model, u).density)
 
 
 def test_quantiles_monotone_and_validated():
@@ -255,6 +263,32 @@ def test_quantiles_match_rejection_sampling():
     q_model = predict_quantiles(model, u, taus)
     q_mc = np.quantile(sample, taus)
     np.testing.assert_allclose(q_model, q_mc, atol=2e-2)
+
+
+def test_quantiles_of_density_rows_match_one_row_at_a_time():
+    model = fit(ar_design(n=800))
+    batch = predict_density_batch(model, np.random.default_rng(3).normal(size=(7, 3)))
+    taus = np.linspace(0.05, 0.95, 19)
+    q = quantiles_from_grid_density(batch.grid_y, batch.density, taus)
+    assert q.shape == (7, 19)
+    steps = np.diff(batch.grid_y)
+    for r, d in enumerate(batch.density):
+        # the single-row inversion, written out
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (d[1:] + d[:-1]) * steps)])
+        expected = np.interp(taus, cdf / cdf[-1], batch.grid_y)
+        assert np.array_equal(q[r], expected)
+        assert np.array_equal(
+            quantiles_from_grid_density(batch.grid_y, d, taus), expected
+        )
+
+
+def test_renormalize_rows_makes_massless_rows_uniform():
+    grid = np.linspace(-1.0, 3.0, 101)
+    rows = np.vstack([np.ones(101), np.zeros(101), np.full(101, np.nan)])
+    dens, degenerate = renormalize_rows(rows, grid)
+    assert degenerate.tolist() == [False, True, True]
+    np.testing.assert_allclose(dens[0], 0.25, rtol=1e-12)
+    assert np.all(dens[1:] == 1.0 / 4.0)
 
 
 def test_quantiles_need_positive_mass():
