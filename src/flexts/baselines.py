@@ -30,6 +30,9 @@ from flexts.regression import k_candidates, nearest_order, pairwise_sq_dists
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
+# query rows per block in NNKCDE's distance and kernel passes
+CHUNK = 64
+
 
 # ---------------------------------------------------------------------------
 # Nearest-neighbor kernel conditional density estimation
@@ -51,7 +54,7 @@ class NnkcdeModel:
     def grid(self):
         return np.linspace(self.lo, self.hi, self.grid_size)
 
-    def neighbor_responses(self, eval_u, chunk=64):
+    def neighbor_responses(self, eval_u):
         """Training responses of each query's k nearest neighbors, (n, k)."""
         eval_u = np.asarray(eval_u, dtype=float)
         if eval_u.ndim == 1:
@@ -64,27 +67,26 @@ class NnkcdeModel:
         if not np.all(np.isfinite(eval_u)):
             raise DataError("covariates contain non-finite values")
         out = np.empty((eval_u.shape[0], self.k))
-        for start in range(0, eval_u.shape[0], chunk):
-            sq = pairwise_sq_dists(eval_u[start : start + chunk], self.train_u)
-            out[start : start + chunk] = self.train_y[nearest_order(sq, self.k)]
+        for start in range(0, eval_u.shape[0], CHUNK):
+            sq = pairwise_sq_dists(eval_u[start : start + CHUNK], self.train_u)
+            out[start : start + CHUNK] = self.train_y[nearest_order(sq, self.k)]
         return out
 
-    def density_rows(self, neigh_y, grid_y, chunk=64):
+    def density_rows(self, neigh_y, grid_y):
         """Renormalized Gaussian KDE over each row of neighbor responses."""
         out = np.empty((neigh_y.shape[0], grid_y.size))
-        for start in range(0, neigh_y.shape[0], chunk):
-            block = neigh_y[start : start + chunk]
+        for start in range(0, neigh_y.shape[0], CHUNK):
+            block = neigh_y[start : start + CHUNK]
             diff = (grid_y[None, None, :] - block[:, :, None]) / self.h
             raw = np.exp(-0.5 * diff * diff).mean(axis=1) / (self.h * SQRT_2PI)
-            out[start : start + chunk] = renormalize_rows(raw, grid_y)[0]
+            out[start : start + CHUNK] = renormalize_rows(raw, grid_y)[0]
         return out
 
-    def predict_density_batch(self, eval_u, grid_y=None, chunk=64):
+    def predict_density_batch(self, eval_u, grid_y=None):
         """Renormalized neighbor-KDE densities, one row per query."""
         if grid_y is None:
             grid_y = self.grid()
-        neigh_y = self.neighbor_responses(eval_u, chunk)
-        return self.density_rows(neigh_y, grid_y, chunk)
+        return self.density_rows(self.neighbor_responses(eval_u), grid_y)
 
     def predict_density(self, u, grid_y=None):
         return self.predict_density_batch(u, grid_y=grid_y)[0]
@@ -111,7 +113,6 @@ def nnkcde_fit(
     k_grid=None,
     h_grid=None,
     grid_size=1001,
-    chunk=64,
 ):
     """Tune (k, h) by grid-form density loss on the validation block.
 
@@ -146,8 +147,8 @@ def nnkcde_fit(
     for hi_idx, h in enumerate(h_grid):
         # running kernel sums over the neighbor axis give every k at once
         cums = np.empty((n_val, len(k_grid), grid_y.size))
-        for start in range(0, n_val, chunk):
-            block = neigh_y[start : start + chunk]
+        for start in range(0, n_val, CHUNK):
+            block = neigh_y[start : start + CHUNK]
             diff = (grid_y[None, None, :] - block[:, :, None]) / h
             kern = np.exp(-0.5 * diff * diff)
             csum = np.cumsum(kern, axis=1)
@@ -280,7 +281,7 @@ def garch_starting_points(y, p):
     return starts, v
 
 
-def garch_fit(y, p, max_iter=2000):
+def garch_fit(y, p):
     """Quasi-maximum-likelihood fit of the AR(p)-GARCH(1,1) model.
 
     Nelder-Mead runs from each fixed start; the best final likelihood
@@ -311,7 +312,7 @@ def garch_fit(y, p, max_iter=2000):
             theta0,
             args=(y, p, s2_init),
             method="Nelder-Mead",
-            options={"maxiter": max_iter, "xatol": 1e-6, "fatol": 1e-8},
+            options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-8},
         )
         if np.isfinite(res.fun) and (best_res is None or res.fun < best_res.fun):
             best_res = res

@@ -36,6 +36,7 @@ from flexts.features import (
     next_step_covariates,
     temporal_split,
 )
+from flexts.regression import HYPER_NAMES
 
 PROG = "flexts"
 
@@ -243,10 +244,6 @@ def cmd_simulate(args):
 # fitting and tabulating any method
 # ---------------------------------------------------------------------------
 
-# the grid flag of the hyperparameter each flexcode backend tunes
-HYPER_NAMES = {"nw": "delta", "knn": "k", "lasso": "lam"}
-
-
 def _fit(method, meta, table, design, backend="nw", grids=None, **config):
     """Fit any method on a design, split as ``meta`` records.
 
@@ -272,7 +269,7 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
         model = estimator.fit(design, split, config)
         meta.update(backend=model.backend_kind, basis=model.basis)
         hyper_name = HYPER_NAMES[model.backend_kind]
-        hyper = int(model.hyper) if hyper_name == "k" else model.hyper
+        hyper = getattr(model.backend, hyper_name)
         report = [
             f"method: flexcode backend={model.backend_kind}",
             f"selected {hyper_name}={hyper} I={model.i_selected}",
@@ -460,8 +457,8 @@ def _resolve_row(design, row):
 def cmd_predict(args):
     method, model, meta = persistence.load_model(args.model)
     taus = _parse_taus(args.taus) if args.taus else None
-    if args.u is None and args.input is None:
-        raise ValueError("predict needs either --u or --input")
+    if args.row is not None and args.input is None:
+        raise ValueError("--row selects a row of --input, which is not given")
 
     table = design = rows = None
     if args.u is not None:
@@ -538,6 +535,9 @@ def cmd_importance(args):
 
 BENCH_METHODS = ("flexcode", "nnkcde", "garch")
 
+# points of the finer grid a bench cell scores oracle losses on
+ORACLE_GRID_SIZE = 2001
+
 BENCH_DEFAULTS = {
     "scenarios": ["ar"],
     "sizes": [1000],
@@ -577,7 +577,6 @@ def run_bench_cell(
     burn_in=200,
     sigma_nm=0.5,
     oracle=True,
-    oracle_grid_size=2001,
 ):
     """Run one (scenario, n, method, lags, seed) cell; returns a metrics dict.
 
@@ -622,7 +621,7 @@ def run_bench_cell(
     }
     if oracle and cell.lags >= 3:
         # every method's grid spans the training scaler's range exactly
-        fine_grid = np.linspace(grid_y[0], grid_y[-1], oracle_grid_size)
+        fine_grid = np.linspace(grid_y[0], grid_y[-1], ORACLE_GRID_SIZE)
         truth = scenarios.density_rows(
             cell.scenario, design.u[rows, :3], fine_grid, sigma_nm=sigma_nm
         )
@@ -789,8 +788,9 @@ def build_parser():
 
     p_pred = sub.add_parser("predict", help="density or quantiles for one query")
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--u", help="comma list of covariate values")
-    p_pred.add_argument("--input", help="CSV series for one-step-ahead forecasting")
+    query = p_pred.add_mutually_exclusive_group(required=True)
+    query.add_argument("--u", help="comma list of covariate values")
+    query.add_argument("--input", help="CSV series for one-step-ahead forecasting")
     p_pred.add_argument("--row", type=int, default=None)
     p_pred.add_argument("--taus", help="comma list of quantile levels")
     p_pred.add_argument("-o", "--output", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flexts.basis import BASIS_KINDS, basis_matrix, fit_scaler
+from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs, cde_loss_grid
 from flexts.features import SplitSpec, temporal_split
@@ -44,8 +44,6 @@ class FitConfig:
     pad: float = 0.05
     refit_final: bool = False
     select_postprocessed: bool = False
-    lasso_max_iter: int = 10000
-    lasso_tol: float = 1e-7
 
     def __post_init__(self):
         if self.basis not in BASIS_KINDS:
@@ -64,7 +62,7 @@ class FitConfig:
 class CoefficientModel:
     """A fitted conditional density estimator."""
 
-    scaler: object
+    scaler: Scaler
     basis: str
     i_max: int
     i_selected: int
@@ -134,9 +132,7 @@ def _candidate_predictions(u_tr, phi_tr, u_va, config):
         lams = sorted((float(l) for l in config.hyper_grid), reverse=True)
         if any(l < 0 for l in lams):
             raise ValueError("lasso penalties must be nonnegative")
-    models = lasso_path(
-        u_tr, phi_tr, lams, max_iter=config.lasso_max_iter, tol=config.lasso_tol
-    )
+    models = lasso_path(u_tr, phi_tr, lams)
     preds = [m.predict(u_va) for m in models]
     return list(lams), preds, models
 
@@ -253,13 +249,7 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     elif kind == "knn":
         backend = KnnModel(u_fit, phi_fit, int(hyper))
     elif config.refit_final:
-        backend = lasso_path(
-            u_fit,
-            phi_fit,
-            hypers[: c_best + 1],
-            max_iter=config.lasso_max_iter,
-            tol=config.lasso_tol,
-        )[-1]
+        backend = lasso_path(u_fit, phi_fit, hypers[: c_best + 1])[-1]
     else:
         backend = path_models[c_best]
 

@@ -1,230 +1,118 @@
 """Model save/load as self-describing JSON.
 
-Floating point values are written as 17-significant-digit decimal
-strings, which round-trip IEEE doubles exactly, so a loaded model
-reproduces the saved model's predictions bit for bit. Files carry a
-format version and enough metadata (feature construction, split
-fractions) to rebuild design matrices for evaluation.
+A model file (format version 2) is sorted, compact JSON holding
+``format_version``, ``method``, ``metadata`` (feature construction and
+split fractions, enough to rebuild design matrices for evaluation) and
+``model``: the fitted model's dataclass fields, arrays as nested lists
+and nested dataclasses (the scaler, a flexcode backend) as objects.
+``json`` writes every float with ``repr``, which round-trips IEEE
+doubles exactly, so a loaded model reproduces the saved model's
+predictions bit for bit. Loading rebuilds each field from its type
+annotation.
+
+Version-1 files, which wrote floats as 17-digit decimal strings and kept
+a flexcode backend's kind and hyperparameter inside the backend object,
+still load.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 
-from flexts.basis import Scaler
 from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
-from flexts.regression import KnnModel, LassoModel, NadarayaWatsonModel
+from flexts.regression import HYPER_NAMES, KnnModel, LassoModel, NadarayaWatsonModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-
-def _enc_float(x):
-    return format(float(x), ".17g")
-
-
-def _enc_array(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        return [_enc_float(v) for v in a]
-    return [[_enc_float(v) for v in row] for row in a]
+METHODS = {"flexcode": CoefficientModel, "nnkcde": NnkcdeModel, "garch": GarchModel}
+BACKENDS = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso": LassoModel}
 
 
-def _dec_array(obj):
-    return np.asarray(obj, dtype=float)
-
-
-def _backend_doc(model):
-    kind = model.backend_kind
-    be = model.backend
-    if kind in ("nw", "knn"):
-        return {
-            "kind": kind,
-            "hyper": _enc_float(model.hyper),
-            "train_u": _enc_array(be.train_u),
-            "train_phi": _enc_array(be.train_phi),
-        }
-    return {
-        "kind": "lasso",
-        "hyper": _enc_float(model.hyper),
-        "intercept": _enc_array(be.intercept),
-        "coef": _enc_array(be.coef),
-        "coef_std": _enc_array(be.coef_std),
-        "feature_mean": _enc_array(be.feature_mean),
-        "feature_scale": _enc_array(be.feature_scale),
-        "converged": [bool(v) for v in np.atleast_1d(be.converged)],
-    }
-
-
-def flexcode_doc(model):
-    return {
-        "scaler": {
-            "lo": _enc_float(model.scaler.lo),
-            "hi": _enc_float(model.scaler.hi),
-            "pad": _enc_float(model.scaler.pad),
-        },
-        "basis": model.basis,
-        "i_max": int(model.i_max),
-        "i_selected": int(model.i_selected),
-        "grid_size": int(model.grid_size),
-        "val_losses": _enc_array(model.val_losses),
-        "val_std_errors": _enc_array(model.val_std_errors),
-        "candidate_hypers": _enc_array(model.candidate_hypers),
-        "candidate_losses": _enc_array(model.candidate_losses),
-        "feature_names": list(model.feature_names),
-        "n_lags": int(model.n_lags),
-        "backend": _backend_doc(model),
-        "diagnostics": {k: _jsonable(v) for k, v in model.diagnostics.items()},
-    }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating, float)):
-        return _enc_float(v)
-    return v
-
-
-def nnkcde_doc(model):
-    return {
-        "train_u": _enc_array(model.train_u),
-        "train_y": _enc_array(model.train_y),
-        "k": int(model.k),
-        "h": _enc_float(model.h),
-        "lo": _enc_float(model.lo),
-        "hi": _enc_float(model.hi),
-        "grid_size": int(model.grid_size),
-    }
-
-
-def garch_doc(model):
-    return {
-        "c": _enc_float(model.c),
-        "ar": _enc_array(model.ar),
-        "omega": _enc_float(model.omega),
-        "alpha": _enc_float(model.alpha),
-        "beta": _enc_float(model.beta),
-        "s2_init": _enc_float(model.s2_init),
-        "loglik": _enc_float(model.loglik),
-    }
+def _jsonable(obj):
+    """What json cannot write itself: dataclasses, arrays, numpy scalars."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot save a {type(obj).__name__}")
 
 
 def save_model(path, method, model, metadata=None):
     """Write a fitted model with metadata; identical fits yield identical bytes."""
-    if method == "flexcode":
-        body = flexcode_doc(model)
-    elif method == "nnkcde":
-        body = nnkcde_doc(model)
-    elif method == "garch":
-        body = garch_doc(model)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if not isinstance(model, METHODS.get(method, ())):
+        raise ValueError(f"cannot save a {type(model).__name__} as method {method!r}")
     doc = {
         "format_version": FORMAT_VERSION,
         "method": method,
         "metadata": metadata or {},
-        "model": body,
+        "model": model,
     }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # without indent, json uses its C encoder
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_jsonable)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
-def _load_flexcode(body):
-    backend_doc = body["backend"]
-    kind = backend_doc["kind"]
-    hyper = float(backend_doc["hyper"])
-    if kind == "nw":
-        backend = NadarayaWatsonModel(
-            train_u=_dec_array(backend_doc["train_u"]),
-            train_phi=_dec_array(backend_doc["train_phi"]),
-            delta=hyper,
-        )
-    elif kind == "knn":
-        backend = KnnModel(
-            train_u=_dec_array(backend_doc["train_u"]),
-            train_phi=_dec_array(backend_doc["train_phi"]),
-            k=int(hyper),
-        )
-    elif kind == "lasso":
-        backend = LassoModel(
-            intercept=_dec_array(backend_doc["intercept"]),
-            coef=_dec_array(backend_doc["coef"]),
-            coef_std=_dec_array(backend_doc["coef_std"]),
-            lam=hyper,
-            feature_mean=_dec_array(backend_doc["feature_mean"]),
-            feature_scale=_dec_array(backend_doc["feature_scale"]),
-            converged=np.asarray(backend_doc["converged"], dtype=bool),
-        )
-    else:
-        raise DataError(f"unknown backend kind {kind!r} in model file")
-    scal = body["scaler"]
-    scaler = Scaler(
-        lo=float(scal["lo"]), hi=float(scal["hi"]), pad=float(scal["pad"])
-    )
-    return CoefficientModel(
-        scaler=scaler,
-        basis=body["basis"],
-        i_max=int(body["i_max"]),
-        i_selected=int(body["i_selected"]),
-        grid_size=int(body["grid_size"]),
-        backend_kind=kind,
-        hyper=hyper,
-        backend=backend,
-        val_losses=_dec_array(body["val_losses"]),
-        val_std_errors=_dec_array(body["val_std_errors"]),
-        candidate_hypers=[float(v) for v in body["candidate_hypers"]],
-        candidate_losses=[float(v) for v in body["candidate_losses"]],
-        feature_names=list(body["feature_names"]),
-        n_lags=int(body["n_lags"]),
-        diagnostics=dict(body.get("diagnostics", {})),
-    )
+def _decode(cls, doc):
+    """Rebuild dataclass ``cls`` from its fields, each converted by its type."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in doc:
+            continue  # a default applies, or the constructor reports it missing
+        # a flexcode backend's class is the one its backend_kind names
+        kind = BACKENDS[doc["backend_kind"]] if f.name == "backend" else f.type
+        value = doc[f.name]
+        if dataclasses.is_dataclass(kind):
+            value = _decode(kind, value)
+        elif kind is np.ndarray:
+            value = np.asarray(value)
+            if value.dtype.kind == "U":  # version 1's decimal strings
+                value = value.astype(float)
+        else:
+            value = kind(value)
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def _flexcode_from_v1(body):
+    """Move a version-1 backend's kind and hyper to the fields that hold them now."""
+    backend = body["backend"]
+    kind = body["backend_kind"] = backend.pop("kind")
+    body["hyper"] = backend[HYPER_NAMES[kind]] = backend.pop("hyper")
+    for name in ("candidate_hypers", "candidate_losses"):
+        body[name] = [float(v) for v in body[name]]
 
 
 def load_model(path):
     """Read a model file; returns (method, model, metadata)."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise DataError(f"model file {path} lacks a format_version field")
     version = doc["format_version"]
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise DataError(
             f"model file {path} has format_version {version}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions 1 to {FORMAT_VERSION}"
         )
     method = doc.get("method")
+    if method not in METHODS:
+        raise DataError(f"model file {path} has unknown method {method!r}")
     body = doc.get("model", {})
     try:
-        if method == "flexcode":
-            model = _load_flexcode(body)
-        elif method == "nnkcde":
-            model = NnkcdeModel(
-                train_u=_dec_array(body["train_u"]),
-                train_y=_dec_array(body["train_y"]),
-                k=int(body["k"]),
-                h=float(body["h"]),
-                lo=float(body["lo"]),
-                hi=float(body["hi"]),
-                grid_size=int(body["grid_size"]),
-            )
-        elif method == "garch":
-            model = GarchModel(
-                c=float(body["c"]),
-                ar=_dec_array(body["ar"]),
-                omega=float(body["omega"]),
-                alpha=float(body["alpha"]),
-                beta=float(body["beta"]),
-                s2_init=float(body["s2_init"]),
-                loglik=float(body["loglik"]),
-            )
-        else:
-            raise DataError(f"model file {path} has unknown method {method!r}")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"model file {path} is missing fields: {exc}") from exc
+        if version == 1 and method == "flexcode":
+            _flexcode_from_v1(body)
+        model = _decode(METHODS[method], body)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(
+            f"model file {path} has a missing or malformed field: {exc!r}"
+        ) from exc
     return method, model, doc.get("metadata", {})

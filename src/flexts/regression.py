@@ -23,7 +23,9 @@ import numpy as np
 
 from flexts.errors import DataError
 
-BACKEND_KINDS = ("nw", "knn", "lasso")
+# each backend's hyperparameter: the field of its model that holds it
+HYPER_NAMES = {"nw": "delta", "knn": "k", "lasso": "lam"}
+BACKEND_KINDS = tuple(HYPER_NAMES)
 
 # rows per block in the row-blocked passes over a distance matrix; bounds
 # their scratch to ROW_BLOCK * n_train values whatever the query count
@@ -378,17 +380,15 @@ def lasso_fit(
     )
 
 
-def lasso_path(train_u, train_phi, lams, max_iter=10000, tol=1e-7):
-    """Fit a decreasing penalty path with warm starts."""
+def lasso_path(train_u, train_phi, lams):
+    """Fit a decreasing penalty path with warm starts, at lasso_fit's defaults."""
     lams = list(lams)
     if any(lams[i] < lams[i + 1] for i in range(len(lams) - 1)):
         raise ValueError("penalty path must be non-increasing")
     models = []
     warm = None
     for lam in lams:
-        model = lasso_fit(
-            train_u, train_phi, lam, max_iter=max_iter, tol=tol, warm_start=warm
-        )
+        model = lasso_fit(train_u, train_phi, lam, warm_start=warm)
         warm = model.coef_std
         models.append(model)
     return models

@@ -317,6 +317,32 @@ def test_predict_argument_errors(tmp_path, fitted_trio):
                 "-o", out]) == 2
     assert run(["predict", "--model", models["flexcode"], "--u", "0,0",
                 "-o", out]) == 3
+    # --u and --input are exclusive, and --row picks a row of --input
+    for method in ("flexcode", "garch"):
+        assert run(["predict", "--model", models[method], "--u", "0.1,0.2,0.0",
+                    "--input", data, "--row", 3, "-o", out]) == 2
+        assert run(["predict", "--model", models[method], "--u", "0.1,0.2,0.0",
+                    "--input", data, "-o", out]) == 2
+    assert run(["predict", "--model", models["flexcode"], "--u", "0.1,0.2,0.0",
+                "--row", 3, "-o", out]) == 2
+
+
+def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
+    data = simulate(tmp_path, n=300)
+    model = fit(tmp_path, data, method="nnkcde")
+    out = tmp_path / "x.csv"
+    code, _, err = run(["predict", "--model", tmp_path / "missing.json",
+                        "--u", "0,0,0", "-o", out], capsys)
+    assert code == 3
+    assert "cannot open" in err
+    doc = json.loads(model.read_text())
+    doc["model"]["k"] = "abc"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["predict", "--model", bad, "--u", "0,0,0", "-o", out],
+                       capsys)
+    assert code == 3
+    assert "malformed" in err
 
 
 def test_predict_rejects_quantile_levels_outside_unit_interval(tmp_path,

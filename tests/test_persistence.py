@@ -1,16 +1,24 @@
 """Model files: exact float round-trip and bitwise-identical predictions."""
 
+import dataclasses
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flexts.baselines import garch_filter, garch_fit, nnkcde_fit
+from flexts.baselines import garch_density_rows, garch_filter, garch_fit, nnkcde_fit
+from flexts.basis import BASIS_KINDS, fit_scaler
 from flexts.errors import DataError
 from flexts.estimator import FitConfig, fit, predict_density_batch
 from flexts.features import SeriesTable, lag_embed
 from flexts.persistence import FORMAT_VERSION, load_model, save_model
+from flexts.regression import BACKEND_KINDS
 from flexts.scenarios import generate
+from v1_fixtures import DATA_DIR, fit_models
 
 
 def ar_design(n=500, seed=0):
@@ -23,7 +31,9 @@ def test_seventeen_digit_floats_round_trip_exactly():
         [rng.normal(size=50), [0.1, 1 / 3, 1e-308, 1e308, -0.0, np.pi]]
     )
     for x in samples:
+        # version-1 files' decimal strings, and version 2's json floats
         assert float(format(float(x), ".17g")) == float(x)
+        assert json.loads(json.dumps(float(x))) == float(x)
 
 
 @pytest.mark.parametrize("backend", ["nw", "knn", "lasso"])
@@ -125,3 +135,142 @@ def test_load_rejects_bad_files(tmp_path):
 def test_save_rejects_unknown_method(tmp_path):
     with pytest.raises(ValueError):
         save_model(tmp_path / "x.json", "forest", object())
+    # a known method whose model class the object is not
+    model = fit(ar_design(n=300))
+    for method in ("nnkcde", "garch"):
+        with pytest.raises(ValueError, match="CoefficientModel"):
+            save_model(tmp_path / "x.json", method, model)
+    assert not (tmp_path / "x.json").exists()
+
+
+def assert_same(a, b, where="model"):
+    """Equal field by field; arrays of equal dtype, shape and bytes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), where
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, (list, dict)):
+        assert type(b) is type(a) and len(b) == len(a), where
+        keys = a.keys() if isinstance(a, dict) else range(len(a))
+        for k in keys:
+            assert_same(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, float):
+        # numpy float scalars come back as python floats of the same bits
+        assert type(b) is float and repr(float(a)) == repr(b), where
+    else:
+        assert type(b) is type(a) and a == b, where
+
+
+def round_trip(path, method, model):
+    """Save, load and save again; returns the loaded model."""
+    save_model(path, method, model, {"n": 1})
+    got_method, loaded, meta = load_model(path)
+    assert (got_method, meta) == (method, {"n": 1})
+    assert_same(model, loaded)
+    first = path.read_bytes()
+    save_model(path, method, loaded, {"n": 1})
+    assert path.read_bytes() == first
+    return loaded
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=8, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+SERIES = st.tuples(
+    st.sampled_from(["ar", "nonlinear_mean", "nonlinear_variance"]),
+    st.integers(150, 320),
+    st.integers(0, 2**16),
+)
+
+
+@pytest.mark.parametrize(
+    "backend,basis,refit_final",
+    list(itertools.product(BACKEND_KINDS, BASIS_KINDS, (False, True))),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@PROPERTY_SETTINGS
+@given(series=SERIES, n_lags=st.integers(1, 3), i_max=st.integers(1, 12))
+def test_flexcode_save_load_is_exact(tmp_path, backend, basis, refit_final,
+                                     series, n_lags, i_max):
+    design = lag_embed(SeriesTable(generate(*series)), n_lags)
+    config = FitConfig(backend=backend, basis=basis, i_max=i_max,
+                       refit_final=refit_final)
+    model = fit(design, config=config)
+    loaded = round_trip(tmp_path / "m.json", "flexcode", model)
+    u = design.u[-25:]
+    a, b = predict_density_batch(model, u), predict_density_batch(loaded, u)
+    assert a.density.tobytes() == b.density.tobytes()
+    assert a.raw_density.tobytes() == b.raw_density.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(series=SERIES)
+def test_nnkcde_save_load_is_exact(tmp_path, series):
+    design = lag_embed(SeriesTable(generate(*series)), 2)
+    n_tr = int(0.7 * design.n_rows)
+    scaler = fit_scaler(design.y[:n_tr])
+    model = nnkcde_fit(design.u[:n_tr], design.y[:n_tr], design.u[n_tr:],
+                       design.y[n_tr:], scaler.lo, scaler.hi, grid_size=201)
+    loaded = round_trip(tmp_path / "m.json", "nnkcde", model)
+    u = design.u[-25:]
+    assert (model.predict_density_batch(u).tobytes()
+            == loaded.predict_density_batch(u).tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(series=SERIES, p=st.integers(0, 2))
+def test_garch_save_load_is_exact(tmp_path, series, p):
+    y = generate(*series)
+    model = garch_fit(y, p)
+    loaded = round_trip(tmp_path / "m.json", "garch", model)
+    grid = np.linspace(y.min(), y.max(), 101)
+    a, b = (garch_density_rows(*garch_filter(m, y), grid) for m in (model, loaded))
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def fresh_v1_fits():
+    with pytest.warns(RuntimeWarning):  # the lasso fit selects I at i_max
+        return fit_models()
+
+
+def predictions(method, model, rows):
+    """The bytes of what a model predicts: densities, or the garch filter."""
+    if method == "flexcode":
+        batch = predict_density_batch(model, rows)
+        return batch.density.tobytes() + batch.raw_density.tobytes()
+    if method == "nnkcde":
+        return model.predict_density_batch(rows).tobytes()
+    return b"".join(a.tobytes() for a in garch_filter(model, rows))
+
+
+@pytest.mark.parametrize(
+    "name", ["flexcode_nw", "flexcode_knn", "flexcode_lasso", "nnkcde", "garch"]
+)
+def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_v1_fits, name):
+    path = os.path.join(DATA_DIR, f"{name}.json")
+    assert os.path.getsize(path) < 40_000
+    with open(path) as fh:
+        assert json.load(fh)["format_version"] == 1
+    method, loaded, meta = load_model(path)
+    fresh_method, fresh, rows = fresh_v1_fits[name]
+    assert (method, meta) == (fresh_method, {"fixture": name})
+    assert predictions(method, loaded, rows) == predictions(method, fresh, rows)
+    if method == "flexcode":
+        assert (loaded.backend_kind, loaded.hyper, loaded.i_selected) == (
+            fresh.backend_kind, fresh.hyper, fresh.i_selected)
+        assert loaded.candidate_hypers == fresh.candidate_hypers
+        assert loaded.candidate_losses == fresh.candidate_losses
+        assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
+    # saved again, a version-1 model becomes a version-2 file
+    again = tmp_path / "v2.json"
+    save_model(again, method, loaded)
+    with open(again) as fh:
+        assert json.load(fh)["format_version"] == FORMAT_VERSION
+    reloaded = load_model(again)[1]
+    assert predictions(method, reloaded, rows) == predictions(method, fresh, rows)
