@@ -2,8 +2,9 @@
 
 NNKCDE places a Gaussian kernel density on the responses of the k
 nearest training neighbors of the query covariates, renormalized on the
-evaluation grid. Its (k, h) pair is tuned by the grid-form density loss
-on the validation block.
+evaluation grid: a knn average (``kernel_means``) whose targets are the
+neighbors' Gaussian kernel rows on the grid. Its (k, h) pair is tuned by
+the grid-form density loss on the validation block.
 
 The AR-GARCH model is an AR(p) mean with intercept and GARCH(1, 1)
 innovations fit by Gaussian quasi-maximum-likelihood:
@@ -26,12 +27,10 @@ from scipy.signal import lfilter
 from flexts.errors import DataError, NumericError
 from flexts.estimator import renormalize_rows
 from flexts.evaluation import cde_loss_grid
-from flexts.regression import k_candidates, nearest_order, pairwise_sq_dists
+# pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
+from flexts.regression import k_candidates, knn_order, neighbor_means, pairwise_sq_dists
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
-
-# query rows per block in NNKCDE's distance and kernel passes
-CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +53,8 @@ class NnkcdeModel:
     def grid(self):
         return np.linspace(self.lo, self.hi, self.grid_size)
 
-    def neighbor_responses(self, eval_u):
-        """Training responses of each query's k nearest neighbors, (n, k)."""
+    def neighbors(self, eval_u):
+        """Training indices of each query's k nearest neighbors, (n, k)."""
         eval_u = np.asarray(eval_u, dtype=float)
         if eval_u.ndim == 1:
             eval_u = eval_u[None, :]
@@ -66,30 +65,33 @@ class NnkcdeModel:
             )
         if not np.all(np.isfinite(eval_u)):
             raise DataError("covariates contain non-finite values")
-        out = np.empty((eval_u.shape[0], self.k))
-        for start in range(0, eval_u.shape[0], CHUNK):
-            sq = pairwise_sq_dists(eval_u[start : start + CHUNK], self.train_u)
-            out[start : start + CHUNK] = self.train_y[nearest_order(sq, self.k)]
-        return out
+        return knn_order(self.train_u, eval_u, self.k)
 
-    def density_rows(self, neigh_y, grid_y):
-        """Renormalized Gaussian KDE over each row of neighbor responses."""
-        out = np.empty((neigh_y.shape[0], grid_y.size))
-        for start in range(0, neigh_y.shape[0], CHUNK):
-            block = neigh_y[start : start + CHUNK]
-            diff = (grid_y[None, None, :] - block[:, :, None]) / self.h
-            raw = np.exp(-0.5 * diff * diff).mean(axis=1) / (self.h * SQRT_2PI)
-            out[start : start + CHUNK] = renormalize_rows(raw, grid_y)[0]
-        return out
+    def density_rows(self, neighbors, grid_y):
+        """Renormalized Gaussian KDE over each row's neighbor responses."""
+        raw = kernel_means(self.train_y, neighbors, [self.k], grid_y, self.h)[0]
+        return renormalize_rows(raw, grid_y)[0]
 
     def predict_density_batch(self, eval_u, grid_y=None):
         """Renormalized neighbor-KDE densities, one row per query."""
         if grid_y is None:
             grid_y = self.grid()
-        return self.density_rows(self.neighbor_responses(eval_u), grid_y)
+        return self.density_rows(self.neighbors(eval_u), grid_y)
 
     def predict_density(self, u, grid_y=None):
         return self.predict_density_batch(u, grid_y=grid_y)[0]
+
+
+def kernel_means(train_y, order, ks, grid_y, h):
+    """Gaussian KDE on grid_y over each order row's first k, per k in ks.
+
+    The kernel row of each training response in ``order`` is evaluated once.
+    """
+    used, where = np.unique(order, return_inverse=True)
+    diff = (grid_y[None, :] - train_y[used, None]) / h
+    kern = np.exp(-0.5 * diff * diff)
+    means = neighbor_means(kern, where.reshape(order.shape), ks)
+    return [m / (h * SQRT_2PI) for m in means]
 
 
 def default_bandwidth_grid(train_y):
@@ -135,38 +137,20 @@ def nnkcde_fit(
         raise ValueError("bandwidths must be positive")
 
     grid_y = np.linspace(lo, hi, grid_size)
-    k_max = max(k_grid)
-    n_val = val_u.shape[0]
-
     # one neighbor ordering shared by every candidate pair
-    sq = pairwise_sq_dists(val_u, train_u)
-    order = nearest_order(sq, k_max)
-    neigh_y = train_y[order]  # (n_val, k_max)
+    order = knn_order(train_u, val_u, max(k_grid))
 
-    best = None  # (loss, h_index, k_index)
-    for hi_idx, h in enumerate(h_grid):
-        # running kernel sums over the neighbor axis give every k at once
-        cums = np.empty((n_val, len(k_grid), grid_y.size))
-        for start in range(0, n_val, CHUNK):
-            block = neigh_y[start : start + CHUNK]
-            diff = (grid_y[None, None, :] - block[:, :, None]) / h
-            kern = np.exp(-0.5 * diff * diff)
-            csum = np.cumsum(kern, axis=1)
-            for ki, k in enumerate(k_grid):
-                cums[start : start + block.shape[0], ki] = csum[:, k - 1, :]
-        for ki, k in enumerate(k_grid):
-            raw = cums[:, ki, :] / (k * h * SQRT_2PI)
-            dens, _ = renormalize_rows(raw, grid_y)
-            loss = cde_loss_grid(grid_y, dens, val_y).loss
-            key = (loss, hi_idx, ki)
-            if best is None or key < best:
-                best = key
-    _, hi_best, ki_best = best
+    keys = (  # (loss, h index, k index)
+        (cde_loss_grid(grid_y, renormalize_rows(raw, grid_y)[0], val_y).loss, ih, ik)
+        for ih, h in enumerate(h_grid)
+        for ik, raw in enumerate(kernel_means(train_y, order, k_grid, grid_y, h))
+    )
+    _, ih, ik = min(keys)
     return NnkcdeModel(
         train_u=train_u,
         train_y=train_y,
-        k=k_grid[ki_best],
-        h=h_grid[hi_best],
+        k=k_grid[ik],
+        h=h_grid[ih],
         lo=float(lo),
         hi=float(hi),
         grid_size=grid_size,

@@ -317,7 +317,7 @@ def _densities(method, model, meta, u, table=None, design=None, rows=None):
     """Densities of some rows on any response grid, from state computed once.
 
     The state is the flexcode backend's coefficients or the NNKCDE
-    neighbor responses of the covariate rows ``u``, or the GARCH means
+    neighbor indices of the covariate rows ``u``, or the GARCH means
     and variances at design ``rows`` of ``table``'s series (with
     ``rows=None``, one step past its end). Returns (grid_y, tabulate):
     the fit-time response grid, and tabulate(grid) -> (density, raw,
@@ -333,9 +333,9 @@ def _densities(method, model, meta, u, table=None, design=None, rows=None):
 
         return model.grid(), tabulate
     if method == "nnkcde":
-        neigh_y = model.neighbor_responses(u)
+        neighbors = model.neighbors(u)
         return model.grid(), lambda grid_y: (
-            model.density_rows(neigh_y, grid_y), None, None
+            model.density_rows(neighbors, grid_y), None, None
         )
     if method == "garch":
         if table is None:

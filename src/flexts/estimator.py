@@ -117,8 +117,6 @@ def _candidate_predictions(u_tr, phi_tr, u_va, config):
             if config.hyper_grid is None
             else [float(h) for h in config.hyper_grid]
         )
-        if any(h <= 0 for h in hypers):
-            raise ValueError("nw radii must be positive")
         preds = nw_predict_grid(u_tr, phi_tr, u_va, hypers)
         return list(hypers), preds, None
     if kind == "knn":

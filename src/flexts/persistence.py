@@ -71,6 +71,9 @@ def _decode(cls, doc):
             value = np.asarray(value)
             if value.dtype.kind == "U":  # version 1's decimal strings
                 value = value.astype(float)
+        elif kind is int and not (isinstance(value, str) or float(value).is_integer()):
+            # int() would truncate 2.5; version 1's knn k is a string ("9")
+            raise ValueError(f"{f.name}={value!r} is not an integer")
         else:
             value = kind(value)
         kwargs[f.name] = value
@@ -111,7 +114,10 @@ def load_model(path):
         if version == 1 and method == "flexcode":
             _flexcode_from_v1(body)
         model = _decode(METHODS[method], body)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        owner = getattr(model, "backend", model)  # knn and NNKCDE average k rows
+        if hasattr(owner, "k") and not 1 <= owner.k <= len(owner.train_u):
+            raise ValueError(f"k={owner.k} is outside [1, {len(owner.train_u)}]")
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"
         ) from exc

@@ -14,6 +14,12 @@ Backends:
   lower training index.
 * LASSO via cyclic coordinate descent on standardized covariates with
   an unpenalized intercept, objective (1/2n)||y - Xb||^2 + lam*||b||_1.
+
+nw, knn and the NNKCDE baseline (a knn average of kernel rows) read
+distances through one pass over ROW_BLOCK query rows at a time
+(``distance_blocks``), so memory grows with n_train, not n_eval *
+n_train. A one-row tail block goes through BLAS gemv, which can round
+differently from the gemm of larger blocks.
 """
 
 import warnings
@@ -27,8 +33,7 @@ from flexts.errors import DataError
 HYPER_NAMES = {"nw": "delta", "knn": "k", "lasso": "lam"}
 BACKEND_KINDS = tuple(HYPER_NAMES)
 
-# rows per block in the row-blocked passes over a distance matrix; bounds
-# their scratch to ROW_BLOCK * n_train values whatever the query count
+# query rows per distance_blocks block: its scratch is ROW_BLOCK * n_train values
 ROW_BLOCK = 256
 
 
@@ -36,20 +41,23 @@ def pairwise_sq_dists(a, b):
     """Squared Euclidean distances between rows of a (n, d) and b (m, d).
 
     Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, formed in place in the
-    product's buffer one row block at a time, so the only (n, m) array
-    allocated is the result.
+    product's buffer and clipped at zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
     sq = a @ b.T
     sq *= 2.0
-    for start in range(0, sq.shape[0], ROW_BLOCK):
-        rows = sq[start : start + ROW_BLOCK]
-        np.subtract(aa[start : start + ROW_BLOCK, None] + bb, rows, out=rows)
+    np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     return sq
+
+
+def distance_blocks(train_u, eval_u):
+    """Yield (rows, squared distances to train_u) per ROW_BLOCK rows of eval_u."""
+    eval_u = np.asarray(eval_u, dtype=float)
+    for start in range(0, eval_u.shape[0], ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        yield rows, pairwise_sq_dists(eval_u[rows], train_u)
 
 
 def _check_training(train_u, train_phi):
@@ -94,37 +102,37 @@ class NadarayaWatsonModel:
         return nw_predict(self.train_u, self.train_phi, eval_u, self.delta)
 
 
-def nw_predict(train_u, train_phi, eval_u, delta, sq_dists=None):
+def nw_predict(train_u, train_phi, eval_u, delta):
     """Uniform-kernel local mean of each target column.
 
     Query points with no training point within ``delta`` fall back to the
     global column means; the count of such rows is reported so callers
     can surface the diagnostic.
     """
-    train_u, train_phi = _check_training(train_u, train_phi)
-    eval_u = np.asarray(eval_u, dtype=float)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if sq_dists is None:
-        sq_dists = pairwise_sq_dists(eval_u, train_u)
-    mask = sq_dists <= delta * delta
-    counts = mask.sum(axis=1)
-    b_hat = mask.astype(float) @ train_phi
-    inside = counts > 0
-    b_hat[inside] /= counts[inside, None]
-    n_fallback = int((~inside).sum())
-    if n_fallback:
-        b_hat[~inside] = train_phi.mean(axis=0)
-    return CoefficientPredictions(b_hat=b_hat, n_fallback=n_fallback)
+    return nw_predict_grid(train_u, train_phi, eval_u, [delta])[0]
 
 
 def nw_predict_grid(train_u, train_phi, eval_u, deltas):
-    """nw_predict for several radii, sharing one distance matrix."""
+    """nw_predict for several radii, sharing each block's distances."""
     train_u, train_phi = _check_training(train_u, train_phi)
-    sq_dists = pairwise_sq_dists(np.asarray(eval_u, dtype=float), train_u)
-    return [
-        nw_predict(train_u, train_phi, eval_u, d, sq_dists=sq_dists) for d in deltas
-    ]
+    if any(d <= 0 for d in deltas):
+        raise ValueError(f"radii must be positive, got {list(deltas)}")
+    sums = np.empty((len(deltas), np.shape(eval_u)[0], train_phi.shape[1]))
+    counts = np.empty(sums.shape[:2], dtype=np.intp)
+    for rows, sq in distance_blocks(train_u, eval_u):
+        for b_hat, count, delta in zip(sums, counts, deltas):
+            mask = sq <= delta * delta
+            count[rows] = mask.sum(axis=1)
+            b_hat[rows] = mask.astype(float) @ train_phi
+    out = []
+    for b_hat, count in zip(sums, counts):
+        inside = count > 0
+        b_hat[inside] /= count[inside, None]
+        n_fallback = int((~inside).sum())
+        if n_fallback:
+            b_hat[~inside] = train_phi.mean(axis=0)
+        out.append(CoefficientPredictions(b_hat=b_hat, n_fallback=n_fallback))
+    return out
 
 
 def default_delta_grid(train_u, n_candidates=8):
@@ -171,63 +179,65 @@ def nearest_order(sq_dists, k):
     """Column indices of the k smallest entries of each row, nearest first.
 
     Equal to ``np.argsort(sq_dists, axis=1, kind="stable")[:, :k]``: among
-    tied distances the lower training index comes first. Each block of
-    rows is partitioned rather than sorted, and only the k selected
-    entries are ordered, by (distance, index). A row whose k-th distance
-    also occurs outside the selection (or that holds NaN) cannot be
-    settled that way and is stably sorted in full.
+    tied distances the lower training index comes first. The rows are
+    partitioned rather than sorted, and only the k selected entries are
+    ordered, by (distance, index). A row whose k-th distance also occurs
+    outside the selection (or that holds NaN) cannot be settled that way
+    and is stably sorted in full.
     """
-    n_rows, n_cols = sq_dists.shape
-    if k >= n_cols:
+    if k >= sq_dists.shape[1]:
         return np.argsort(sq_dists, axis=1, kind="stable")[:, :k]
-    out = np.empty((n_rows, k), dtype=np.intp)
-    for start in range(0, n_rows, ROW_BLOCK):
-        block = sq_dists[start : start + ROW_BLOCK]
-        sel = np.argpartition(block, k - 1, axis=1)[:, :k]
-        vals = np.take_along_axis(block, sel, axis=1)
-        # lexsort's last key is the primary one: by distance, then index
-        sel = np.take_along_axis(sel, np.lexsort((sel, vals), axis=1), axis=1)
-        kth = np.take_along_axis(block, sel[:, -1:], axis=1)
-        # exactly k entries <= the k-th distance means no tie crosses the
-        # cut; a NaN k-th distance counts zero and falls through as well
-        unsettled = np.flatnonzero((block <= kth).sum(axis=1) != k)
-        if unsettled.size:
-            full = np.argsort(block[unsettled], axis=1, kind="stable")
-            sel[unsettled] = full[:, :k]
-        out[start : start + block.shape[0]] = sel
-    return out
+    sel = np.argpartition(sq_dists, k - 1, axis=1)[:, :k]
+    vals = np.take_along_axis(sq_dists, sel, axis=1)
+    # lexsort's last key is the primary one: by distance, then index
+    sel = np.take_along_axis(sel, np.lexsort((sel, vals), axis=1), axis=1)
+    kth = np.take_along_axis(sq_dists, sel[:, -1:], axis=1)
+    # exactly k entries <= the k-th distance means no tie crosses the
+    # cut; a NaN k-th distance counts zero and falls through as well
+    unsettled = np.flatnonzero((sq_dists <= kth).sum(axis=1) != k)
+    if unsettled.size:
+        full = np.argsort(sq_dists[unsettled], axis=1, kind="stable")
+        sel[unsettled] = full[:, :k]
+    return sel
 
 
-def _knn_order(train_u, eval_u, k_max):
-    sq_dists = pairwise_sq_dists(np.asarray(eval_u, dtype=float), train_u)
-    return nearest_order(sq_dists, k_max)
+def knn_order(train_u, eval_u, k):
+    """Each query row's k (<= n_train) nearest training rows, by nearest_order."""
+    order = np.empty((np.shape(eval_u)[0], k), dtype=np.intp)
+    for rows, sq in distance_blocks(train_u, eval_u):
+        order[rows] = nearest_order(sq, k)
+    return order
+
+
+def neighbor_means(train_phi, order, ks):
+    """Mean of train_phi's rows over each order row's first k, per k in ks.
+
+    Rows are added one neighbor rank at a time: a sequential sum, over k.
+    """
+    total = train_phi[order[:, 0]]  # fancy indexing copies
+    means = {}
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            total += train_phi[order[:, k - 1]]
+        if k in ks:
+            means[k] = total / k
+    return [means[k] for k in ks]
 
 
 def knn_predict(train_u, train_phi, eval_u, k):
     """Mean of each target column over the k nearest training points."""
-    train_u, train_phi = _check_training(train_u, train_phi)
-    if not 1 <= k <= train_u.shape[0]:
-        raise ValueError(f"k must be in [1, {train_u.shape[0]}], got {k}")
-    order = _knn_order(train_u, eval_u, k)
-    b_hat = train_phi[order].mean(axis=1)
-    return CoefficientPredictions(b_hat=b_hat)
+    return knn_predict_grid(train_u, train_phi, eval_u, [k])[0]
 
 
 def knn_predict_grid(train_u, train_phi, eval_u, ks):
-    """knn_predict for several k, sharing one neighbor ordering.
-
-    Prefix means over the sorted neighbor axis are accumulated with a
-    running sum, which is exactly the mean over the first k neighbors.
-    """
+    """knn_predict for several k, sharing one neighbor ordering."""
     train_u, train_phi = _check_training(train_u, train_phi)
     ks = [int(k) for k in ks]
     if any(k < 1 or k > train_u.shape[0] for k in ks):
         raise ValueError(f"all k must be in [1, {train_u.shape[0]}], got {ks}")
-    k_max = max(ks)
-    order = _knn_order(train_u, eval_u, k_max)
-    sorted_phi = train_phi[order]  # (n_eval, k_max, n_targets)
-    cums = np.cumsum(sorted_phi, axis=1)
-    return [CoefficientPredictions(b_hat=cums[:, k - 1, :] / k) for k in ks]
+    order = knn_order(train_u, eval_u, max(ks))
+    means = neighbor_means(train_phi, order, ks)
+    return [CoefficientPredictions(b_hat=b_hat) for b_hat in means]
 
 
 def default_k_grid(n_train):

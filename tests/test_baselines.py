@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from flexts import baselines
+from flexts import regression
 from flexts.errors import DataError
 from flexts.baselines import (
     GarchModel,
@@ -17,7 +17,8 @@ from flexts.baselines import (
     default_bandwidth_grid,
     nnkcde_fit,
 )
-from flexts.estimator import quantiles_from_grid_density
+from flexts.estimator import quantiles_from_grid_density, renormalize_rows
+from flexts.regression import ROW_BLOCK, pairwise_sq_dists
 from flexts.scenarios import generate
 
 
@@ -109,10 +110,24 @@ def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):
     # responses on a 0.1 grid make many lag vectors tie in distance
     y = np.round(generate("ar", 1500, 4), 1)
     u_tr, y_tr, u_va, y_va = split_series(y)
+    assert u_va.shape[0] > ROW_BLOCK
     fast = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-6, hi=5, grid_size=201)
     fast_dens = fast.predict_density_batch(u_va)
+
+    # the written-out KDE over each row's stable-argsort neighbors
+    order = np.argsort(pairwise_sq_dists(u_va, u_tr), axis=1, kind="stable")
+    for grid in (fast.grid(), np.linspace(-6, 5, 2001)):
+        raw = np.empty((u_va.shape[0], grid.size))
+        for r, near in enumerate(order[:, : fast.k]):
+            diff = (grid[None, None, :] - y_tr[near][None, :, None]) / fast.h
+            raw[r] = np.exp(-0.5 * diff * diff).mean(axis=1) / (
+                fast.h * np.sqrt(2.0 * np.pi)
+            )
+        want = renormalize_rows(raw, grid)[0]
+        assert np.array_equal(fast.predict_density_batch(u_va, grid_y=grid), want)
+
     monkeypatch.setattr(
-        baselines, "nearest_order",
+        regression, "nearest_order",
         lambda sq, k: np.argsort(sq, axis=1, kind="stable")[:, :k],
     )
     ref = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-6, hi=5, grid_size=201)

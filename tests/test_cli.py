@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, file formats, and exit codes."""
 
+import copy
 import csv
 import dataclasses
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,13 +338,29 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     assert code == 3
     assert "cannot open" in err
     doc = json.loads(model.read_text())
-    doc["model"]["k"] = "abc"
+    knn = fit(tmp_path, data, fname="knn.json", extra=("--backend", "knn"))
+    knn_doc = json.loads(knn.read_text())
+    n_knn = len(knn_doc["model"]["backend"]["train_u"])
+    v1_path = Path(__file__).parent / "data" / "v1" / "nnkcde.json"
+    v1_doc = json.loads(v1_path.read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, _, err = run(["predict", "--model", bad, "--u", "0,0,0", "-o", out],
-                       capsys)
-    assert code == 3
-    assert "malformed" in err
+    for base, owner, name, value in [
+        (doc, (), "k", "abc"),
+        (v1_doc, (), "k", 2.5),  # int() would truncate these two
+        (v1_doc, (), "grid_size", 201.9),
+        (doc, (), "k", 0),
+        (knn_doc, ("backend",), "k", n_knn + 1),
+    ]:
+        edited = copy.deepcopy(base)
+        target = edited["model"]
+        for key in owner:
+            target = target[key]
+        target[name] = value
+        bad.write_text(json.dumps(edited))
+        code, _, err = run(["predict", "--model", bad, "--u", "0,0,0", "-o", out],
+                           capsys)
+        assert code == 3, (name, value)
+        assert "malformed" in err
 
 
 def test_predict_rejects_quantile_levels_outside_unit_interval(tmp_path,
@@ -424,12 +442,13 @@ def test_bench_cell_computes_test_row_state_once(monkeypatch):
     assert predicted == [len(te)]
 
     distance_rows = []
+    pairwise_sq_dists = regression.pairwise_sq_dists
 
     def counting_dists(a, b):
         distance_rows.append(np.shape(a)[0])
-        return regression.pairwise_sq_dists(a, b)
+        return pairwise_sq_dists(a, b)
 
-    monkeypatch.setattr(baselines, "pairwise_sq_dists", counting_dists)
+    monkeypatch.setattr(regression, "pairwise_sq_dists", counting_dists)
     row = cli.run_bench_cell(cli.BenchCell("ar", 300, "nnkcde", 3, 0))
     assert row["status"] == "ok" and row["oracle_cde_loss"] != ""
     assert distance_rows == [len(va), len(te)]

@@ -24,11 +24,11 @@ from flexts.regression import (
 )
 
 
-def random_problem(seed, n=120, d=3, n_targets=4):
+def random_problem(seed, n=120, d=3, n_targets=4, n_eval=7):
     rng = np.random.default_rng(seed)
     train_u = rng.normal(size=(n, d))
     train_phi = rng.normal(size=(n, n_targets))
-    eval_u = rng.normal(size=(7, d))
+    eval_u = rng.normal(size=(n_eval, d))
     return train_u, train_phi, eval_u
 
 
@@ -97,11 +97,22 @@ def test_nw_prediction_is_local():
     np.testing.assert_array_equal(base.b_hat, moved.b_hat)
 
 
+# (query count, rows also predicted alone): 2 * ROW_BLOCK + 3 queries span
+# three row blocks, and rows ROW_BLOCK - 2 to ROW_BLOCK straddle the first
+# block boundary
+CROSSTALK_CASES = [
+    (7, slice(0, 3)),
+    (2 * ROW_BLOCK + 3, slice(0, 3)),
+    (2 * ROW_BLOCK + 3, slice(ROW_BLOCK - 2, ROW_BLOCK + 1)),
+]
+
+
 def test_nw_no_eval_crosstalk():
-    train_u, train_phi, eval_u = random_problem(3)
-    alone = nw_predict(train_u, train_phi, eval_u[:3], 0.9)
-    padded = nw_predict(train_u, train_phi, eval_u, 0.9)
-    np.testing.assert_array_equal(alone.b_hat, padded.b_hat[:3])
+    train_u, train_phi, eval_u = random_problem(3, n_eval=2 * ROW_BLOCK + 3)
+    for n_eval, part in CROSSTALK_CASES:
+        padded = nw_predict(train_u, train_phi, eval_u[:n_eval], 0.9)
+        alone = nw_predict(train_u, train_phi, eval_u[part], 0.9)
+        np.testing.assert_array_equal(alone.b_hat, padded.b_hat[part])
 
 
 def test_nw_grid_matches_single_calls():
@@ -187,10 +198,11 @@ def test_knn_grid_matches_single_calls():
 
 
 def test_knn_no_eval_crosstalk():
-    train_u, train_phi, eval_u = random_problem(12)
-    alone = knn_predict(train_u, train_phi, eval_u[:2], 7)
-    padded = knn_predict(train_u, train_phi, eval_u, 7)
-    np.testing.assert_array_equal(alone.b_hat, padded.b_hat[:2])
+    train_u, train_phi, eval_u = random_problem(12, n_eval=2 * ROW_BLOCK + 3)
+    for n_eval, part in CROSSTALK_CASES:
+        padded = knn_predict(train_u, train_phi, eval_u[:n_eval], 7)
+        alone = knn_predict(train_u, train_phi, eval_u[part], 7)
+        np.testing.assert_array_equal(alone.b_hat, padded.b_hat[part])
 
 
 def test_knn_constant_first_target_stays_one():
