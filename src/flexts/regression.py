@@ -15,17 +15,27 @@ Backends:
 * LASSO via cyclic coordinate descent on standardized covariates with
   an unpenalized intercept, objective (1/2n)||y - Xb||^2 + lam*||b||_1.
 
-nw, knn and the NNKCDE baseline (a knn average of kernel rows) read
-distances through one pass over ROW_BLOCK query rows at a time
-(``distance_blocks``), so memory grows with n_train, not n_eval *
-n_train. A one-row tail block goes through BLAS gemv, which can round
-differently from the gemm of larger blocks.
+nw reads distances through one pass over ROW_BLOCK query rows at a time
+(``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
+memory grows with n_train, not n_eval * n_train. A one-row tail block
+goes through BLAS gemv, which can round differently from the gemm of
+larger blocks.
+
+knn and the NNKCDE baseline (a knn average of kernel rows) take their
+neighbors from ``knn_order``. With at most TREE_MAX_DIM covariates, at
+least ROW_BLOCK query rows and k < n_train, it queries a k-d tree for
+k + 1 neighbors per row, in n_eval * (k + 1) memory, and keeps a row's
+tree order only when its distance gaps exceed a derived rounding bound,
+which certifies the order the blocked pass would give. Ties, near ties
+and every other query set go through the blocked pass, so the order, and
+every output bit, is the blocked pass's either way.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from flexts.errors import DataError
 
@@ -35,6 +45,20 @@ BACKEND_KINDS = tuple(HYPER_NAMES)
 
 # query rows per distance_blocks block: its scratch is ROW_BLOCK * n_train values
 ROW_BLOCK = 256
+
+# Most covariate columns for which knn_order queries a k-d tree. Tree
+# against blocked knn_order (arma_jump lag designs, 1 BLAS thread; the
+# validation rows at n_train 3.5k, the test rows at 1.4k and 2.1k):
+#
+#   n_train   d = 3   d = 5   d = 8   d = 12
+#   1.4k      tree    tree    -       -
+#   2.1k      tree    tree    -       -
+#   3.5k      tree    tree    blocked -
+#   14k       tree    tree    tree    tree
+#
+# ("tree": the tree is faster; "-": not measured.) At n_train 1.4k and
+# 2.1k the two tie at d = 6; at 14k the tree stops winning near d = 15.
+TREE_MAX_DIM = 5
 
 
 def pairwise_sq_dists(a, b):
@@ -52,12 +76,22 @@ def pairwise_sq_dists(a, b):
     return sq
 
 
-def distance_blocks(train_u, eval_u):
-    """Yield (rows, squared distances to train_u) per ROW_BLOCK rows of eval_u."""
+def distance_blocks(train_u, eval_u, skip=None):
+    """Yield (rows, squared distances to train_u) per ROW_BLOCK rows of eval_u.
+
+    Rows where the boolean array ``skip`` is true are left out, and a block
+    of skipped rows only is not computed. A block with some rows left out
+    is still computed whole, so each row's distances carry the same bits
+    whichever rows around it are skipped.
+    """
     eval_u = np.asarray(eval_u, dtype=float)
     for start in range(0, eval_u.shape[0], ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        yield rows, pairwise_sq_dists(eval_u[rows], train_u)
+        if skip is None or not skip[rows].any():
+            yield rows, pairwise_sq_dists(eval_u[rows], train_u)
+        elif not skip[rows].all():
+            keep = np.flatnonzero(~skip[rows])
+            yield start + keep, pairwise_sq_dists(eval_u[rows], train_u)[keep]
 
 
 def _check_training(train_u, train_phi):
@@ -77,6 +111,18 @@ def _check_training(train_u, train_phi):
     if not (np.all(np.isfinite(train_u)) and np.all(np.isfinite(train_phi))):
         raise ValueError("training data contains non-finite values")
     return train_u, train_phi
+
+
+def _check_queries(train_u, eval_u):
+    eval_u = np.asarray(eval_u, dtype=float)
+    if eval_u.ndim != 2 or eval_u.shape[1] != train_u.shape[1]:
+        raise ValueError(
+            f"query rows must be 2-d with {train_u.shape[1]} columns, got "
+            f"shape {eval_u.shape}"
+        )
+    if not np.all(np.isfinite(eval_u)):
+        raise ValueError("query rows contain non-finite values")
+    return eval_u
 
 
 @dataclass
@@ -115,9 +161,10 @@ def nw_predict(train_u, train_phi, eval_u, delta):
 def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     """nw_predict for several radii, sharing each block's distances."""
     train_u, train_phi = _check_training(train_u, train_phi)
+    eval_u = _check_queries(train_u, eval_u)
     if any(d <= 0 for d in deltas):
         raise ValueError(f"radii must be positive, got {list(deltas)}")
-    sums = np.empty((len(deltas), np.shape(eval_u)[0], train_phi.shape[1]))
+    sums = np.empty((len(deltas), eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(sums.shape[:2], dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u):
         for b_hat, count, delta in zip(sums, counts, deltas):
@@ -201,10 +248,80 @@ def nearest_order(sq_dists, k):
     return sel
 
 
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff 2^-53."""
+    u = np.finfo(float).eps / 2.0
+    return n * u / (1.0 - n * u)
+
+
+def _tree_order(train_u, eval_u, k):
+    """A k-d tree's k nearest training rows per query row, and which it settles.
+
+    A settled row's tree order provably equals ``nearest_order`` on that
+    row's ``pairwise_sq_dists`` values, whichever BLAS path rounded them.
+    For a query a, a training row b, d columns, D = |a - b|^2 exactly,
+    A = |a|^2, B = |b|^2 and gamma_n = n u / (1 - n u) (u = 2^-53):
+
+    * ``pairwise_sq_dists`` gives s with |s - D| <= 2 gamma_{d+2} M, where
+      M = A + max_b B. The two norms are within gamma_d of A and B, and
+      their sum within gamma_{d+1} of A + B. The product a.b, summed in any
+      order with or without FMA, is within gamma_d sum|a_i b_i|, so 2 a.b
+      is within gamma_d (A + B). The subtraction rounds a value of at most
+      2 (A + B) (1 + gamma_{d+1}), since D <= 2 (A + B), and the clip at 0
+      only moves s toward D >= 0.
+    * The tree sums d rounded squares of rounded differences, within
+      gamma_{d+2} D. It returns the rounded square root, which squared
+      here gives q with |q - D| <= gamma_{d+5} D. The bound it prunes a
+      subtree by sums side distances (each within gamma_3) updated by one
+      subtraction and one addition per level, so it is within gamma_{2L+3}
+      of a value <= D of every row below, L the depth, at most the node
+      count ``tree.size``. Each training row outside the k + 1 returned was
+      either rejected on its own distance or pruned on a bound above the
+      (k+1)-th distance, so its D >= q_{k+1} (1 - gamma_{2L+2d+10}).
+
+    With beta = 2 gamma_{d+2} M + gamma_{2L+2d+10} q_{k+1}, each returned
+    row has |s - q| <= beta and each other row has s >= q_{k+1} - beta. If
+    every gap q_{j+1} - q_j (j = 1..k) exceeds 2 beta, the returned rows'
+    s strictly increase in tree order and every other row's s exceeds the
+    k-th's, so the stable argsort of s starts with the tree's first k, in
+    the same order. beta is doubled to absorb its own rounding. Ties, near
+    ties and non-finite distances fail the check; ``train_u`` must be
+    finite, as ``cKDTree`` requires.
+    """
+    tree = cKDTree(train_u)
+    q, order = tree.query(eval_u, k + 1)
+    np.square(q, out=q)
+    d = train_u.shape[1]
+    m = (eval_u * eval_u).sum(axis=1) + (train_u * train_u).sum(axis=1).max()
+    beta = 2.0 * (
+        2.0 * _gamma(d + 2) * m + _gamma(2 * tree.size + 2 * d + 10) * q[:, -1]
+    )
+    with np.errstate(invalid="ignore"):
+        settled = (np.diff(q, axis=1) > 2.0 * beta[:, None]).all(axis=1)
+    return order[:, :k], settled
+
+
 def knn_order(train_u, eval_u, k):
-    """Each query row's k (<= n_train) nearest training rows, by nearest_order."""
-    order = np.empty((np.shape(eval_u)[0], k), dtype=np.intp)
-    for rows, sq in distance_blocks(train_u, eval_u):
+    """Each query row's k (<= n_train) nearest training rows, by nearest_order.
+
+    With at most TREE_MAX_DIM columns, at least ROW_BLOCK query rows,
+    k < n_train and finite training rows, a k-d tree orders the rows whose
+    order it can certify (``_tree_order``), in n_eval * (k + 1) memory. The
+    other rows, and every row otherwise, go through ``distance_blocks``.
+    """
+    train_u = np.asarray(train_u, dtype=float)
+    eval_u = _check_queries(train_u, eval_u)
+    settled = None
+    if (
+        eval_u.shape[1] <= TREE_MAX_DIM
+        and eval_u.shape[0] >= ROW_BLOCK
+        and 0 < k < train_u.shape[0]
+        and np.all(np.isfinite(train_u))
+    ):
+        order, settled = _tree_order(train_u, eval_u, k)
+    else:
+        order = np.empty((eval_u.shape[0], k), dtype=np.intp)
+    for rows, sq in distance_blocks(train_u, eval_u, skip=settled):
         order[rows] = nearest_order(sq, k)
     return order
 

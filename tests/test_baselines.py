@@ -126,11 +126,16 @@ def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):
         want = renormalize_rows(raw, grid)[0]
         assert np.array_equal(fast.predict_density_batch(u_va, grid_y=grid), want)
 
-    monkeypatch.setattr(
-        regression, "nearest_order",
-        lambda sq, k: np.argsort(sq, axis=1, kind="stable")[:, :k],
-    )
+    fallback_rows = []
+
+    def stable_prefix(sq, k):
+        fallback_rows.append(sq.shape[0])
+        return np.argsort(sq, axis=1, kind="stable")[:, :k]
+
+    monkeypatch.setattr(regression, "nearest_order", stable_prefix)
     ref = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-6, hi=5, grid_size=201)
+    # the k-d tree settles untied rows; the tie rule still runs on the rest
+    assert sum(fallback_rows) > 0
     assert (fast.k, fast.h) == (ref.k, ref.h)
     assert np.array_equal(fast_dens, ref.predict_density_batch(u_va))
 

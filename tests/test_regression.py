@@ -1,5 +1,8 @@
 """Coefficient regressions: local averaging, kNN, and LASSO."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +12,12 @@ from flexts import regression
 from flexts.errors import DataError
 from flexts.regression import (
     ROW_BLOCK,
+    TREE_MAX_DIM,
     default_delta_grid,
     default_k_grid,
     default_lambda_grid,
+    distance_blocks,
+    knn_order,
     knn_predict,
     knn_predict_grid,
     lasso_fit,
@@ -278,10 +284,150 @@ def test_knn_grid_on_tied_design_matches_full_sort(monkeypatch):
     train_u, train_phi, eval_u = u[:2000], phi[:2000], u[2000:]
     ks = default_k_grid(train_u.shape[0])
     fast = knn_predict_grid(train_u, train_phi, eval_u, ks)
-    monkeypatch.setattr(regression, "nearest_order", stable_prefix)
+    fallback_rows = []
+
+    def spied_prefix(sq_dists, k):
+        fallback_rows.append(sq_dists.shape[0])
+        return stable_prefix(sq_dists, k)
+
+    monkeypatch.setattr(regression, "nearest_order", spied_prefix)
     reference = knn_predict_grid(train_u, train_phi, eval_u, ks)
+    # the tree settles the untied rows; the tie rule is exercised on the rest
+    assert sum(fallback_rows) > 0
     for out, ref in zip(fast, reference):
         assert np.array_equal(out.b_hat, ref.b_hat)
+
+
+def blocked_order(train_u, eval_u, k):
+    """knn_order's answer from the row-blocked pass alone, without the tree."""
+    return np.vstack(
+        [nearest_order(sq, k) for _, sq in distance_blocks(train_u, eval_u)]
+    )
+
+
+@contextlib.contextmanager
+def spied_fallback_rows():
+    """Count the query rows knn_order sends to the blocked nearest_order."""
+    rows = []
+
+    def spied_order(sq_dists, k):
+        rows.append(sq_dists.shape[0])
+        return nearest_order(sq_dists, k)
+
+    with mock.patch.object(regression, "nearest_order", spied_order):
+        yield rows
+
+
+def tree_design(kind, n_rows, d, seed):
+    """Covariate rows with a chosen amount of tied and near-tied distances."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer_lags":
+        return lag_rows(rng.integers(0, 3, size=n_rows + d).astype(float), d)
+    u = rng.normal(size=(n_rows, d))
+    if kind == "rounded":
+        u = np.round(u, 1)
+    elif kind == "duplicated":
+        # every row is one of the first third's, so each has exact twins
+        u = u[rng.integers(0, max(n_rows // 3, 1), size=n_rows)]
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["continuous", "rounded", "integer_lags", "duplicated"]),
+    d=st.integers(1, TREE_MAX_DIM),
+    n_train=st.integers(2, 150),
+    n_eval=st.sampled_from([ROW_BLOCK - 1, ROW_BLOCK, 3 * ROW_BLOCK + 1]),
+    k_rule=st.sampled_from(["one", "n_train-1", "n_train", "any"]),
+    k_any=st.integers(1, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="duplicated", d=TREE_MAX_DIM, n_train=2, n_eval=ROW_BLOCK,
+         k_rule="one", k_any=1, seed=0)
+def test_knn_order_tree_equals_blocked_pass(kind, d, n_train, n_eval, k_rule,
+                                            k_any, seed):
+    u = tree_design(kind, n_train + n_eval, d, seed)
+    train_u, eval_u = u[:n_train], u[n_train:]
+    if kind == "duplicated":
+        eval_u[0] = train_u[0] = train_u[-1]  # a query on two equal rows
+    k = {"one": 1, "n_train-1": n_train - 1, "n_train": n_train,
+         "any": min(k_any, n_train)}[k_rule]
+    with spied_fallback_rows() as fallback_rows:
+        order = knn_order(train_u, eval_u, k)
+    assert np.array_equal(order, blocked_order(train_u, eval_u, k))
+    if n_eval < ROW_BLOCK or k == n_train:
+        assert sum(fallback_rows) == n_eval  # no tree
+    elif kind == "duplicated":
+        assert 0 < sum(fallback_rows)
+    elif kind == "continuous":
+        assert sum(fallback_rows) < n_eval
+
+
+@pytest.mark.parametrize("kind", ["rounded", "integer_lags", "duplicated"])
+def test_tied_designs_reach_the_blocked_fallback(kind):
+    u = tree_design(kind, 2000 + ROW_BLOCK, 3, 32)
+    train_u, eval_u = u[:2000], u[2000:]
+    with spied_fallback_rows() as fallback_rows:
+        order = knn_order(train_u, eval_u, 40)
+    assert np.array_equal(order, blocked_order(train_u, eval_u, 40))
+    assert 0 < sum(fallback_rows) <= ROW_BLOCK
+
+
+# query sets through the blocked pass alone and through the tree, in few
+# and many columns
+GRID_SIZES = st.sampled_from([(7, 3), (2 * ROW_BLOCK + 3, 3), (ROW_BLOCK, 7)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=GRID_SIZES, n_train=st.integers(2, 120),
+       ks=st.lists(st.integers(1, 120), min_size=1, max_size=4, unique=True),
+       rounded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_knn_grid_equals_single_predicts(sizes, n_train, ks, rounded, seed):
+    n_eval, d = sizes
+    train_u, train_phi, eval_u = random_problem(seed, n=n_train, d=d,
+                                                n_eval=n_eval)
+    if rounded:
+        train_u, eval_u = np.round(train_u, 1), np.round(eval_u, 1)
+    ks = sorted({min(k, n_train) for k in ks})
+    grid = knn_predict_grid(train_u, train_phi, eval_u, ks)
+    for k, out in zip(ks, grid):
+        single = knn_predict(train_u, train_phi, eval_u, k)
+        assert np.array_equal(out.b_hat, single.b_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=GRID_SIZES, n_train=st.integers(1, 120),
+       deltas=st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_nw_grid_equals_single_predicts(sizes, n_train, deltas, seed):
+    n_eval, d = sizes
+    train_u, train_phi, eval_u = random_problem(seed, n=n_train, d=d,
+                                                n_eval=n_eval)
+    grid = nw_predict_grid(train_u, train_phi, eval_u, deltas)
+    for delta, out in zip(deltas, grid):
+        single = nw_predict(train_u, train_phi, eval_u, delta)
+        assert np.array_equal(out.b_hat, single.b_hat)
+        assert out.n_fallback == single.n_fallback
+
+
+@pytest.mark.parametrize("n_eval", [3, ROW_BLOCK + 3])
+def test_bad_queries_are_rejected(n_eval):
+    train_u, train_phi, eval_u = random_problem(33, n_eval=n_eval)
+    nan_row, inf_row = eval_u.copy(), eval_u.copy()
+    nan_row[1, 0] = np.nan
+    inf_row[-1, 2] = -np.inf
+    calls = [
+        lambda q: knn_order(train_u, q, 3),
+        lambda q: knn_predict(train_u, train_phi, q, 3),
+        lambda q: knn_predict_grid(train_u, train_phi, q, [1, 3]),
+        lambda q: nw_predict(train_u, train_phi, q, 0.9),
+        lambda q: nw_predict_grid(train_u, train_phi, q, [0.5, 0.9]),
+    ]
+    for bad, match in [(nan_row, "non-finite"), (inf_row, "non-finite"),
+                       (eval_u[:, :2], "3 columns"), (eval_u[0], "3 columns")]:
+        for call in calls:
+            with pytest.raises(ValueError, match=match):
+                call(bad)
 
 
 def test_default_k_grid_examples():
