@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from flexts.basis import check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import renormalize_rows
 from flexts.evaluation import cde_loss_grid
@@ -53,19 +54,12 @@ class NnkcdeModel:
     def grid(self):
         return np.linspace(self.lo, self.hi, self.grid_size)
 
-    def neighbors(self, eval_u):
-        """Training indices of each query's k nearest neighbors, (n, k)."""
-        eval_u = np.asarray(eval_u, dtype=float)
-        if eval_u.ndim == 1:
-            eval_u = eval_u[None, :]
-        if eval_u.shape[1] != self.train_u.shape[1]:
-            raise DataError(
-                f"query has {eval_u.shape[1]} features, model expects "
-                f"{self.train_u.shape[1]}"
-            )
-        if not np.all(np.isfinite(eval_u)):
-            raise DataError("covariates contain non-finite values")
-        return knn_order(self.train_u, eval_u, self.k)
+    def row_state(self, eval_u, series=None, rows=None):
+        """Training indices of each query row's k nearest neighbors, (n, k).
+
+        ``eval_u`` is a 2-d array of rows or one 1-d row.
+        """
+        return knn_order(self.train_u, np.atleast_2d(eval_u), self.k)
 
     def density_rows(self, neighbors, grid_y):
         """Renormalized Gaussian KDE over each row's neighbor responses."""
@@ -76,7 +70,7 @@ class NnkcdeModel:
         """Renormalized neighbor-KDE densities, one row per query."""
         if grid_y is None:
             grid_y = self.grid()
-        return self.density_rows(self.neighbors(eval_u), grid_y)
+        return self.density_rows(self.row_state(eval_u), grid_y)
 
     def predict_density(self, u, grid_y=None):
         return self.predict_density_batch(u, grid_y=grid_y)[0]
@@ -124,6 +118,7 @@ def nnkcde_fit(
     """
     train_u = np.asarray(train_u, dtype=float)
     train_y = np.asarray(train_y, dtype=float)
+    check_grid_size(grid_size)
     val_u = np.asarray(val_u, dtype=float)
     val_y = np.asarray(val_y, dtype=float)
     n_tr = train_u.shape[0]
@@ -168,6 +163,9 @@ class GarchModel:
 
     ``s2_init`` seeds the variance recursion (the OLS residual variance
     at fit time) so filtering a series reproduces the fit exactly.
+    ``lo``, ``hi`` and ``grid_size`` give the response grid, the padded
+    range of the fitted responses; a model saved before GARCH models
+    kept a grid loads with grid_size 0.
     """
 
     c: float
@@ -177,10 +175,37 @@ class GarchModel:
     beta: float
     s2_init: float
     loglik: float = float("nan")
+    lo: float = float("nan")
+    hi: float = float("nan")
+    grid_size: int = 0
 
     @property
     def p(self):
         return int(self.ar.shape[0])
+
+    def grid(self):
+        return np.linspace(self.lo, self.hi, self.grid_size)
+
+    def row_state(self, u, series=None, rows=None):
+        """Conditional (means, variances) from filtering ``series``.
+
+        ``rows`` selects rows of garch_filter's output, which line up
+        with a p-lag design's rows; with rows=None the state is the
+        one-step forecast past the series end. ``u`` is not read.
+        """
+        if series is None:
+            raise ValueError(
+                "garch prediction needs --input (the variance recursion "
+                "state depends on the whole series)"
+            )
+        if rows is None:
+            mean, var = garch_forecast(self, series)
+            return np.array([mean]), np.array([var])
+        means, s2 = garch_filter(self, series)
+        return means[rows], s2[rows]
+
+    def density_rows(self, state, grid_y):
+        return garch_density_rows(*state, grid_y)
 
     def unconditional_variance(self):
         return self.omega / (1.0 - self.alpha - self.beta)
@@ -265,12 +290,14 @@ def garch_starting_points(y, p):
     return starts, v
 
 
-def garch_fit(y, p):
+def garch_fit(y, p, pad=0.05, grid_size=1001):
     """Quasi-maximum-likelihood fit of the AR(p)-GARCH(1,1) model.
 
     Nelder-Mead runs from each fixed start; the best final likelihood
     wins (ties keep the earlier start). The variance recursion is
-    initialized at the residual variance of the OLS mean fit.
+    initialized at the residual variance of the OLS mean fit. The
+    model's response grid spans the fitted responses y[p:], widened by
+    ``pad`` on each side, at ``grid_size`` points.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -287,6 +314,8 @@ def garch_fit(y, p):
         raise DataError("series contains non-finite values")
     if float(np.var(y)) == 0.0:
         raise DataError("constant series; garch variance is unidentified")
+    check_grid_size(grid_size)
+    scaler = fit_scaler(y[p:], pad)
 
     starts, s2_init = garch_starting_points(y, p)
     best_res = None
@@ -318,6 +347,9 @@ def garch_fit(y, p):
         beta=float(beta),
         s2_init=float(s2_init),
         loglik=float(-best_res.fun),
+        lo=scaler.lo,
+        hi=scaler.hi,
+        grid_size=grid_size,
     )
 
 

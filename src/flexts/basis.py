@@ -126,6 +126,12 @@ class Scaler:
         return self.lo + z * self.width
 
 
+def check_grid_size(grid_size):
+    """The response grid rule of every method's fit: odd, at least 101 points."""
+    if grid_size < 101 or grid_size % 2 == 0:
+        raise ValueError(f"grid_size must be odd and >= 101, got {grid_size}")
+
+
 def fit_scaler(y_train, pad=0.05):
     """Fit the affine response scaler on training responses.
 

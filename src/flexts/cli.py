@@ -7,11 +7,11 @@ cell order, so reruns produce byte-identical outputs. Errors exit with
 a single-line ``flexts: error: ...`` message on stderr and a category
 code: 2 for usage, 3 for data problems, 4 for numeric failures.
 
-Every method (flexcode, nnkcde, garch) is fitted by ``_fit`` and
-tabulated by ``_densities``, which computes a model's per-row state once
-and gives its densities on any grid. Each method is scored on its
-fit-time response grid: the padded training range, with the ``pad`` and
-``grid_size`` that ``fit`` records in the model metadata.
+Every method (flexcode, nnkcde, garch) is fitted by ``_fit``, and each
+fitted model tabulates itself: ``row_state`` computes some rows' state
+once, ``density_rows`` gives their densities on any response grid, and
+``grid()`` is the fit-time grid (the padded training range at
+``grid_size`` points) each method is scored on.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -138,8 +138,10 @@ def _parse_int_list(text):
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            a, b = part.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
+            a, b = (int(v) for v in part.split("-", 1))
+            if b < a:
+                raise ValueError(f"descending range {part!r}")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(part))
     return out
@@ -304,7 +306,8 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
             raise ValueError("garch supports lag features only")
         # fit on the series prefix covered by the training rows
         prefix_end = int(design.origin_index[tr.stop - 1]) + 1
-        model = baselines.garch_fit(table.response[:prefix_end], design.n_lags)
+        model = baselines.garch_fit(table.response[:prefix_end], design.n_lags,
+                                    meta["pad"], meta["grid_size"])
         return model, "", model.alpha + model.beta, [
             f"method: garch p={model.p} omega={model.omega:.6g} "
             f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
@@ -313,50 +316,21 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _densities(method, model, meta, u, table=None, design=None, rows=None):
-    """Densities of some rows on any response grid, from state computed once.
+def _row_state(model, meta, u, table=None, design=None, rows=None):
+    """A loaded model's fit-time grid and the state of some rows, computed once.
 
-    The state is the flexcode backend's coefficients or the NNKCDE
-    neighbor indices of the covariate rows ``u``, or the GARCH means
-    and variances at design ``rows`` of ``table``'s series (with
-    ``rows=None``, one step past its end). Returns (grid_y, tabulate):
-    the fit-time response grid, and tabulate(grid) -> (density, raw,
-    degenerate); raw (the flexcode expansion before clipping) and
-    degenerate (its rows without mass) are None for the baselines.
+    The state is the one ``model.density_rows`` tabulates: from covariate
+    rows ``u`` for flexcode and NNKCDE, from design ``rows`` of
+    ``table``'s series for GARCH (with rows=None, one step past its end).
     """
-    if method == "flexcode":
-        pred = estimator.predict_coefficients(model, u)
-
-        def tabulate(grid_y):
-            batch = estimator.tabulate_density(model, pred, grid_y)
-            return batch.density, batch.raw_density, batch.degenerate
-
-        return model.grid(), tabulate
-    if method == "nnkcde":
-        neighbors = model.neighbors(u)
-        return model.grid(), lambda grid_y: (
-            model.density_rows(neighbors, grid_y), None, None
-        )
-    if method == "garch":
-        if table is None:
-            raise ValueError(
-                "garch prediction needs --input (the variance recursion "
-                "state depends on the whole series)"
-            )
-        if rows is None:
-            mean, var = baselines.garch_forecast(model, table.response)
-            means, s2 = np.array([mean]), np.array([var])
-        else:
-            means, s2 = baselines.garch_filter(model, table.response)
-            means, s2 = means[rows], s2[rows]
-        # the grid a flexcode or NNKCDE fit keeps: padded training range
+    state = model.row_state(u, None if table is None else table.response, rows)
+    if isinstance(model, baselines.GarchModel) and not model.grid_size:
+        # saved before GARCH models kept a grid: rebuild the one its fit had
         tr, _, _ = temporal_split(design.n_rows, _split_from_meta(meta))
         scaler = fit_scaler(design.y[tr.start : tr.stop], pad=meta.get("pad", 0.05))
-        grid = np.linspace(scaler.lo, scaler.hi, meta.get("grid_size", 1001))
-        return grid, lambda grid_y: (
-            baselines.garch_density_rows(means, s2, grid_y), None, None
-        )
-    raise ValueError(f"unknown method {method!r}")
+        model.lo, model.hi = scaler.lo, scaler.hi
+        model.grid_size = meta.get("grid_size", 1001)
+    return model.grid(), state
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +385,8 @@ def cmd_evaluate(args):
         _, _, te = temporal_split(design.n_rows, _split_from_meta(meta))
         rows = slice(te.start, te.stop)
         y_te = design.y[rows]
-        grid_y, tabulate = _densities(
-            method, model, meta, design.u[rows], table, design, rows
-        )
-        dens, _, _ = tabulate(grid_y)
+        grid_y, state = _row_state(model, meta, design.u[rows], table, design, rows)
+        dens = model.density_rows(state, grid_y)
         rep = cde_loss_grid(grid_y, dens, y_te)
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
@@ -476,18 +448,19 @@ def cmd_predict(args):
             u = design.u[rows]
             label = f"design row {row}"
 
-    grid_y, tabulate = _densities(method, model, meta, u, table, design, rows)
-    dens, raw, degenerate = tabulate(grid_y)
+    grid_y, state = _row_state(model, meta, u, table, design, rows)
+    dens = model.density_rows(state, grid_y)[0]
     if taus is not None:
-        q = estimator.quantiles_from_grid_density(grid_y, dens[0], taus)
+        q = estimator.quantiles_from_grid_density(grid_y, dens, taus)
         write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-    elif raw is None:
-        write_csv(args.output, ["y", "density"], list(zip(grid_y, dens[0])))
-    else:
+    elif method == "flexcode":  # the expansion before clipping is a third column
+        batch = estimator.tabulate_density(model, state, grid_y)
         write_csv(args.output, ["y", "density", "raw_density"],
-                  list(zip(grid_y, dens[0], raw[0])))
-        if degenerate[0]:
+                  list(zip(grid_y, dens, batch.raw_density[0])))
+        if batch.degenerate[0]:
             print("warning: clipped density had no mass; wrote uniform")
+    else:
+        write_csv(args.output, ["y", "density"], list(zip(grid_y, dens)))
     print(f"prediction for {label} written: {args.output}")
     return 0
 
@@ -600,16 +573,11 @@ def run_bench_cell(
     )
     _, _, te = temporal_split(design.n_rows, split)
     rows = slice(te.start, te.stop)
-    grid_y, tabulate = _densities(
-        cell.method, model, meta, design.u[rows], table, design, rows
-    )
-    rep = cde_loss_grid(grid_y, tabulate(grid_y)[0], design.y[rows])
+    state = model.row_state(design.u[rows], y, rows)
+    grid_y = model.grid()
+    rep = cde_loss_grid(grid_y, model.density_rows(state, grid_y), design.y[rows])
     result = {
-        "scenario": cell.scenario,
-        "n": cell.n,
-        "method": cell.method,
-        "lags": cell.lags,
-        "seed": cell.seed,
+        **asdict(cell),
         "status": "ok",
         "cde_loss": rep.loss,
         "cde_loss_se": rep.std_error,
@@ -625,18 +593,13 @@ def run_bench_cell(
         truth = scenarios.density_rows(
             cell.scenario, design.u[rows, :3], fine_grid, sigma_nm=sigma_nm
         )
-        orep = oracle_cde_loss(truth, tabulate(fine_grid)[0], fine_grid)
+        orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid), fine_grid)
         result["oracle_cde_loss"] = orep.loss
         result["oracle_cde_loss_se"] = orep.std_error
     return result
 
 
-BENCH_COLUMNS = [
-    "scenario",
-    "n",
-    "method",
-    "lags",
-    "seed",
+BENCH_COLUMNS = [f.name for f in fields(BenchCell)] + [
     "status",
     "cde_loss",
     "cde_loss_se",
@@ -710,15 +673,8 @@ def cmd_bench(args):
             )
         except (DataError, NumericError, ValueError) as exc:
             n_failed += 1
-            result = {col: "" for col in BENCH_COLUMNS}
-            result.update(
-                scenario=cell.scenario,
-                n=cell.n,
-                method=cell.method,
-                lags=cell.lags,
-                seed=cell.seed,
-                status=f"error: {exc}",
-            )
+            result = {**dict.fromkeys(BENCH_COLUMNS, ""), **asdict(cell),
+                      "status": f"error: {exc}"}
         rows.append([result[col] for col in BENCH_COLUMNS])
         print(
             f"[{len(rows)}/{len(cells)}] {cell.scenario} n={cell.n} "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, fit_scaler
+from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs, cde_loss_grid
 from flexts.features import SplitSpec, temporal_split
@@ -23,6 +23,7 @@ from flexts.regression import (
     KnnModel,
     LassoModel,
     NadarayaWatsonModel,
+    check_queries,
     default_delta_grid,
     default_lambda_grid,
     k_candidates,
@@ -52,10 +53,9 @@ class FitConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.i_max < 1:
             raise ValueError(f"i_max must be >= 1, got {self.i_max}")
-        if self.grid_size < 101 or self.grid_size % 2 == 0:
-            raise ValueError(
-                f"grid_size must be odd and >= 101, got {self.grid_size}"
-            )
+        if self.hyper_grid is not None and len(self.hyper_grid) == 0:
+            raise ValueError("hyper_grid is empty; pass None for the defaults")
+        check_grid_size(self.grid_size)
 
 
 @dataclass
@@ -81,6 +81,14 @@ class CoefficientModel:
     def grid(self):
         """The fit-time response grid densities are tabulated on."""
         return np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
+
+    def row_state(self, u, series=None, rows=None):
+        """The backend's coefficient predictions at covariate rows u."""
+        return predict_coefficients(self, u)
+
+    def density_rows(self, state, grid_y):
+        """Post-processed densities of row_state's rows on any response grid."""
+        return tabulate_density(self, state, grid_y).density
 
 
 @dataclass
@@ -279,23 +287,9 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     )
 
 
-def _check_u(model, u):
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[None, :]
-    if u.ndim != 2 or u.shape[1] != len(model.feature_names):
-        raise DataError(
-            f"expected covariate rows with {len(model.feature_names)} features "
-            f"({model.feature_names}), got shape {u.shape}"
-        )
-    if not np.all(np.isfinite(u)):
-        raise DataError("covariates contain non-finite values")
-    return u
-
-
 def predict_coefficients(model, u):
-    """Predicted basis coefficients (all i_max+1 columns) at covariates u."""
-    u = _check_u(model, u)
+    """Predicted basis coefficients (all i_max+1 columns) at covariate rows u."""
+    u = check_queries(np.atleast_2d(u), len(model.feature_names))
     return model.backend.predict(u)
 
 
@@ -387,7 +381,7 @@ def importance(model, u_val=None, y_val=None, n_permutations=5, seed=0):
             f"{model.backend_kind} importance is permutation-based and "
             "requires validation covariates and responses"
         )
-    u_val = _check_u(model, u_val)
+    u_val = check_queries(np.atleast_2d(u_val), len(model.feature_names))
     y_val = np.asarray(y_val, dtype=float)
     if y_val.shape[0] != u_val.shape[0]:
         raise DataError("u_val and y_val row counts differ")

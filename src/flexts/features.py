@@ -142,7 +142,20 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
         raise DataError(f"series of length {n} too short for {n_lags} lags")
     start = n_lags + (max_window - 1 if rolling else 0)
     t = np.arange(start, n)
+    u, names = _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous)
+    return DesignMatrix(
+        u=u, y=y[t], feature_names=names, origin_index=t, n_lags=n_lags
+    )
 
+
+def _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous):
+    """Covariate rows for responses at indices t, and the column names.
+
+    Every lag, exogenous value and rolling window a row reads lies
+    before t (exogenous values at t with contemporaneous timing), so t
+    may be len(series), one step past the end.
+    """
+    y = table.response
     cols = []
     names = []
     for lag in range(1, n_lags + 1):
@@ -158,11 +171,7 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
         # col[i] covers y[i : i + w]; the window ending at t-1 starts at t-w
         cols.append(col[t - spec.window])
         names.append(spec.name)
-
-    u = np.column_stack(cols)
-    return DesignMatrix(
-        u=u, y=y[t], feature_names=names, origin_index=t, n_lags=n_lags
-    )
+    return np.column_stack(cols), names
 
 
 def next_step_covariates(table, n_lags, rolling=(), exog_contemporaneous=False):
@@ -183,17 +192,13 @@ def next_step_covariates(table, n_lags, rolling=(), exog_contemporaneous=False):
             f"series of length {n} too short to forecast with {n_lags} lags "
             f"and window {max_window}"
         )
-    vals = [y[n - lag] for lag in range(1, n_lags + 1)]
-    if table.exogenous is not None:
-        if exog_contemporaneous:
-            raise DataError(
-                "contemporaneous exogenous covariates are unobserved at the "
-                "forecast step; refit with lagged timing to forecast"
-            )
-        vals.extend(table.exogenous[n - 1])
-    for spec in rolling:
-        vals.append(float(_rolling_column(y, spec)[n - spec.window]))
-    return np.asarray(vals, dtype=float)
+    if table.exogenous is not None and exog_contemporaneous:
+        raise DataError(
+            "contemporaneous exogenous covariates are unobserved at the "
+            "forecast step; refit with lagged timing to forecast"
+        )
+    u, _ = _covariate_rows(table, np.array([n]), n_lags, rolling, exog_contemporaneous)
+    return u[0]
 
 
 @dataclass(frozen=True)

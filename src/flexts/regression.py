@@ -113,15 +113,16 @@ def _check_training(train_u, train_phi):
     return train_u, train_phi
 
 
-def _check_queries(train_u, eval_u):
+def check_queries(eval_u, n_features):
+    """Query rows as a float array: 2-d, n_features wide and finite."""
     eval_u = np.asarray(eval_u, dtype=float)
-    if eval_u.ndim != 2 or eval_u.shape[1] != train_u.shape[1]:
-        raise ValueError(
-            f"query rows must be 2-d with {train_u.shape[1]} columns, got "
+    if eval_u.ndim != 2 or eval_u.shape[1] != n_features:
+        raise DataError(
+            f"query rows must be 2-d with {n_features} columns, got "
             f"shape {eval_u.shape}"
         )
     if not np.all(np.isfinite(eval_u)):
-        raise ValueError("query rows contain non-finite values")
+        raise DataError("query rows contain non-finite values")
     return eval_u
 
 
@@ -161,7 +162,7 @@ def nw_predict(train_u, train_phi, eval_u, delta):
 def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     """nw_predict for several radii, sharing each block's distances."""
     train_u, train_phi = _check_training(train_u, train_phi)
-    eval_u = _check_queries(train_u, eval_u)
+    eval_u = check_queries(eval_u, train_u.shape[1])
     if any(d <= 0 for d in deltas):
         raise ValueError(f"radii must be positive, got {list(deltas)}")
     sums = np.empty((len(deltas), eval_u.shape[0], train_phi.shape[1]))
@@ -310,7 +311,7 @@ def knn_order(train_u, eval_u, k):
     other rows, and every row otherwise, go through ``distance_blocks``.
     """
     train_u = np.asarray(train_u, dtype=float)
-    eval_u = _check_queries(train_u, eval_u)
+    eval_u = check_queries(eval_u, train_u.shape[1])
     settled = None
     if (
         eval_u.shape[1] <= TREE_MAX_DIM

@@ -405,12 +405,11 @@ def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
         design = cli._features_from_meta(meta, table)
         _, _, te = temporal_split(design.n_rows, cli._split_from_meta(meta))
         rows = slice(te.start, te.stop)
-        grid_y, tabulate = cli._densities(
-            method, model, meta, design.u[rows], table, design, rows
-        )
+        state = model.row_state(design.u[rows], table.response, rows)
+        grid_y = model.grid()
         fine = np.linspace(grid_y[0], grid_y[-1], 2001)
         for grid in (grid_y, fine):
-            got = tabulate(grid)[0]
+            got = model.density_rows(state, grid)
             if method == "flexcode":
                 regridded = dataclasses.replace(model, grid_size=grid.size)
                 assert np.array_equal(regridded.grid(), grid)
@@ -422,6 +421,60 @@ def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
                 means, s2 = baselines.garch_filter(model, table.response)
                 want = baselines.garch_density_rows(means[rows], s2[rows], grid)
             assert np.array_equal(got, want), method
+
+
+def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):
+    data = simulate(tmp_path, n=500)
+    model = fit(tmp_path, data, method="garch",
+                extra=("--pad", "0.3", "--grid-size", "501"))
+    doc = json.loads(model.read_text())
+    assert doc["model"]["grid_size"] == 501
+    for key in ("lo", "hi", "grid_size"):
+        del doc["model"][key]
+    outputs = {}
+    for name, text in (("kept", model.read_text()), ("rebuilt", json.dumps(doc))):
+        # same relative model path, so evaluate's model column matches
+        work = tmp_path / name
+        work.mkdir()
+        (work / "garch.json").write_text(text)
+        monkeypatch.chdir(work)
+        commands = {
+            "eval": ["evaluate", "--input", data, "--model", "garch.json",
+                     "--oracle-scenario", "ar", "--log-pinball"],
+            "row": ["predict", "--model", "garch.json", "--input", data,
+                    "--row", -1],
+            "taus": ["predict", "--model", "garch.json", "--input", data,
+                     "--row", 5, "--taus", "0.1,0.5,0.9"],
+        }
+        for kind, argv in commands.items():
+            assert run([*argv, "-o", f"{kind}.csv"]) == 0, (name, kind)
+        outputs[name] = {kind: (work / f"{kind}.csv").read_bytes()
+                         for kind in commands}
+    assert outputs["kept"] == outputs["rebuilt"]
+    assert len(read_rows(tmp_path / "kept" / "row.csv")) == 502
+
+
+@pytest.mark.parametrize("method", ["flexcode", "nnkcde", "garch"])
+def test_fit_checks_the_response_grid(tmp_path, capsys, method):
+    data = simulate(tmp_path, n=300)
+    out = tmp_path / "model.json"
+    for flags, message in [(("--grid-size", 4), "grid_size must be odd and >= 101"),
+                           (("--grid-size", 1000), "grid_size must be odd"),
+                           (("--pad", -0.5), "pad must be nonnegative")]:
+        code, _, err = run(["fit", "--input", data, "--method", method, *flags,
+                            "-o", out], capsys)
+        assert code == 2, flags
+        assert message in err
+    assert not out.exists()
+
+
+def test_bench_rejects_descending_ranges(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    for flag in ("--seeds", "--sizes", "--lags"):
+        code, _, err = run(["bench", flag, "5-3", "-o", out], capsys)
+        assert code == 2, flag
+        assert "descending range '5-3'" in err
+    assert not out.exists()
 
 
 def test_bench_cell_computes_test_row_state_once(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flexts.baselines import NnkcdeModel
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import (
@@ -57,6 +58,28 @@ def manual_model(coeffs, lo=0.0, hi=2.0, i_selected=None):
         feature_names=["lag1", "lag2"],
         n_lags=2,
     )
+
+
+@pytest.mark.parametrize("backend", ["nw", "knn", "lasso"])
+def test_empty_hyper_grid_is_rejected(backend):
+    with pytest.raises(ValueError, match="hyper_grid is empty"):
+        FitConfig(backend=backend, hyper_grid=())
+
+
+def test_every_model_checks_query_rows_alike():
+    rng = np.random.default_rng(4)
+    nnkcde = NnkcdeModel(train_u=rng.normal(size=(40, 2)), train_y=rng.normal(size=40),
+                         k=5, h=0.5, lo=-3.0, hi=3.0, grid_size=101)
+    for model in (manual_model([1.0, 0.2]), nnkcde):
+        one_row = model.row_state(np.array([0.3, -0.1]), None, None)
+        rows = model.row_state(np.array([[0.3, -0.1]]), None, None)
+        assert np.array_equal(model.density_rows(one_row, model.grid()),
+                              model.density_rows(rows, model.grid()))
+        for bad, match in [(np.zeros(3), "2 columns"),
+                           (np.zeros((4, 1)), "2 columns"),
+                           (np.array([[0.0, np.nan]]), "non-finite")]:
+            with pytest.raises(DataError, match=match):
+                model.row_state(bad, None, None)
 
 
 def test_fit_config_validation():

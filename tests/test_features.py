@@ -118,6 +118,18 @@ def test_next_step_covariates_matches_embedding_convention():
     np.testing.assert_allclose(row, expected, rtol=1e-14)
 
 
+def test_next_step_row_is_the_embedding_row_one_step_on():
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=60)
+    x = rng.normal(size=(60, 2))
+    rolling = [RollingSpec("mean", 4), RollingSpec("variance", 6),
+               RollingSpec("max", 3)]
+    row = next_step_covariates(table(y, x, ["a", "b"]), n_lags=3, rolling=rolling)
+    # the last embedding row reads neither the appended value nor its exog row
+    longer = table(np.append(y, 99.0), np.vstack([x, [[7.0, -7.0]]]), ["a", "b"])
+    assert np.array_equal(row, lag_embed(longer, 3, rolling=rolling).u[-1])
+
+
 def test_next_step_covariates_rejects_contemporaneous_exog():
     t = table([1.0, 2.0, 3.0], exog=[[1.0], [2.0], [3.0]], names=["a"])
     with pytest.raises(DataError):
