@@ -73,7 +73,10 @@ class NnkcdeModel:
         return self.density_rows(self.row_state(eval_u), grid_y)
 
     def predict_density(self, u, grid_y=None):
-        return self.predict_density_batch(u, grid_y=grid_y)[0]
+        batch = self.predict_density_batch(u, grid_y=grid_y)
+        if batch.shape[0] != 1:
+            raise DataError("predict_density expects a single covariate row")
+        return batch[0]
 
 
 def kernel_means(train_y, order, ks, grid_y, h):

@@ -391,13 +391,13 @@ def cmd_evaluate(args):
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
         if args.oracle_scenario:
-            if int(meta["n_lags"]) < 3:
+            if int(meta["n_lags"]) < scenarios.ORDER:
                 raise ValueError(
-                    "oracle loss needs at least 3 lagged covariates in the design"
+                    f"oracle loss needs at least {scenarios.ORDER} lagged "
+                    "covariates in the design"
                 )
             truth = scenarios.density_rows(
-                args.oracle_scenario, design.u[rows, :3], grid_y,
-                sigma_nm=args.sigma_nm,
+                args.oracle_scenario, design.u[rows], grid_y, sigma_nm=args.sigma_nm
             )
             orep = oracle_cde_loss(truth, dens, grid_y)
             row += [orep.loss, orep.std_error]
@@ -556,7 +556,7 @@ def run_bench_cell(
     The three methods share the response grid derived from the training
     rows so their losses are commensurable. Oracle integrated squared
     error is computed on a finer grid when the scenario truth is known
-    and the design keeps at least three lags.
+    and the design keeps every lag the scenario's law reads.
     """
     y = scenarios.generate(
         cell.scenario, cell.n, cell.seed, burn_in=burn_in, sigma_nm=sigma_nm
@@ -587,11 +587,11 @@ def run_bench_cell(
         "hyper": hyper,
         "n_test": rep.n_eval,
     }
-    if oracle and cell.lags >= 3:
+    if oracle and cell.lags >= scenarios.ORDER:
         # every method's grid spans the training scaler's range exactly
         fine_grid = np.linspace(grid_y[0], grid_y[-1], ORACLE_GRID_SIZE)
         truth = scenarios.density_rows(
-            cell.scenario, design.u[rows, :3], fine_grid, sigma_nm=sigma_nm
+            cell.scenario, design.u[rows], fine_grid, sigma_nm=sigma_nm
         )
         orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid), fine_grid)
         result["oracle_cde_loss"] = orep.loss
@@ -640,15 +640,33 @@ def cmd_bench(args):
     if args.output:
         cfg["output"] = args.output
 
+    # every setting takes its default's type; a list setting, its entries'
+    for key, default in BENCH_DEFAULTS.items():
+        value = cfg[key]
+        is_list = isinstance(default, list)
+        kind = type(default[0] if is_list else default)
+        try:
+            if is_list != isinstance(value, list):
+                raise TypeError
+            cfg[key] = [kind(v) for v in value] if is_list else kind(value)
+        except (TypeError, ValueError):
+            shape = f"a list of {kind.__name__}" if is_list else kind.__name__
+            raise ValueError(
+                f"bench config {key!r} must be {shape}, got {value!r}"
+            ) from None
+    if len(cfg["split"]) != 3:
+        raise ValueError(
+            f"bench config 'split' needs three fractions, got {cfg['split']}"
+        )
     for m in cfg["methods"]:
         if m not in BENCH_METHODS:
             raise ValueError(
                 f"unknown bench method {m!r}; expected subset of {BENCH_METHODS}"
             )
-    split = SplitSpec(*[float(f) for f in cfg["split"]])
+    split = SplitSpec(*cfg["split"])
 
     cells = [
-        BenchCell(scenario=s, n=int(n), method=m, lags=int(p), seed=int(sd))
+        BenchCell(scenario=s, n=n, method=m, lags=p, seed=sd)
         for s, n, m, p, sd in itertools.product(
             cfg["scenarios"], cfg["sizes"], cfg["methods"], cfg["lags"], cfg["seeds"]
         )
@@ -663,13 +681,13 @@ def cmd_bench(args):
                 cell,
                 backend=cfg["backend"],
                 basis=cfg["basis"],
-                i_max=int(cfg["i_max"]),
-                grid_size=int(cfg["grid_size"]),
-                pad=float(cfg["pad"]),
+                i_max=cfg["i_max"],
+                grid_size=cfg["grid_size"],
+                pad=cfg["pad"],
                 split=split,
-                burn_in=int(cfg["burn_in"]),
-                sigma_nm=float(cfg["sigma_nm"]),
-                oracle=bool(cfg["oracle"]),
+                burn_in=cfg["burn_in"],
+                sigma_nm=cfg["sigma_nm"],
+                oracle=cfg["oracle"],
             )
         except (DataError, NumericError, ValueError) as exc:
             n_failed += 1

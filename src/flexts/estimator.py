@@ -146,11 +146,13 @@ def _candidate_predictions(u_tr, phi_tr, u_va, config):
 def renormalize_rows(density, grid_y):
     """Scale nonnegative density rows to unit trapezoid mass on grid_y.
 
-    Rows without positive finite mass become uniform over the grid.
-    Returns (density, degenerate), the second flagging those rows.
+    Rows without a finite mass of at least the smallest normal float
+    become uniform over the grid: a subnormal mass carries too few
+    significant bits to normalize by. Returns (density, degenerate), the
+    second flagging those rows.
     """
     mass = np.trapezoid(density, grid_y, axis=1)
-    degenerate = ~(mass > 0.0) | ~np.isfinite(mass)
+    degenerate = ~(mass >= np.finfo(float).tiny) | ~np.isfinite(mass)
     safe = np.where(degenerate, 1.0, mass)
     out = density / safe[:, None]
     if degenerate.any():

@@ -21,6 +21,7 @@ import json
 import numpy as np
 
 from flexts.baselines import GarchModel, NnkcdeModel
+from flexts.basis import check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
 from flexts.regression import HYPER_NAMES, KnnModel, LassoModel, NadarayaWatsonModel
@@ -117,6 +118,9 @@ def load_model(path):
         owner = getattr(model, "backend", model)  # knn and NNKCDE average k rows
         if hasattr(owner, "k") and not 1 <= owner.k <= len(owner.train_u):
             raise ValueError(f"k={owner.k} is outside [1, {len(owner.train_u)}]")
+        # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
+        if not (method == "garch" and model.grid_size == 0):
+            check_grid_size(model.grid_size)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"

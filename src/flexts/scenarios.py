@@ -1,10 +1,11 @@
 """Simulation scenarios with known conditional densities.
 
-Each scenario generates a stationary series from zero initial
-conditions with a burn-in that is discarded, and exposes the exact
-conditional density of Y_t given the three most recent lagged values
-(u = (y_{t-1}, y_{t-2}, y_{t-3})). The closed forms make oracle loss
-computations possible in benchmarks.
+Each scenario is a location-scale law, Y_t = mean + scale * e_t, whose mean
+and scale ``_location_scale`` gives from the ORDER = 3 most recent values
+u = (y_{t-1}, y_{t-2}, y_{t-3}) and, in the jump scenarios, a jump indicator
+Z_t. ``simulate`` runs that one law from zero initial lags, discarding a
+burn-in, and ``true_density`` reads it for the exact conditional density of
+Y_t given u, which makes oracle loss computations possible in benchmarks.
 
 Scenarios
 ---------
@@ -37,7 +38,12 @@ SCENARIO_NAMES = (
     "nonlinear_variance",
 )
 
+# lags the conditional law reads: u = (y_{t-1}, y_{t-2}, y_{t-3})
+ORDER = 3
+
+JUMP_SCENARIOS = ("arma_jump", "arma_jump_t")
 JUMP_PROB = 0.05
+T_DOF = 3
 
 AR_COEFFS = (0.2, 0.3, 0.35)
 ARMA_COEFFS = (0.1, 0.4, 0.4)
@@ -74,6 +80,33 @@ class ScenarioDraw:
     jumps: np.ndarray | None = None
 
 
+def _location_scale(name, y1, y2, y3, z, sigma_nm):
+    """Mean and scale of Y_t given its three lags and jump indicator z."""
+    if name == "ar":
+        a1, a2, a3 = AR_COEFFS
+        return a1 * y1 + a2 * y2 + a3 * y3, 1.0
+    if name in JUMP_SCENARIOS:
+        a1, a2, a3 = ARMA_COEFFS
+        return a1 * y1 + a2 * y2 + a3 * y3 + 0.01 - 0.3 * z, 0.05 * (1.0 + z)
+    if name == "nonlinear_mean":
+        return np.sin(np.pi * y3) ** 2, sigma_nm
+    return 0.0, 0.1 if abs(y3) > 0.5 else 1.0
+
+
+def _innovations(name, rng, size):
+    """The innovation law: N(0, 1), or t(T_DOF) for arma_jump_t."""
+    if name == "arma_jump_t":
+        return rng.standard_t(T_DOF, size=size)
+    return rng.standard_normal(size)
+
+
+def _innovation_pdf(name, x, loc, scale):
+    if name == "arma_jump_t":
+        return stats.t.pdf(x, T_DOF, loc=loc, scale=scale)
+    z = (x - loc) / scale
+    return np.exp(-0.5 * z * z) / (scale * np.sqrt(2.0 * np.pi))
+
+
 def simulate(spec):
     """Simulate a scenario path of length spec.n after burn-in.
 
@@ -83,51 +116,21 @@ def simulate(spec):
     """
     rng = np.random.default_rng(spec.seed)
     total = spec.burn_in + spec.n
-    name = spec.name
-
-    if name in ("ar", "arma_jump", "arma_jump_t"):
-        if name == "arma_jump_t":
-            eps = rng.standard_t(3, size=total)
-        else:
-            eps = rng.standard_normal(total)
-        if name == "ar":
-            a1, a2, a3 = AR_COEFFS
-            z = None
-            y = np.zeros(total)
-            for t in range(total):
-                y3 = y[t - 3] if t >= 3 else 0.0
-                y2 = y[t - 2] if t >= 2 else 0.0
-                y1 = y[t - 1] if t >= 1 else 0.0
-                y[t] = a1 * y1 + a2 * y2 + a3 * y3 + eps[t]
-        else:
-            a1, a2, a3 = ARMA_COEFFS
-            z = (rng.random(total) < JUMP_PROB).astype(float)
-            y = np.zeros(total)
-            for t in range(total):
-                y3 = y[t - 3] if t >= 3 else 0.0
-                y2 = y[t - 2] if t >= 2 else 0.0
-                y1 = y[t - 1] if t >= 1 else 0.0
-                mean = a1 * y1 + a2 * y2 + a3 * y3 + 0.01 - 0.3 * z[t]
-                y[t] = mean + 0.05 * (1.0 + z[t]) * eps[t]
-        jumps = None if z is None else z[spec.burn_in:]
-        return ScenarioDraw(y=y[spec.burn_in:], jumps=jumps)
-
-    if name == "nonlinear_mean":
-        eps = rng.standard_normal(total)
-        y = np.zeros(total)
-        for t in range(total):
-            y3 = y[t - 3] if t >= 3 else 0.0
-            y[t] = np.sin(np.pi * y3) ** 2 + spec.sigma_nm * eps[t]
-        return ScenarioDraw(y=y[spec.burn_in:])
-
-    # nonlinear_variance
-    eps = rng.standard_normal(total)
-    y = np.zeros(total)
-    for t in range(total):
-        y3 = y[t - 3] if t >= 3 else 0.0
-        sigma = 0.1 if abs(y3) > 0.5 else 1.0
-        y[t] = sigma * eps[t]
-    return ScenarioDraw(y=y[spec.burn_in:])
+    eps = _innovations(spec.name, rng, total)
+    jumps = None
+    z = [0.0] * total
+    if spec.name in JUMP_SCENARIOS:
+        jumps = (rng.random(total) < JUMP_PROB).astype(float)
+        z = jumps.tolist()
+    y = [0.0] * ORDER
+    for e, zt in zip(eps.tolist(), z):
+        mean, scale = _location_scale(spec.name, y[-1], y[-2], y[-3], zt,
+                                      spec.sigma_nm)
+        y.append(mean + scale * e)
+    return ScenarioDraw(
+        y=np.array(y[ORDER + spec.burn_in:]),
+        jumps=None if jumps is None else jumps[spec.burn_in:],
+    )
 
 
 def generate(name, n, seed, burn_in=200, sigma_nm=0.5):
@@ -137,51 +140,31 @@ def generate(name, n, seed, burn_in=200, sigma_nm=0.5):
     ).y
 
 
-def _norm_pdf(x, mean, sd):
-    z = (x - mean) / sd
-    return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
-
-
 def true_density(name, u, grid_y, sigma_nm=0.5):
     """Exact conditional density f(y | u) on a grid of y values.
 
     ``u`` holds the lagged covariates ordered (y_{t-1}, y_{t-2},
-    y_{t-3}, ...); only the first three entries are used and at least
-    three are required. Extra entries (longer lag embeddings) are
-    ignored because every scenario is third-order Markov at most.
+    y_{t-3}, ...); only the first ORDER entries are used and at least
+    ORDER are required. Extra entries (longer lag embeddings) are
+    ignored because every scenario is ORDER-th order Markov at most.
     """
     if name not in SCENARIO_NAMES:
         raise ValueError(
             f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}"
         )
     u = np.asarray(u, dtype=float).ravel()
-    if u.size < 3:
+    if u.size < ORDER:
         raise DataError(
-            f"scenario {name!r} conditions on three lags; got {u.size} covariates"
+            f"scenario {name!r} conditions on {ORDER} lags; got {u.size} covariates"
         )
     grid_y = np.asarray(grid_y, dtype=float)
-    y1, y2, y3 = u[0], u[1], u[2]
-
-    if name == "ar":
-        a1, a2, a3 = AR_COEFFS
-        return _norm_pdf(grid_y, a1 * y1 + a2 * y2 + a3 * y3, 1.0)
-
-    if name in ("arma_jump", "arma_jump_t"):
-        a1, a2, a3 = ARMA_COEFFS
-        base = a1 * y1 + a2 * y2 + a3 * y3 + 0.01
-        if name == "arma_jump":
-            calm = _norm_pdf(grid_y, base, 0.05)
-            jump = _norm_pdf(grid_y, base - 0.3, 0.10)
-        else:
-            calm = stats.t.pdf(grid_y, 3, loc=base, scale=0.05)
-            jump = stats.t.pdf(grid_y, 3, loc=base - 0.3, scale=0.10)
-        return (1.0 - JUMP_PROB) * calm + JUMP_PROB * jump
-
-    if name == "nonlinear_mean":
-        return _norm_pdf(grid_y, np.sin(np.pi * y3) ** 2, sigma_nm)
-
-    sigma = 0.1 if abs(y3) > 0.5 else 1.0
-    return _norm_pdf(grid_y, 0.0, sigma)
+    mean, scale = _location_scale(name, u[0], u[1], u[2], 0.0, sigma_nm)
+    dens = _innovation_pdf(name, grid_y, mean, scale)
+    if name in JUMP_SCENARIOS:  # a mixture over the jump indicator z
+        mean, scale = _location_scale(name, u[0], u[1], u[2], 1.0, sigma_nm)
+        jump = _innovation_pdf(name, grid_y, mean, scale)
+        dens = (1.0 - JUMP_PROB) * dens + JUMP_PROB * jump
+    return dens
 
 
 def density_rows(name, u_rows, grid_y, sigma_nm=0.5):

@@ -350,6 +350,8 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (v1_doc, (), "grid_size", 201.9),
         (doc, (), "k", 0),
         (knn_doc, ("backend",), "k", n_knn + 1),
+        (knn_doc, (), "grid_size", 5),  # breaks the fit's odd, >= 101 rule
+        (doc, (), "grid_size", 3),
     ]:
         edited = copy.deepcopy(base)
         target = edited["model"]
@@ -595,6 +597,24 @@ def test_bench_config_file_with_cli_override(tmp_path):
     assert run(["bench", "--config", bad, "-o", out]) == 2
     missing = tmp_path / "none.json"
     assert run(["bench", "--config", missing, "-o", out]) == 3
+
+
+def test_bench_config_values_must_have_the_defaults_types(tmp_path, capsys):
+    base = {"scenarios": ["ar"], "sizes": [300], "methods": ["flexcode"],
+            "seeds": [0]}
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "bench.csv"
+    for key, value, message in [
+        ("scenarios", "ar", "'scenarios' must be a list of str"),
+        ("sizes", 300, "'sizes' must be a list of int"),
+        ("split", [0.6, 0.2], "'split' needs three fractions"),
+        ("i_max", "abc", "'i_max' must be int"),
+    ]:
+        cfg.write_text(json.dumps({**base, key: value}))
+        code, _, err = run(["bench", "--config", cfg, "-o", out], capsys)
+        assert code == 2, key
+        assert message in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from flexts.baselines import NnkcdeModel
+from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import (
@@ -21,7 +24,7 @@ from flexts.estimator import (
 )
 from flexts.evaluation import cde_loss_from_coeffs
 from flexts.features import DesignMatrix, SeriesTable, SplitSpec, lag_embed
-from flexts.regression import LassoModel
+from flexts.regression import CoefficientPredictions, LassoModel
 from flexts.scenarios import generate
 
 
@@ -66,11 +69,14 @@ def test_empty_hyper_grid_is_rejected(backend):
         FitConfig(backend=backend, hyper_grid=())
 
 
-def test_every_model_checks_query_rows_alike():
+def small_nnkcde():
     rng = np.random.default_rng(4)
-    nnkcde = NnkcdeModel(train_u=rng.normal(size=(40, 2)), train_y=rng.normal(size=40),
-                         k=5, h=0.5, lo=-3.0, hi=3.0, grid_size=101)
-    for model in (manual_model([1.0, 0.2]), nnkcde):
+    return NnkcdeModel(train_u=rng.normal(size=(40, 2)), train_y=rng.normal(size=40),
+                       k=5, h=0.5, lo=-3.0, hi=3.0, grid_size=101)
+
+
+def test_every_model_checks_query_rows_alike():
+    for model in (manual_model([1.0, 0.2]), small_nnkcde()):
         one_row = model.row_state(np.array([0.3, -0.1]), None, None)
         rows = model.row_state(np.array([[0.3, -0.1]]), None, None)
         assert np.array_equal(model.density_rows(one_row, model.grid()),
@@ -80,6 +86,17 @@ def test_every_model_checks_query_rows_alike():
                            (np.array([[0.0, np.nan]]), "non-finite")]:
             with pytest.raises(DataError, match=match):
                 model.row_state(bad, None, None)
+
+
+def test_every_model_predicts_one_row_density_alike():
+    flexcode = manual_model([1.0, 0.2])
+    for predict in (lambda u: predict_density(flexcode, u).density,
+                    small_nnkcde().predict_density):
+        one_row = predict(np.array([0.3, -0.1]))
+        assert one_row.ndim == 1
+        assert np.array_equal(one_row, predict(np.array([[0.3, -0.1]])))
+        with pytest.raises(DataError, match="single covariate row"):
+            predict(np.zeros((3, 2)))
 
 
 def test_fit_config_validation():
@@ -307,9 +324,10 @@ def test_quantiles_of_density_rows_match_one_row_at_a_time():
 
 def test_renormalize_rows_makes_massless_rows_uniform():
     grid = np.linspace(-1.0, 3.0, 101)
-    rows = np.vstack([np.ones(101), np.zeros(101), np.full(101, np.nan)])
+    rows = np.vstack([np.ones(101), np.zeros(101), np.full(101, np.nan),
+                      np.full(101, 1e-320)])  # a subnormal mass
     dens, degenerate = renormalize_rows(rows, grid)
-    assert degenerate.tolist() == [False, True, True]
+    assert degenerate.tolist() == [False, True, True, True]
     np.testing.assert_allclose(dens[0], 0.25, rtol=1e-12)
     assert np.all(dens[1:] == 1.0 / 4.0)
 
@@ -359,3 +377,66 @@ def test_fit_accepts_handbuilt_design():
     )
     model = fit(design, config=FitConfig(backend="knn", i_max=4))
     assert model.feature_names == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# properties of tabulated densities
+# ---------------------------------------------------------------------------
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def response_grids(draw):
+    lo = draw(finite(-5.0, 5.0))
+    return np.linspace(lo, lo + draw(finite(0.1, 10.0)), draw(st.integers(11, 301)))
+
+
+@st.composite
+def model_states(draw, grid_y):
+    """One of the three methods' models on grid_y's range, and a row state for it."""
+    lo, hi = grid_y[0], grid_y[-1]
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["flexcode", "nnkcde", "garch"]))
+    if kind == "flexcode":
+        n_coef = draw(st.integers(1, 12))
+        model = manual_model(np.zeros(n_coef), lo=lo, hi=hi,
+                             i_selected=draw(st.integers(0, n_coef - 1)))
+        b_hat = draw(arrays(float, (n, n_coef), elements=finite(-5.0, 5.0)))
+        # a negative constant expansion clips to zero: a row with no mass
+        b_hat = np.vstack([b_hat, np.eye(1, n_coef) * -1.0])
+        return model, CoefficientPredictions(b_hat=b_hat)
+    if kind == "nnkcde":
+        n_train = draw(st.integers(1, 30))
+        train_y = draw(arrays(float, n_train, elements=finite(-20.0, 20.0)))
+        k = draw(st.integers(1, n_train))
+        model = NnkcdeModel(train_u=np.zeros((n_train, 1)), train_y=train_y, k=k,
+                            h=draw(finite(0.01, 5.0)), lo=lo, hi=hi)
+        neighbors = arrays(np.intp, (n, k), elements=st.integers(0, n_train - 1))
+        return model, draw(neighbors)
+    model = GarchModel(c=0.0, ar=np.zeros(0), omega=1.0, alpha=0.1, beta=0.1,
+                       s2_init=1.0)
+    means = draw(arrays(float, n, elements=finite(-20.0, 20.0)))
+    return model, (means, draw(arrays(float, n, elements=finite(1e-4, 100.0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), grid_y=response_grids())
+def test_density_rows_are_nonnegative_with_unit_mass(data, grid_y):
+    model, state = data.draw(model_states(grid_y))
+    dens = model.density_rows(state, grid_y)
+    assert np.all(dens >= 0.0)
+    np.testing.assert_allclose(np.trapezoid(dens, grid_y, axis=1), 1.0, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_y=response_grids(), data=st.data())
+def test_quantiles_are_nondecreasing_in_tau(grid_y, data):
+    dens = data.draw(arrays(float, (3, grid_y.size), elements=finite(0.0, 10.0)))
+    dens[:, grid_y.size // 2] += 1.0  # positive mass in every row
+    taus = np.sort(data.draw(arrays(float, data.draw(st.integers(2, 20)),
+                                    elements=finite(0.001, 0.999))))
+    q = quantiles_from_grid_density(grid_y, dens, taus)
+    assert np.all(np.diff(q, axis=1) >= 0.0)

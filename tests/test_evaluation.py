@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from flexts.basis import SQRT2, basis_matrix, fit_scaler
+from flexts.basis import BASIS_KINDS, SQRT2, basis_matrix, fit_scaler
 from flexts.evaluation import (
     cde_loss_curve,
     cde_loss_from_coeffs,
@@ -72,6 +75,22 @@ def test_loss_curve_matches_per_cutoff_calls():
         assert losses[i_cut] == pytest.approx(rep.loss, abs=1e-12)
         assert ses[i_cut] == pytest.approx(rep.std_error, abs=1e-12)
         assert rep.n_outside == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), n_coef=st.integers(1, 12),
+       kind=st.sampled_from(BASIS_KINDS))
+def test_loss_curve_matches_every_single_cutoff(data, n, n_coef, kind):
+    b_hat = data.draw(arrays(float, (n, n_coef), elements=st.floats(-10.0, 10.0)))
+    z = data.draw(arrays(float, n, elements=st.floats(-0.5, 1.5)))
+    losses, _ = cde_loss_curve(b_hat, z, kind)
+    for i_cut in range(n_coef):
+        rep = cde_loss_from_coeffs(b_hat, z, i_cut, kind)
+        # the two sum in different orders, so the tolerance is relative to
+        # the size of the terms, not to a loss that may cancel to near zero
+        terms = np.abs(b_hat[:, : i_cut + 1])
+        size = float(np.mean((terms * terms + 2.0 * SQRT2 * terms).sum(axis=1)))
+        assert abs(losses[i_cut] - rep.loss) <= 1e-12 * size
 
 
 def test_grid_loss_uniform_on_0_2():
