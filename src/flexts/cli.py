@@ -20,12 +20,12 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from flexts import baselines, estimator, persistence, scenarios
-from flexts.basis import fit_scaler
+from flexts.basis import BASIS_KINDS, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_grid, oracle_cde_loss, pinball_loss
 from flexts.features import (
@@ -36,7 +36,7 @@ from flexts.features import (
     next_step_covariates,
     temporal_split,
 )
-from flexts.regression import HYPER_NAMES
+from flexts.regression import BACKEND_KINDS, HYPER_NAMES
 
 PROG = "flexts"
 
@@ -117,10 +117,7 @@ def _parse_rolling(specs):
 
 
 def _parse_split(text):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"split needs three fractions, got {text!r}")
-    return SplitSpec(*parts)
+    return SplitSpec.from_list([float(p) for p in text.split(",")])
 
 
 def _parse_taus(text):
@@ -171,8 +168,7 @@ def _metadata_from_args(args, method):
         "rolling": [[s.stat, s.window] for s in _parse_rolling(args.rolling)],
         "exog": list(args.exog or ()),
         "exog_contemporaneous": bool(args.exog_contemporaneous),
-        "split": [args.split_spec.train_frac, args.split_spec.val_frac,
-                  args.split_spec.test_frac],
+        "split": list(astuple(_parse_split(args.split))),
         "method": method,
         "pad": args.pad,
         "grid_size": args.grid_size,
@@ -196,15 +192,14 @@ def _features_from_meta(meta, table, build=lag_embed):
     rolling = [RollingSpec(stat=s, window=int(w)) for s, w in meta.get("rolling", [])]
     return build(
         table,
-        int(meta["n_lags"]),
+        meta["n_lags"],
         rolling=rolling,
-        exog_contemporaneous=bool(meta.get("exog_contemporaneous", False)),
+        exog_contemporaneous=meta.get("exog_contemporaneous", False),
     )
 
 
 def _split_from_meta(meta):
-    fracs = meta.get("split", [0.7, 0.1, 0.2])
-    return SplitSpec(*[float(f) for f in fracs])
+    return SplitSpec.from_list(meta["split"]) if "split" in meta else SplitSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +334,6 @@ def _row_state(model, meta, u, table=None, design=None, rows=None):
 
 
 def cmd_fit(args):
-    args.split_spec = _parse_split(args.split)
     meta = _metadata_from_args(args, args.method)
     table = _table_from_meta(meta, args.input)
     design = _features_from_meta(meta, table)
@@ -391,7 +385,7 @@ def cmd_evaluate(args):
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
         if args.oracle_scenario:
-            if int(meta["n_lags"]) < scenarios.ORDER:
+            if meta["n_lags"] < scenarios.ORDER:
                 raise ValueError(
                     f"oracle loss needs at least {scenarios.ORDER} lagged "
                     "covariates in the design"
@@ -485,8 +479,7 @@ def cmd_importance(args):
             )
         table = _table_from_meta(meta, args.input)
         design = _features_from_meta(meta, table)
-        split = _split_from_meta(meta)
-        _, va, _ = temporal_split(design.n_rows, split)
+        _, va, _ = temporal_split(design.n_rows, _split_from_meta(meta))
         scores = estimator.importance(
             model,
             u_val=design.u[va.start : va.stop],
@@ -506,28 +499,36 @@ def cmd_importance(args):
 # bench
 # ---------------------------------------------------------------------------
 
-BENCH_METHODS = ("flexcode", "nnkcde", "garch")
-
 # points of the finer grid a bench cell scores oracle losses on
 ORACLE_GRID_SIZE = 2001
 
-BENCH_DEFAULTS = {
-    "scenarios": ["ar"],
-    "sizes": [1000],
-    "methods": ["flexcode"],
-    "seeds": [0],
-    "lags": [3],
-    "backend": "nw",
-    "basis": "cosine",
-    "i_max": 30,
-    "grid_size": 1001,
-    "pad": 0.05,
-    "split": [0.7, 0.1, 0.2],
-    "burn_in": 200,
-    "sigma_nm": 0.5,
-    "oracle": True,
-    "output": "bench_results.csv",
-}
+
+@dataclass(frozen=True)
+class BenchConfig:
+    """Bench settings: the keys a --config JSON object may hold, typed, with defaults."""
+
+    scenarios: list[str] = field(default_factory=lambda: ["ar"])
+    sizes: list[int] = field(default_factory=lambda: [1000])
+    methods: list[str] = field(default_factory=lambda: ["flexcode"])
+    seeds: list[int] = field(default_factory=lambda: [0])
+    lags: list[int] = field(default_factory=lambda: [3])
+    backend: str = "nw"
+    basis: str = "cosine"
+    i_max: int = 30
+    grid_size: int = 1001
+    pad: float = 0.05
+    split: list[float] = field(default_factory=lambda: [0.7, 0.1, 0.2])
+    burn_in: int = 200
+    sigma_nm: float = 0.5
+    oracle: bool = True
+    output: str = "bench_results.csv"
+
+    def __post_init__(self):
+        SplitSpec.from_list(self.split)
+        for m in self.methods:
+            if m not in persistence.METHODS:
+                raise ValueError(f"'methods' holds unknown method {m!r}; "
+                                 f"expected a subset of {tuple(persistence.METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -539,39 +540,27 @@ class BenchCell:
     seed: int
 
 
-def run_bench_cell(
-    cell,
-    backend="nw",
-    basis="cosine",
-    i_max=30,
-    grid_size=1001,
-    pad=0.05,
-    split=SplitSpec(),
-    burn_in=200,
-    sigma_nm=0.5,
-    oracle=True,
-):
+def run_bench_cell(cell, **settings):
     """Run one (scenario, n, method, lags, seed) cell; returns a metrics dict.
 
+    ``settings`` are BenchConfig fields; absent ones take its defaults.
     The three methods share the response grid derived from the training
     rows so their losses are commensurable. Oracle integrated squared
     error is computed on a finer grid when the scenario truth is known
     and the design keeps every lag the scenario's law reads.
     """
+    cfg = BenchConfig(**settings)
     y = scenarios.generate(
-        cell.scenario, cell.n, cell.seed, burn_in=burn_in, sigma_nm=sigma_nm
+        cell.scenario, cell.n, cell.seed, burn_in=cfg.burn_in, sigma_nm=cfg.sigma_nm
     )
     table = SeriesTable(y)
     design = lag_embed(table, cell.lags)
-    meta = {
-        "split": [split.train_frac, split.val_frac, split.test_frac],
-        "pad": pad,
-        "grid_size": grid_size,
-    }
+    meta = {"split": cfg.split, "pad": cfg.pad, "grid_size": cfg.grid_size}
     model, i_selected, hyper, _ = _fit(
-        cell.method, meta, table, design, backend=backend, basis=basis, i_max=i_max
+        cell.method, meta, table, design, backend=cfg.backend, basis=cfg.basis,
+        i_max=cfg.i_max,
     )
-    _, _, te = temporal_split(design.n_rows, split)
+    _, _, te = temporal_split(design.n_rows, _split_from_meta(meta))
     rows = slice(te.start, te.stop)
     state = model.row_state(design.u[rows], y, rows)
     grid_y = model.grid()
@@ -587,11 +576,11 @@ def run_bench_cell(
         "hyper": hyper,
         "n_test": rep.n_eval,
     }
-    if oracle and cell.lags >= scenarios.ORDER:
+    if cfg.oracle and cell.lags >= scenarios.ORDER:
         # every method's grid spans the training scaler's range exactly
         fine_grid = np.linspace(grid_y[0], grid_y[-1], ORACLE_GRID_SIZE)
         truth = scenarios.density_rows(
-            cell.scenario, design.u[rows], fine_grid, sigma_nm=sigma_nm
+            cell.scenario, design.u[rows], fine_grid, sigma_nm=cfg.sigma_nm
         )
         orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid), fine_grid)
         result["oracle_cde_loss"] = orep.loss
@@ -612,63 +601,39 @@ BENCH_COLUMNS = [f.name for f in fields(BenchCell)] + [
 
 
 def cmd_bench(args):
-    cfg = dict(BENCH_DEFAULTS)
+    settings = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                user_cfg = json.load(fh)
+                settings = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot open {args.config}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.config}: invalid JSON: {exc}") from exc
-        unknown = set(user_cfg) - set(BENCH_DEFAULTS)
+        if not isinstance(settings, dict):
+            raise ValueError(f"bench config must be a JSON object, got {settings!r}")
+        unknown = set(settings) - {f.name for f in fields(BenchConfig)}
         if unknown:
             raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
-        cfg.update(user_cfg)
-    if args.scenarios:
-        cfg["scenarios"] = args.scenarios.split(",")
-    if args.sizes:
-        cfg["sizes"] = _parse_int_list(args.sizes)
-    if args.methods:
-        cfg["methods"] = args.methods.split(",")
-    if args.seeds:
-        cfg["seeds"] = _parse_int_list(args.seeds)
-    if args.lags:
-        cfg["lags"] = _parse_int_list(args.lags)
-    if args.backend:
-        cfg["backend"] = args.backend
-    if args.output:
-        cfg["output"] = args.output
-
-    # every setting takes its default's type; a list setting, its entries'
-    for key, default in BENCH_DEFAULTS.items():
-        value = cfg[key]
-        is_list = isinstance(default, list)
-        kind = type(default[0] if is_list else default)
-        try:
-            if is_list != isinstance(value, list):
-                raise TypeError
-            cfg[key] = [kind(v) for v in value] if is_list else kind(value)
-        except (TypeError, ValueError):
-            shape = f"a list of {kind.__name__}" if is_list else kind.__name__
-            raise ValueError(
-                f"bench config {key!r} must be {shape}, got {value!r}"
-            ) from None
-    if len(cfg["split"]) != 3:
-        raise ValueError(
-            f"bench config 'split' needs three fractions, got {cfg['split']}"
-        )
-    for m in cfg["methods"]:
-        if m not in BENCH_METHODS:
-            raise ValueError(
-                f"unknown bench method {m!r}; expected subset of {BENCH_METHODS}"
-            )
-    split = SplitSpec(*cfg["split"])
+    flags = {
+        "scenarios": args.scenarios and args.scenarios.split(","),
+        "sizes": args.sizes and _parse_int_list(args.sizes),
+        "methods": args.methods and args.methods.split(","),
+        "seeds": args.seeds and _parse_int_list(args.seeds),
+        "lags": args.lags and _parse_int_list(args.lags),
+        "backend": args.backend,
+        "output": args.output,
+    }
+    settings.update((key, value) for key, value in flags.items() if value)
+    try:
+        cfg = persistence.decode(BenchConfig, settings)
+    except ValueError as exc:
+        raise ValueError(f"bench config {exc}") from None
 
     cells = [
         BenchCell(scenario=s, n=n, method=m, lags=p, seed=sd)
         for s, n, m, p, sd in itertools.product(
-            cfg["scenarios"], cfg["sizes"], cfg["methods"], cfg["lags"], cfg["seeds"]
+            cfg.scenarios, cfg.sizes, cfg.methods, cfg.lags, cfg.seeds
         )
     ]
     cells.sort(key=lambda c: (c.scenario, c.n, c.method, c.lags, c.seed))
@@ -677,18 +642,7 @@ def cmd_bench(args):
     n_failed = 0
     for cell in cells:
         try:
-            result = run_bench_cell(
-                cell,
-                backend=cfg["backend"],
-                basis=cfg["basis"],
-                i_max=cfg["i_max"],
-                grid_size=cfg["grid_size"],
-                pad=cfg["pad"],
-                split=split,
-                burn_in=cfg["burn_in"],
-                sigma_nm=cfg["sigma_nm"],
-                oracle=cfg["oracle"],
-            )
+            result = run_bench_cell(cell, **asdict(cfg))
         except (DataError, NumericError, ValueError) as exc:
             n_failed += 1
             result = {**dict.fromkeys(BENCH_COLUMNS, ""), **asdict(cell),
@@ -698,8 +652,8 @@ def cmd_bench(args):
             f"[{len(rows)}/{len(cells)}] {cell.scenario} n={cell.n} "
             f"{cell.method} p={cell.lags} seed={cell.seed}: {result['status']}"
         )
-    write_csv(cfg["output"], BENCH_COLUMNS, rows)
-    print(f"wrote {len(rows)} cells to {cfg['output']} ({n_failed} failed)")
+    write_csv(cfg.output, BENCH_COLUMNS, rows)
+    print(f"wrote {len(rows)} cells to {cfg.output} ({n_failed} failed)")
     return 0
 
 
@@ -729,16 +683,16 @@ def build_parser():
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--target", default="y")
     p_fit.add_argument(
-        "--method", choices=("flexcode", "nnkcde", "garch"), default="flexcode"
+        "--method", choices=persistence.METHODS, default="flexcode"
     )
     p_fit.add_argument("--lags", type=int, default=3)
     p_fit.add_argument("--rolling", action="append", metavar="STAT:WINDOW")
     p_fit.add_argument("--exog", action="append", metavar="COLUMN")
     p_fit.add_argument("--exog-contemporaneous", action="store_true")
     p_fit.add_argument("--split", default="0.7,0.1,0.2")
-    p_fit.add_argument("--basis", choices=("cosine", "fourier"), default="cosine")
+    p_fit.add_argument("--basis", choices=BASIS_KINDS, default="cosine")
     p_fit.add_argument("--i-max", type=int, default=30)
-    p_fit.add_argument("--backend", choices=("nw", "knn", "lasso"), default="nw")
+    p_fit.add_argument("--backend", choices=BACKEND_KINDS, default="nw")
     p_fit.add_argument("--delta", help="comma list of nw radii")
     p_fit.add_argument("--k", help="comma list of neighbor counts")
     p_fit.add_argument("--lam", help="comma list of lasso penalties")
@@ -785,7 +739,7 @@ def build_parser():
     p_bench.add_argument("--methods")
     p_bench.add_argument("--seeds", help="comma list, ranges like 1-10 allowed")
     p_bench.add_argument("--lags")
-    p_bench.add_argument("--backend", choices=("nw", "knn", "lasso"))
+    p_bench.add_argument("--backend", choices=BACKEND_KINDS)
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(func=cmd_bench)
 

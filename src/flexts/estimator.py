@@ -99,7 +99,6 @@ class DensityBatch:
     density: np.ndarray
     raw_density: np.ndarray
     degenerate: np.ndarray
-    n_fallback: int = 0
 
 
 @dataclass
@@ -308,13 +307,7 @@ def tabulate_density(model, pred, grid_y):
     coeffs = pred.b_hat[:, : model.i_selected + 1]
     raw = (coeffs @ phi_grid.T) / model.scaler.width
     density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
-    return DensityBatch(
-        grid_y=grid_y,
-        density=density,
-        raw_density=raw,
-        degenerate=degenerate,
-        n_fallback=getattr(pred, "n_fallback", 0),
-    )
+    return DensityBatch(grid_y, density, raw, degenerate)
 
 
 def predict_density_batch(model, u):

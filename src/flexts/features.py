@@ -216,6 +216,13 @@ class SplitSpec:
         if abs(sum(fracs) - 1.0) > 1e-8:
             raise ValueError(f"split fractions must sum to 1, got {fracs}")
 
+    @classmethod
+    def from_list(cls, fracs):
+        """The split of exactly three fractions: train, validation, test."""
+        if len(fracs) != 3:
+            raise ValueError(f"'split' needs three fractions, got {fracs}")
+        return cls(*fracs)
+
 
 def temporal_split(n_rows, spec=SplitSpec()):
     """Partition row indices 0..n_rows-1 into ordered train/val/test ranges.

@@ -8,7 +8,8 @@ and nested dataclasses (the scaler, a flexcode backend) as objects.
 ``json`` writes every float with ``repr``, which round-trips IEEE
 doubles exactly, so a loaded model reproduces the saved model's
 predictions bit for bit. Loading rebuilds each field from its type
-annotation.
+annotation with ``decode``, the reader ``flexts bench`` also parses its
+config with, and checks the metadata keys the CLI writes by their types.
 
 Version-1 files, which wrote floats as 17-digit decimal strings and kept
 a flexcode backend's kind and hyperparameter inside the backend object,
@@ -17,19 +18,27 @@ still load.
 
 import dataclasses
 import json
+import typing
 
 import numpy as np
 
 from flexts.baselines import GarchModel, NnkcdeModel
-from flexts.basis import check_grid_size
+from flexts.basis import BASIS_KINDS, check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
+from flexts.features import SplitSpec
 from flexts.regression import HYPER_NAMES, KnnModel, LassoModel, NadarayaWatsonModel
 
 FORMAT_VERSION = 2
 
 METHODS = {"flexcode": CoefficientModel, "nnkcde": NnkcdeModel, "garch": GarchModel}
 BACKENDS = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso": LassoModel}
+# the types of the metadata keys the CLI writes; other keys load unchecked
+METADATA_TYPES = {
+    "target": str, "n_lags": int, "rolling": list[list], "exog": list[str],
+    "exog_contemporaneous": bool, "split": list[float], "method": str,
+    "pad": float, "grid_size": int, "backend": str, "basis": str,
+}
 
 
 def _jsonable(obj):
@@ -57,26 +66,55 @@ def save_model(path, method, model, metadata=None):
         fh.write(text + "\n")
 
 
-def _decode(cls, doc):
-    """Rebuild dataclass ``cls`` from its fields, each converted by its type."""
+def _read_value(kind, value, name):
+    """``value`` as annotation ``kind``, or a ValueError naming field ``name``.
+
+    A list[T] converts each entry. A number may be a decimal string, as
+    version 1 wrote floats, and an int must be integral; a bool, str, list
+    or dict must have that type already.
+    """
+    (item,) = typing.get_args(kind) or (None,)
+    try:
+        if item is not None:
+            if not isinstance(value, list):
+                raise TypeError
+            return [_read_value(item, v, name) for v in value]
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError  # only JSON true and false are bools
+        if kind in (int, float):
+            number = kind(value)
+            if kind is int and not isinstance(value, str) and number != value:
+                raise ValueError  # int() would truncate 2.5
+            return number
+        if not isinstance(value, kind):
+            raise TypeError
+        return value
+    except (TypeError, ValueError, OverflowError):
+        shape = kind.__name__ if item is None else f"a list of {item.__name__}"
+        raise ValueError(f"{name!r} must be {shape}, got {value!r}") from None
+
+
+def decode(cls, doc):
+    """Rebuild dataclass ``cls`` from the fields ``doc`` names, each read by its type.
+
+    Nested dataclasses decode in turn and arrays convert whole; keys that
+    are not fields are ignored.
+    """
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in doc:
             continue  # a default applies, or the constructor reports it missing
         # a flexcode backend's class is the one its backend_kind names
-        kind = BACKENDS[doc["backend_kind"]] if f.name == "backend" else f.type
+        kind = BACKENDS[doc["backend_kind"]] if f.type is object else f.type
         value = doc[f.name]
         if dataclasses.is_dataclass(kind):
-            value = _decode(kind, value)
+            value = decode(kind, value)
         elif kind is np.ndarray:
             value = np.asarray(value)
             if value.dtype.kind == "U":  # version 1's decimal strings
                 value = value.astype(float)
-        elif kind is int and not (isinstance(value, str) or float(value).is_integer()):
-            # int() would truncate 2.5; version 1's knn k is a string ("9")
-            raise ValueError(f"{f.name}={value!r} is not an integer")
         else:
-            value = kind(value)
+            value = _read_value(kind, value, f.name)
         kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -111,18 +149,25 @@ def load_model(path):
     if method not in METHODS:
         raise DataError(f"model file {path} has unknown method {method!r}")
     body = doc.get("model", {})
+    meta = doc.get("metadata", {})
     try:
         if version == 1 and method == "flexcode":
             _flexcode_from_v1(body)
-        model = _decode(METHODS[method], body)
+        model = decode(METHODS[method], body)
         owner = getattr(model, "backend", model)  # knn and NNKCDE average k rows
         if hasattr(owner, "k") and not 1 <= owner.k <= len(owner.train_u):
             raise ValueError(f"k={owner.k} is outside [1, {len(owner.train_u)}]")
         # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
         if not (method == "garch" and model.grid_size == 0):
             check_grid_size(model.grid_size)
+        if method == "flexcode" and model.basis not in BASIS_KINDS:
+            raise ValueError(f"unknown basis {model.basis!r}")
+        meta = {key: _read_value(METADATA_TYPES[key], value, key)
+                if key in METADATA_TYPES else value for key, value in meta.items()}
+        if "split" in meta:
+            SplitSpec.from_list(meta["split"])
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"
         ) from exc
-    return method, model, doc.get("metadata", {})
+    return method, model, meta

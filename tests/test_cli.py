@@ -345,16 +345,21 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     v1_doc = json.loads(v1_path.read_text())
     bad = tmp_path / "bad.json"
     for base, owner, name, value in [
-        (doc, (), "k", "abc"),
-        (v1_doc, (), "k", 2.5),  # int() would truncate these two
-        (v1_doc, (), "grid_size", 201.9),
-        (doc, (), "k", 0),
-        (knn_doc, ("backend",), "k", n_knn + 1),
-        (knn_doc, (), "grid_size", 5),  # breaks the fit's odd, >= 101 rule
-        (doc, (), "grid_size", 3),
+        (doc, ("model",), "k", "abc"),
+        (v1_doc, ("model",), "k", 2.5),  # int() would truncate these two
+        (v1_doc, ("model",), "grid_size", 201.9),
+        (doc, ("model",), "k", 0),
+        (knn_doc, ("model", "backend"), "k", n_knn + 1),
+        (knn_doc, ("model",), "grid_size", 5),  # breaks the fit's odd, >= 101 rule
+        (doc, ("model",), "grid_size", 3),
+        (knn_doc, ("model",), "basis", None),  # not the string "None"
+        (knn_doc, ("model",), "basis", "sine"),
+        (doc, ("metadata",), "n_lags", "x"),
+        (doc, ("metadata",), "split", [0.5]),
+        (doc, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
     ]:
         edited = copy.deepcopy(base)
-        target = edited["model"]
+        target = edited
         for key in owner:
             target = target[key]
         target[name] = value
@@ -599,22 +604,49 @@ def test_bench_config_file_with_cli_override(tmp_path):
     assert run(["bench", "--config", missing, "-o", out]) == 3
 
 
-def test_bench_config_values_must_have_the_defaults_types(tmp_path, capsys):
-    base = {"scenarios": ["ar"], "sizes": [300], "methods": ["flexcode"],
-            "seeds": [0]}
-    cfg = tmp_path / "cfg.json"
+def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
+                                                         capsys):
+    monkeypatch.chdir(tmp_path)  # a bad output name would land here
     out = tmp_path / "bench.csv"
-    for key, value, message in [
-        ("scenarios", "ar", "'scenarios' must be a list of str"),
-        ("sizes", 300, "'sizes' must be a list of int"),
-        ("split", [0.6, 0.2], "'split' needs three fractions"),
-        ("i_max", "abc", "'i_max' must be int"),
+    base = {"scenarios": ["ar"], "sizes": [300], "methods": ["flexcode"],
+            "seeds": [0], "output": str(out)}
+    cfg = tmp_path / "cfg.json"
+    for doc, message in [
+        ({**base, "scenarios": "ar"}, "'scenarios' must be a list of str"),
+        ({**base, "sizes": 300}, "'sizes' must be a list of int"),
+        ({**base, "split": [0.6, 0.2]}, "'split' needs three fractions"),
+        ({**base, "i_max": "abc"}, "'i_max' must be int"),
+        ({**base, "oracle": "false"}, "'oracle' must be bool"),  # a true string
+        ({**base, "output": None}, "'output' must be str"),  # not a file "None"
+        ({**base, "sizes": [300.9]}, "'sizes' must be a list of int"),  # not n=300
+        (5, "bench config must be a JSON object"),
+        (None, "bench config must be a JSON object"),
     ]:
-        cfg.write_text(json.dumps({**base, key: value}))
-        code, _, err = run(["bench", "--config", cfg, "-o", out], capsys)
-        assert code == 2, key
+        cfg.write_text(json.dumps(doc))
+        code, stdout, err = run(["bench", "--config", cfg], capsys)
+        assert code == 2, doc
         assert message in err
-    assert not out.exists()
+        assert stdout == ""  # no cell ran
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_bench_config_of_every_default_matches_no_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    defaults = {
+        "scenarios": ["ar"], "sizes": [1000], "methods": ["flexcode"], "seeds": [0],
+        "lags": [3], "backend": "nw", "basis": "cosine", "i_max": 30,
+        "grid_size": 1001, "pad": 0.05, "split": [0.7, 0.1, 0.2], "burn_in": 200,
+        "sigma_nm": 0.5, "oracle": True, "output": "bench_results.csv",
+    }
+    assert defaults == dataclasses.asdict(cli.BenchConfig())
+    written = tmp_path / "bench_results.csv"
+    assert run(["bench"]) == 0
+    plain = written.read_bytes()
+    written.unlink()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(defaults))
+    assert run(["bench", "--config", cfg]) == 0
+    assert written.read_bytes() == plain
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from flexts.baselines import garch_density_rows, garch_filter, garch_fit, nnkcde_fit
 from flexts.basis import BASIS_KINDS, fit_scaler
+from flexts.cli import BenchConfig
 from flexts.errors import DataError
 from flexts.estimator import FitConfig, fit, predict_density_batch
 from flexts.features import SeriesTable, lag_embed
-from flexts.persistence import FORMAT_VERSION, load_model, save_model
+from flexts.persistence import FORMAT_VERSION, decode, load_model, save_model
 from flexts.regression import BACKEND_KINDS
 from flexts.scenarios import generate
 from v1_fixtures import DATA_DIR, fit_models
@@ -130,6 +131,25 @@ def test_load_rejects_bad_files(tmp_path):
                                    "model": {}}))
     with pytest.raises(DataError):
         load_model(unknown)
+
+
+def test_decode_reads_each_field_by_its_annotation():
+    cfg = decode(BenchConfig, {"sizes": [300.0, "400"], "pad": 1, "oracle": False,
+                               "backend": "knn", "not_a_field": None})
+    assert (cfg.sizes, cfg.pad, cfg.oracle, cfg.backend) == ([300, 400], 1.0,
+                                                              False, "knn")
+    assert [type(n) for n in cfg.sizes] == [int, int]
+    assert cfg.i_max == BenchConfig().i_max  # absent fields keep their defaults
+    for doc, message in [
+        ({"sizes": [True]}, "'sizes' must be a list of int"),
+        ({"sizes": [300.5]}, "'sizes' must be a list of int"),
+        ({"pad": True}, "'pad' must be float"),
+        ({"oracle": 1}, "'oracle' must be bool"),
+        ({"backend": None}, "'backend' must be str"),  # a str field, not a model
+        ({"i_max": float("inf")}, "'i_max' must be int"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            decode(BenchConfig, doc)
 
 
 def test_save_rejects_unknown_method(tmp_path):
