@@ -525,10 +525,16 @@ class BenchConfig:
 
     def __post_init__(self):
         SplitSpec.from_list(self.split)
-        for m in self.methods:
-            if m not in persistence.METHODS:
-                raise ValueError(f"'methods' holds unknown method {m!r}; "
-                                 f"expected a subset of {tuple(persistence.METHODS)}")
+        for name, values, known in [
+            ("scenarios", self.scenarios, scenarios.SCENARIO_NAMES),
+            ("methods", self.methods, tuple(persistence.METHODS)),
+            ("backend", [self.backend], BACKEND_KINDS),
+            ("basis", [self.basis], BASIS_KINDS),
+        ]:
+            for value in values:
+                if value not in known:
+                    raise ValueError(f"{name!r} holds unknown value {value!r}; "
+                                     f"expected one of {known}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ and nested dataclasses (the scaler, a flexcode backend) as objects.
 doubles exactly, so a loaded model reproduces the saved model's
 predictions bit for bit. Loading rebuilds each field from its type
 annotation with ``decode``, the reader ``flexts bench`` also parses its
-config with, and checks the metadata keys the CLI writes by their types.
+config with, and checks the metadata keys the CLI writes by their types
+and, for the split, the lag count and the rolling statistics, by their
+shapes and ranges.
 
 Version-1 files, which wrote floats as 17-digit decimal strings and kept
 a flexcode backend's kind and hyperparameter inside the backend object,
@@ -26,7 +28,7 @@ from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.basis import BASIS_KINDS, check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
-from flexts.features import SplitSpec
+from flexts.features import RollingSpec, SplitSpec
 from flexts.regression import HYPER_NAMES, KnnModel, LassoModel, NadarayaWatsonModel
 
 FORMAT_VERSION = 2
@@ -157,6 +159,8 @@ def load_model(path):
         owner = getattr(model, "backend", model)  # knn and NNKCDE average k rows
         if hasattr(owner, "k") and not 1 <= owner.k <= len(owner.train_u):
             raise ValueError(f"k={owner.k} is outside [1, {len(owner.train_u)}]")
+        if hasattr(owner, "delta") and not owner.delta > 0:
+            raise ValueError(f"delta={owner.delta} is not positive")
         # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
         if not (method == "garch" and model.grid_size == 0):
             check_grid_size(model.grid_size)
@@ -166,6 +170,10 @@ def load_model(path):
                 if key in METADATA_TYPES else value for key, value in meta.items()}
         if "split" in meta:
             SplitSpec.from_list(meta["split"])
+        if meta.get("n_lags", 1) < 1:
+            raise ValueError(f"n_lags must be >= 1, got {meta['n_lags']}")
+        for stat, window in meta.get("rolling", []):
+            RollingSpec(stat=stat, window=_read_value(int, window, "rolling"))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"

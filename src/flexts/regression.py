@@ -19,7 +19,15 @@ nw reads distances through one pass over ROW_BLOCK query rows at a time
 (``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
 memory grows with n_train, not n_eval * n_train. A one-row tail block
 goes through BLAS gemv, which can round differently from the gemm of
-larger blocks.
+larger blocks. The fit's sweep over radii (``nw_predict_grid``) sums
+nested rings: each training point within the largest radius lies in one
+ring between consecutive radii, so one sparse product per SLICE_ROWS
+query rows and a cumulative sum over rings give every radius's sums.
+It adds in another order than ``nw_predict``'s dense mask product, so
+the two agree to rounding, with the same neighbors, counts and
+fallbacks. ``nw_predict``, which serves predictions, keeps the dense
+product, so predicted densities and everything derived from them keep
+their bits.
 
 knn and the NNKCDE baseline (a knn average of kernel rows) take their
 neighbors from ``knn_order``. With at most TREE_MAX_DIM covariates, at
@@ -35,6 +43,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from flexts.errors import DataError
@@ -45,6 +54,10 @@ BACKEND_KINDS = tuple(HYPER_NAMES)
 
 # query rows per distance_blocks block: its scratch is ROW_BLOCK * n_train values
 ROW_BLOCK = 256
+# query rows per slice of a block's temporaries (the norm sum in
+# pairwise_sq_dists, nw_predict_grid's ring indicator), which stay
+# SLICE_ROWS * n_train values, much smaller than the block's distances
+SLICE_ROWS = 32
 
 # Most covariate columns for which knn_order queries a k-d tree. Tree
 # against blocked knn_order (arma_jump lag designs, 1 BLAS thread; the
@@ -65,14 +78,18 @@ def pairwise_sq_dists(a, b):
     """Squared Euclidean distances between rows of a (n, d) and b (m, d).
 
     Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, formed in place in the
-    product's buffer and clipped at zero.
+    product's buffer, SLICE_ROWS rows at a time, and clipped at zero.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sq = a @ b.T
     sq *= 2.0
-    np.subtract((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1), sq, out=sq)
-    np.maximum(sq, 0.0, out=sq)
+    a2 = (a * a).sum(axis=1)
+    b2 = (b * b).sum(axis=1)
+    for start in range(0, a.shape[0], SLICE_ROWS):
+        part = sq[start : start + SLICE_ROWS]
+        np.subtract(a2[start : start + SLICE_ROWS, None] + b2, part, out=part)
+        np.maximum(part, 0.0, out=part)
     return sq
 
 
@@ -156,31 +173,72 @@ def nw_predict(train_u, train_phi, eval_u, delta):
     global column means; the count of such rows is reported so callers
     can surface the diagnostic.
     """
-    return nw_predict_grid(train_u, train_phi, eval_u, [delta])[0]
+    train_u, train_phi = _check_training(train_u, train_phi)
+    eval_u = check_queries(eval_u, train_u.shape[1])
+    if not delta > 0:
+        raise ValueError(f"radius must be positive, got {delta}")
+    sums = np.empty((eval_u.shape[0], train_phi.shape[1]))
+    counts = np.empty(eval_u.shape[0], dtype=np.intp)
+    for rows, sq in distance_blocks(train_u, eval_u):
+        mask = sq <= delta * delta
+        counts[rows] = mask.sum(axis=1)
+        sums[rows] = mask.astype(float) @ train_phi
+    return _local_means(sums, counts, train_phi)
 
 
 def nw_predict_grid(train_u, train_phi, eval_u, deltas):
-    """nw_predict for several radii, sharing each block's distances."""
+    """nw_predict for several radii, summed over nested rings.
+
+    The squared radii, sorted and deduplicated, bound the rings: training
+    point j is in ring r of query row i when sq[i, j] <= radius_r^2 and
+    above the radius before, the same ``<=`` test nw_predict makes, so
+    every radius sees the same neighbors, counts and fallbacks. Per
+    SLICE_ROWS query rows, one sparse (rings * rows, n_train) indicator
+    times train_phi sums each ring and a cumulative sum over the rings
+    sums each radius: memory and work grow with the points inside the
+    largest radius, not with the number of radii. The order of summation
+    differs from nw_predict's dense product, so the means agree to
+    rounding, not bit for bit; an empty ring adds exactly 0.
+    """
     train_u, train_phi = _check_training(train_u, train_phi)
     eval_u = check_queries(eval_u, train_u.shape[1])
-    if any(d <= 0 for d in deltas):
+    radii = np.asarray(deltas, dtype=float)
+    if not np.all(radii > 0):
         raise ValueError(f"radii must be positive, got {list(deltas)}")
-    sums = np.empty((len(deltas), eval_u.shape[0], train_phi.shape[1]))
+    # ring_of maps each given radius, duplicates and order kept, to its ring
+    thresholds, ring_of = np.unique(radii * radii, return_inverse=True)
+    n_rings, n_train = thresholds.size, train_u.shape[0]
+    sums = np.empty((radii.size, eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(sums.shape[:2], dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u):
-        for b_hat, count, delta in zip(sums, counts, deltas):
-            mask = sq <= delta * delta
-            count[rows] = mask.sum(axis=1)
-            b_hat[rows] = mask.astype(float) @ train_phi
-    out = []
-    for b_hat, count in zip(sums, counts):
-        inside = count > 0
-        b_hat[inside] /= count[inside, None]
-        n_fallback = int((~inside).sum())
-        if n_fallback:
-            b_hat[~inside] = train_phi.mean(axis=0)
-        out.append(CoefficientPredictions(b_hat=b_hat, n_fallback=n_fallback))
-    return out
+        for start in range(0, sq.shape[0], SLICE_ROWS):
+            part = sq[start : start + SLICE_ROWS]
+            n_rows = part.shape[0]
+            n_keys = n_rings * n_rows
+            flat = np.flatnonzero(part <= thresholds[-1])
+            ring = np.searchsorted(thresholds, part.ravel()[flat])
+            row = flat // n_train
+            key = ring * n_rows + row
+            col = flat - row * n_train
+            indicator = sparse.csr_matrix(
+                (np.ones(key.size), (key, col)), shape=(n_keys, n_train)
+            )
+            ring_sums = (indicator @ train_phi).reshape(n_rings, n_rows, -1)
+            ring_counts = np.bincount(key, minlength=n_keys).reshape(n_rings, n_rows)
+            out = slice(rows.start + start, rows.start + start + n_rows)
+            sums[:, out] = np.cumsum(ring_sums, axis=0)[ring_of]
+            counts[:, out] = np.cumsum(ring_counts, axis=0)[ring_of]
+    return [_local_means(s, c, train_phi) for s, c in zip(sums, counts)]
+
+
+def _local_means(sums, counts, train_phi):
+    """Sums over counts per row; a row with no neighbor takes the column means."""
+    inside = counts > 0
+    sums[inside] /= counts[inside, None]
+    n_fallback = int((~inside).sum())
+    if n_fallback:
+        sums[~inside] = train_phi.mean(axis=0)
+    return CoefficientPredictions(b_hat=sums, n_fallback=n_fallback)
 
 
 def default_delta_grid(train_u, n_candidates=8):

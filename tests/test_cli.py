@@ -341,6 +341,7 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     knn = fit(tmp_path, data, fname="knn.json", extra=("--backend", "knn"))
     knn_doc = json.loads(knn.read_text())
     n_knn = len(knn_doc["model"]["backend"]["train_u"])
+    nw_doc = json.loads(fit(tmp_path, data, fname="nw.json").read_text())
     v1_path = Path(__file__).parent / "data" / "v1" / "nnkcde.json"
     v1_doc = json.loads(v1_path.read_text())
     bad = tmp_path / "bad.json"
@@ -350,6 +351,8 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (v1_doc, ("model",), "grid_size", 201.9),
         (doc, ("model",), "k", 0),
         (knn_doc, ("model", "backend"), "k", n_knn + 1),
+        (nw_doc, ("model", "backend"), "delta", -1.0),
+        (nw_doc, ("model", "backend"), "delta", float("nan")),
         (knn_doc, ("model",), "grid_size", 5),  # breaks the fit's odd, >= 101 rule
         (doc, ("model",), "grid_size", 3),
         (knn_doc, ("model",), "basis", None),  # not the string "None"
@@ -357,6 +360,11 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("metadata",), "n_lags", "x"),
         (doc, ("metadata",), "split", [0.5]),
         (doc, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
+        (doc, ("metadata",), "n_lags", 0),
+        (doc, ("metadata",), "rolling", [["mean", 3, 4]]),
+        (doc, ("metadata",), "rolling", [["median", 3]]),
+        (doc, ("metadata",), "rolling", [["mean", 0]]),
+        (doc, ("metadata",), "rolling", [["mean", 2.5]]),
     ]:
         edited = copy.deepcopy(base)
         target = edited
@@ -619,6 +627,10 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "oracle": "false"}, "'oracle' must be bool"),  # a true string
         ({**base, "output": None}, "'output' must be str"),  # not a file "None"
         ({**base, "sizes": [300.9]}, "'sizes' must be a list of int"),  # not n=300
+        ({**base, "backend": "foo"}, "'backend' holds unknown value 'foo'"),
+        ({**base, "basis": "bogus"}, "'basis' holds unknown value 'bogus'"),
+        ({**base, "scenarios": ["ar", "nope"]}, "'scenarios' holds unknown value"),
+        ({**base, "methods": ["flexcode", "arima"]}, "'methods' holds unknown value"),
         (5, "bench config must be a JSON object"),
         (None, "bench config must be a JSON object"),
     ]:

@@ -285,8 +285,16 @@ def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_v1_fits, name)
         assert (loaded.backend_kind, loaded.hyper, loaded.i_selected) == (
             fresh.backend_kind, fresh.hyper, fresh.i_selected)
         assert loaded.candidate_hypers == fresh.candidate_hypers
-        assert loaded.candidate_losses == fresh.candidate_losses
-        assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
+        if loaded.backend_kind == "nw":
+            # the fit's ring sweep adds each radius's neighbors in another
+            # order than the version-1 build did; predictions stay bitwise
+            np.testing.assert_allclose(loaded.candidate_losses,
+                                       fresh.candidate_losses, rtol=1e-12)
+            np.testing.assert_allclose(loaded.val_losses, fresh.val_losses,
+                                       rtol=1e-12)
+        else:
+            assert loaded.candidate_losses == fresh.candidate_losses
+            assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
     # saved again, a version-1 model becomes a version-2 file
     again = tmp_path / "v2.json"
     save_model(again, method, loaded)

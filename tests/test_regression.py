@@ -40,13 +40,14 @@ def random_problem(seed, n=120, d=3, n_targets=4, n_eval=7):
 
 def test_pairwise_sq_dists_matches_one_shot_formula():
     rng = np.random.default_rng(30)
-    a = rng.normal(size=(ROW_BLOCK + 37, 3))
-    b = rng.normal(size=(90, 3))
-    b[5] = a[2]  # an exact zero distance
-    one_shot = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-    one_shot -= 2.0 * (a @ b.T)
-    np.maximum(one_shot, 0.0, out=one_shot)
-    assert np.array_equal(pairwise_sq_dists(a, b), one_shot)
+    for n_rows in [1, 3, 37, ROW_BLOCK, ROW_BLOCK + 37]:
+        a = rng.normal(size=(n_rows, 3))
+        b = rng.normal(size=(90, 3))
+        b[5] = a[0]  # an exact zero distance
+        one_shot = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+        one_shot -= 2.0 * (a @ b.T)
+        np.maximum(one_shot, 0.0, out=one_shot)
+        assert np.array_equal(pairwise_sq_dists(a, b), one_shot), n_rows
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +122,54 @@ def test_nw_no_eval_crosstalk():
         np.testing.assert_array_equal(alone.b_hat, padded.b_hat[part])
 
 
+def assert_nw_grid_matches_single_calls(train_u, train_phi, eval_u, deltas):
+    """nw_predict_grid against one nw_predict per radius.
+
+    The grid sums rings, so its means agree to rounding; with integer
+    targets every sum is exact in any order, which makes the two bitwise
+    equal exactly when each radius's neighbor counts are.
+    """
+    integral = np.round(8.0 * train_phi)
+    for phi in (train_phi, integral):
+        grid = nw_predict_grid(train_u, phi, eval_u, deltas)
+        assert len(grid) == len(deltas)
+        for delta, out in zip(deltas, grid):
+            single = nw_predict(train_u, phi, eval_u, delta)
+            assert out.n_fallback == single.n_fallback
+            if phi is integral:
+                np.testing.assert_array_equal(out.b_hat, single.b_hat)
+            else:
+                np.testing.assert_allclose(out.b_hat, single.b_hat, rtol=1e-12,
+                                           atol=1e-12 * np.abs(phi).max())
+
+
 def test_nw_grid_matches_single_calls():
-    train_u, train_phi, eval_u = random_problem(4)
-    deltas = [0.3, 0.9, 2.7]
-    grid = nw_predict_grid(train_u, train_phi, eval_u, deltas)
-    for d, out in zip(deltas, grid):
-        single = nw_predict(train_u, train_phi, eval_u, d)
-        np.testing.assert_array_equal(out.b_hat, single.b_hat)
-        assert out.n_fallback == single.n_fallback
+    train_u, train_phi, eval_u = random_problem(4, n_eval=2 * ROW_BLOCK + 3)
+    for deltas in [[0.3, 0.9, 2.7], [0.9, 0.3, 0.9]]:
+        assert_nw_grid_matches_single_calls(train_u, train_phi, eval_u, deltas)
+    # a repeated radius gets its own, equal array
+    grid = nw_predict_grid(train_u, train_phi, eval_u, [0.9, 0.3, 0.9])
+    assert not np.shares_memory(grid[0].b_hat, grid[2].b_hat)
+    np.testing.assert_array_equal(grid[0].b_hat, grid[2].b_hat)
+    # on a lattice many squared distances equal a squared radius exactly
+    lattice_u, lattice_eval = np.round(2 * train_u), np.round(2 * eval_u)
+    assert_nw_grid_matches_single_calls(lattice_u, train_phi, lattice_eval,
+                                        [2.0, 1.0, 3.0])
+
+
+def test_nw_grid_below_every_distance_and_above_the_diameter():
+    train_u, train_phi, eval_u = random_problem(4, n_eval=2 * ROW_BLOCK + 3)
+    closest = np.sqrt(min(sq.min() for _, sq in distance_blocks(train_u, eval_u)))
+    points = np.vstack([train_u, eval_u])
+    diameter = np.sqrt(pairwise_sq_dists(points, points).max())
+    deltas = [closest / 2, 2 * diameter]
+    assert_nw_grid_matches_single_calls(train_u, train_phi, eval_u, deltas)
+    below, above = nw_predict_grid(train_u, train_phi, eval_u, deltas)
+    assert below.n_fallback == len(eval_u) and above.n_fallback == 0
+    mean = train_phi.mean(axis=0)
+    np.testing.assert_array_equal(below.b_hat, np.tile(mean, (len(eval_u), 1)))
+    np.testing.assert_allclose(above.b_hat, np.tile(mean, (len(eval_u), 1)),
+                               rtol=1e-12, atol=1e-12 * np.abs(train_phi).max())
 
 
 def test_nw_constant_first_target_stays_one():
@@ -142,6 +183,12 @@ def test_nw_rejects_bad_delta():
     train_u, train_phi, eval_u = random_problem(6)
     with pytest.raises(ValueError):
         nw_predict(train_u, train_phi, eval_u, 0.0)
+    # a NaN radius is not positive either; in the grid it would sort last
+    # and bound every ring
+    with pytest.raises(ValueError, match="positive"):
+        nw_predict(train_u, train_phi, eval_u, np.nan)
+    with pytest.raises(ValueError, match="positive"):
+        nw_predict_grid(train_u, train_phi, eval_u, [0.5, np.nan])
 
 
 def test_default_delta_grid_shape():
@@ -403,11 +450,7 @@ def test_nw_grid_equals_single_predicts(sizes, n_train, deltas, seed):
     n_eval, d = sizes
     train_u, train_phi, eval_u = random_problem(seed, n=n_train, d=d,
                                                 n_eval=n_eval)
-    grid = nw_predict_grid(train_u, train_phi, eval_u, deltas)
-    for delta, out in zip(deltas, grid):
-        single = nw_predict(train_u, train_phi, eval_u, delta)
-        assert np.array_equal(out.b_hat, single.b_hat)
-        assert out.n_fallback == single.n_fallback
+    assert_nw_grid_matches_single_calls(train_u, train_phi, eval_u, deltas)
 
 
 @pytest.mark.parametrize("n_eval", [3, ROW_BLOCK + 3])
