@@ -29,7 +29,16 @@ from flexts.errors import DataError, NumericError
 from flexts.estimator import renormalize_rows
 from flexts.evaluation import cde_loss_grid
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
-from flexts.regression import k_candidates, knn_order, neighbor_means, pairwise_sq_dists
+from flexts.regression import (
+    check_k,
+    check_training,
+    k_candidates,
+    knn_order,
+    neighbor_means,
+    pairwise_sq_dists,
+    set_prepared,
+    sq_norms,
+)
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -39,9 +48,13 @@ SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NnkcdeModel:
-    """k nearest neighbors + Gaussian KDE over their responses."""
+    """k nearest neighbors + Gaussian KDE over their responses.
+
+    The training arrays, k and h are checked, and the squared training
+    norms computed, once when the model is built.
+    """
 
     train_u: np.ndarray
     train_y: np.ndarray
@@ -51,6 +64,13 @@ class NnkcdeModel:
     hi: float
     grid_size: int = 1001
 
+    def __post_init__(self):
+        train_u, train_y = check_training(self.train_u, self.train_y, target_ndim=1)
+        check_k(self.k, train_u.shape[0])
+        check_bandwidths([self.h])
+        set_prepared(self, train_u=train_u, train_y=train_y,
+                     train_norms=sq_norms(train_u))
+
     def grid(self):
         return np.linspace(self.lo, self.hi, self.grid_size)
 
@@ -59,7 +79,7 @@ class NnkcdeModel:
 
         ``eval_u`` is a 2-d array of rows or one 1-d row.
         """
-        return knn_order(self.train_u, np.atleast_2d(eval_u), self.k)
+        return knn_order(self.train_u, np.atleast_2d(eval_u), self.k, self.train_norms)
 
     def density_rows(self, neighbors, grid_y):
         """Renormalized Gaussian KDE over each row's neighbor responses."""
@@ -89,6 +109,14 @@ def kernel_means(train_y, order, ks, grid_y, h):
     kern = np.exp(-0.5 * diff * diff)
     means = neighbor_means(kern, where.reshape(order.shape), ks)
     return [m / (h * SQRT_2PI) for m in means]
+
+
+def check_bandwidths(h_grid):
+    """Kernel bandwidths as floats, each positive (NaN is not)."""
+    h_grid = [float(h) for h in h_grid]
+    if not all(h > 0 for h in h_grid):
+        raise ValueError(f"bandwidths must be positive, got {h_grid}")
+    return h_grid
 
 
 def default_bandwidth_grid(train_y):
@@ -130,9 +158,7 @@ def nnkcde_fit(
     k_grid = k_candidates(k_grid, n_tr)
     if h_grid is None:
         h_grid = default_bandwidth_grid(train_y)
-    h_grid = [float(h) for h in h_grid]
-    if any(h <= 0 for h in h_grid):
-        raise ValueError("bandwidths must be positive")
+    h_grid = check_bandwidths(h_grid)
 
     grid_y = np.linspace(lo, hi, grid_size)
     # one neighbor ordering shared by every candidate pair

@@ -122,11 +122,7 @@ def _parse_split(text):
 
 def _parse_taus(text):
     taus = [float(p) for p in text.split(",") if p]
-    if not taus:
-        raise ValueError("no quantile levels given")
-    for tau in taus:
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"quantile level {tau} outside (0, 1)")
+    estimator.check_taus(taus)
     return taus
 
 

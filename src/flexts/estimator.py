@@ -30,6 +30,7 @@ from flexts.regression import (
     knn_predict_grid,
     lasso_path,
     nw_predict_grid,
+    set_prepared,
 )
 
 
@@ -58,9 +59,16 @@ class FitConfig:
         check_grid_size(self.grid_size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientModel:
-    """A fitted conditional density estimator."""
+    """A fitted conditional density estimator.
+
+    Built (by ``fit`` or a model-file load), the model prepares its own
+    response grid, read-only, and the basis functions 0..i_selected on it
+    once; densities on any other grid tabulate the basis afresh. The
+    model is frozen, so neither can go stale: ``dataclasses.replace``
+    builds a new model with its own.
+    """
 
     scaler: Scaler
     basis: str
@@ -78,9 +86,19 @@ class CoefficientModel:
     n_lags: int
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the backend predicts coefficients 0..i_max; the expansion is cut inside them
+        if not 0 <= self.i_selected <= self.i_max:
+            raise ValueError(f"i_selected={self.i_selected} is outside [0, {self.i_max}]")
+        grid = np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
+        grid.flags.writeable = False
+        phi_grid = basis_matrix(self.basis, self.scaler.transform(grid), self.i_selected)
+        phi_grid.flags.writeable = False
+        set_prepared(self, _grid=grid, _phi_grid=phi_grid)
+
     def grid(self):
-        """The fit-time response grid densities are tabulated on."""
-        return np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
+        """The fit-time response grid densities are tabulated on (read-only)."""
+        return self._grid
 
     def row_state(self, u, series=None, rows=None):
         """The backend's coefficient predictions at covariate rows u."""
@@ -299,11 +317,15 @@ def tabulate_density(model, pred, grid_y):
 
     ``pred`` is the backend's prediction for some covariate rows; the
     expansion is cut at the selected I, evaluated on ``grid_y``, clipped
-    at zero and renormalized.
+    at zero and renormalized. On the model's own grid the basis is the
+    one the model prepared when built.
     """
-    phi_grid = basis_matrix(
-        model.basis, model.scaler.transform(grid_y), model.i_selected
-    )
+    if grid_y is model.grid():
+        phi_grid = model._phi_grid
+    else:
+        phi_grid = basis_matrix(
+            model.basis, model.scaler.transform(grid_y), model.i_selected
+        )
     coeffs = pred.b_hat[:, : model.i_selected + 1]
     raw = (coeffs @ phi_grid.T) / model.scaler.width
     density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
@@ -346,11 +368,20 @@ def quantiles_from_grid_density(grid_y, density, taus):
     return out[0] if np.ndim(density) == 1 else out
 
 
+def check_taus(taus):
+    """Quantile levels as a 1-d float array, at least one, each inside (0, 1)."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if taus.size == 0:
+        raise ValueError("no quantile levels given")
+    outside = ~((taus > 0.0) & (taus < 1.0))  # NaN is outside too
+    if outside.any():
+        raise ValueError(f"quantile level {taus[outside][0]} outside (0, 1)")
+    return taus
+
+
 def predict_quantiles(model, u, taus):
     """Conditional quantiles by inverting the post-processed density CDF."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size == 0 or np.any(taus <= 0.0) or np.any(taus >= 1.0):
-        raise ValueError(f"quantile levels must lie strictly in (0, 1), got {taus}")
+    taus = check_taus(taus)
     batch = predict_density_batch(model, u)
     out = quantiles_from_grid_density(batch.grid_y, batch.density, taus)
     if out.shape[0] == 1 and np.asarray(u).ndim == 1:

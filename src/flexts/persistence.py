@@ -11,7 +11,9 @@ predictions bit for bit. Loading rebuilds each field from its type
 annotation with ``decode``, the reader ``flexts bench`` also parses its
 config with, and checks the metadata keys the CLI writes by their types
 and, for the split, the lag count and the rolling statistics, by their
-shapes and ranges.
+shapes and ranges. The model's constructor checks its own fields (finite
+training arrays, k, the nw radius, the basis) and prepares what
+predictions reuse.
 
 Version-1 files, which wrote floats as 17-digit decimal strings and kept
 a flexcode backend's kind and hyperparameter inside the backend object,
@@ -25,7 +27,7 @@ import typing
 import numpy as np
 
 from flexts.baselines import GarchModel, NnkcdeModel
-from flexts.basis import BASIS_KINDS, check_grid_size
+from flexts.basis import check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
 from flexts.features import RollingSpec, SplitSpec
@@ -155,17 +157,11 @@ def load_model(path):
     try:
         if version == 1 and method == "flexcode":
             _flexcode_from_v1(body)
+        # the constructors check training arrays, k, the radius and the basis
         model = decode(METHODS[method], body)
-        owner = getattr(model, "backend", model)  # knn and NNKCDE average k rows
-        if hasattr(owner, "k") and not 1 <= owner.k <= len(owner.train_u):
-            raise ValueError(f"k={owner.k} is outside [1, {len(owner.train_u)}]")
-        if hasattr(owner, "delta") and not owner.delta > 0:
-            raise ValueError(f"delta={owner.delta} is not positive")
         # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
         if not (method == "garch" and model.grid_size == 0):
             check_grid_size(model.grid_size)
-        if method == "flexcode" and model.basis not in BASIS_KINDS:
-            raise ValueError(f"unknown basis {model.basis!r}")
         meta = {key: _read_value(METADATA_TYPES[key], value, key)
                 if key in METADATA_TYPES else value for key, value in meta.items()}
         if "split" in meta:

@@ -17,12 +17,14 @@ Backends:
 
 nw reads distances through one pass over ROW_BLOCK query rows at a time
 (``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
-memory grows with n_train, not n_eval * n_train. A one-row tail block
-goes through BLAS gemv, which can round differently from the gemm of
-larger blocks. The fit's sweep over radii (``nw_predict_grid``) sums
-nested rings: each training point within the largest radius lies in one
-ring between consecutive radii, so one sparse product per SLICE_ROWS
-query rows and a cumulative sum over rings give every radius's sums.
+memory grows with n_train, not n_eval * n_train. The training rows'
+squared norms, one term of every distance, are computed once per pass,
+not once per block. A one-row tail block goes through BLAS gemv, which
+can round differently from the gemm of larger blocks. The fit's sweep
+over radii (``nw_predict_grid``) sums nested rings: each training point
+within the largest radius lies in one ring between consecutive radii, so
+one sparse product per SLICE_ROWS query rows and a cumulative sum over
+rings give every radius's sums.
 It adds in another order than ``nw_predict``'s dense mask product, so
 the two agree to rounding, with the same neighbors, counts and
 fallbacks. ``nw_predict``, which serves predictions, keeps the dense
@@ -37,6 +39,16 @@ tree order only when its distance gaps exceed a derived rounding bound,
 which certifies the order the blocked pass would give. Ties, near ties
 and every other query set go through the blocked pass, so the order, and
 every output bit, is the blocked pass's either way.
+
+A fitted nw or knn model (``NadarayaWatsonModel``, ``KnnModel``; the
+NNKCDE baseline likewise) is frozen and prepares its training side once,
+when it is built by a fit or a model-file load: it checks the training
+arrays and its hyperparameter and computes the squared training norms
+(``sq_norms``). Each ``predict`` call hands those norms to the distance
+code and computes per call only what depends on the query rows: their
+check, norms, distances and the neighbor sums or means. The norms are
+the values a call without them would compute, so every output keeps its
+bits.
 """
 
 import warnings
@@ -74,18 +86,24 @@ SLICE_ROWS = 32
 TREE_MAX_DIM = 5
 
 
-def pairwise_sq_dists(a, b):
+def sq_norms(x):
+    """Squared Euclidean norm of each row of a 2-d float array."""
+    return (x * x).sum(axis=1)
+
+
+def pairwise_sq_dists(a, b, b_norms=None):
     """Squared Euclidean distances between rows of a (n, d) and b (m, d).
 
     Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, formed in place in the
     product's buffer, SLICE_ROWS rows at a time, and clipped at zero.
+    ``b_norms``, if given, is ``sq_norms(b)`` computed once by the caller.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sq = a @ b.T
     sq *= 2.0
-    a2 = (a * a).sum(axis=1)
-    b2 = (b * b).sum(axis=1)
+    a2 = sq_norms(a)
+    b2 = sq_norms(b) if b_norms is None else b_norms
     for start in range(0, a.shape[0], SLICE_ROWS):
         part = sq[start : start + SLICE_ROWS]
         np.subtract(a2[start : start + SLICE_ROWS, None] + b2, part, out=part)
@@ -93,41 +111,74 @@ def pairwise_sq_dists(a, b):
     return sq
 
 
-def distance_blocks(train_u, eval_u, skip=None):
+def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
     """Yield (rows, squared distances to train_u) per ROW_BLOCK rows of eval_u.
 
     Rows where the boolean array ``skip`` is true are left out, and a block
     of skipped rows only is not computed. A block with some rows left out
     is still computed whole, so each row's distances carry the same bits
-    whichever rows around it are skipped.
+    whichever rows around it are skipped. ``train_norms`` is
+    ``sq_norms(train_u)``, computed here once for every block if not given.
     """
+    train_u = np.asarray(train_u, dtype=float)
     eval_u = np.asarray(eval_u, dtype=float)
+    if train_norms is None:
+        train_norms = sq_norms(train_u)
     for start in range(0, eval_u.shape[0], ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
         if skip is None or not skip[rows].any():
-            yield rows, pairwise_sq_dists(eval_u[rows], train_u)
+            yield rows, pairwise_sq_dists(eval_u[rows], train_u, train_norms)
         elif not skip[rows].all():
             keep = np.flatnonzero(~skip[rows])
-            yield start + keep, pairwise_sq_dists(eval_u[rows], train_u)[keep]
+            sq = pairwise_sq_dists(eval_u[rows], train_u, train_norms)
+            yield start + keep, sq[keep]
 
 
-def _check_training(train_u, train_phi):
+def check_training(train_u, targets, target_ndim=2):
+    """Training covariates and targets as float arrays, or a ValueError.
+
+    ``train_u`` must be 2-d and ``targets`` (a coefficient regression's
+    basis rows, NNKCDE's responses) ``target_ndim``-d, with as many rows,
+    at least one, and every value finite.
+    """
     train_u = np.asarray(train_u, dtype=float)
-    train_phi = np.asarray(train_phi, dtype=float)
+    targets = np.asarray(targets, dtype=float)
     if train_u.ndim != 2:
         raise ValueError(f"train_u must be 2-d, got shape {train_u.shape}")
-    if train_phi.ndim != 2:
-        raise ValueError(f"train_phi must be 2-d, got shape {train_phi.shape}")
-    if train_u.shape[0] != train_phi.shape[0]:
+    if targets.ndim != target_ndim:
+        raise ValueError(
+            f"training targets must be {target_ndim}-d, got shape {targets.shape}"
+        )
+    if train_u.shape[0] != targets.shape[0]:
         raise ValueError(
             f"row mismatch: {train_u.shape[0]} covariate rows vs "
-            f"{train_phi.shape[0]} target rows"
+            f"{targets.shape[0]} target rows"
         )
     if train_u.shape[0] == 0:
         raise ValueError("empty training set")
-    if not (np.all(np.isfinite(train_u)) and np.all(np.isfinite(train_phi))):
+    if not (np.all(np.isfinite(train_u)) and np.all(np.isfinite(targets))):
         raise ValueError("training data contains non-finite values")
-    return train_u, train_phi
+    return train_u, targets
+
+
+def check_k(k, n_train):
+    """The neighbor-count rule of knn and NNKCDE: 1 <= k <= n_train."""
+    if not 1 <= k <= n_train:
+        raise ValueError(f"k={k} is outside [1, {n_train}]")
+
+
+def check_radii(deltas):
+    """nw radii (one or several) as a float array, each positive."""
+    radii = np.asarray(deltas, dtype=float)
+    if not np.all(radii > 0):
+        raise ValueError(f"radii must be positive, got {deltas}")
+    return radii
+
+
+def set_prepared(model, **values):
+    """Set checked fields and derived values on a frozen model as it is built."""
+    for name, value in values.items():
+        object.__setattr__(model, name, value)
 
 
 def check_queries(eval_u, n_features):
@@ -156,30 +207,42 @@ class CoefficientPredictions:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NadarayaWatsonModel:
+    """nw's training set and radius, checked once, with the training norms."""
+
     train_u: np.ndarray
     train_phi: np.ndarray
     delta: float
 
+    def __post_init__(self):
+        train_u, train_phi = check_training(self.train_u, self.train_phi)
+        check_radii(self.delta)
+        set_prepared(self, train_u=train_u, train_phi=train_phi,
+                     train_norms=sq_norms(train_u))
+
     def predict(self, eval_u):
-        return nw_predict(self.train_u, self.train_phi, eval_u, self.delta)
+        return nw_predict(self.train_u, self.train_phi, eval_u, self.delta,
+                          self.train_norms)
 
 
-def nw_predict(train_u, train_phi, eval_u, delta):
+def nw_predict(train_u, train_phi, eval_u, delta, train_norms=None):
     """Uniform-kernel local mean of each target column.
 
     Query points with no training point within ``delta`` fall back to the
     global column means; the count of such rows is reported so callers
-    can surface the diagnostic.
+    can surface the diagnostic. A NadarayaWatsonModel passes
+    ``train_norms``, the norms of the arrays it checked when built;
+    without them the arrays and radius are checked here and the norms
+    computed for this call.
     """
-    train_u, train_phi = _check_training(train_u, train_phi)
+    if train_norms is None:
+        train_u, train_phi = check_training(train_u, train_phi)
+        check_radii(delta)
     eval_u = check_queries(eval_u, train_u.shape[1])
-    if not delta > 0:
-        raise ValueError(f"radius must be positive, got {delta}")
     sums = np.empty((eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(eval_u.shape[0], dtype=np.intp)
-    for rows, sq in distance_blocks(train_u, eval_u):
+    for rows, sq in distance_blocks(train_u, eval_u, train_norms=train_norms):
         mask = sq <= delta * delta
         counts[rows] = mask.sum(axis=1)
         sums[rows] = mask.astype(float) @ train_phi
@@ -200,11 +263,9 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     differs from nw_predict's dense product, so the means agree to
     rounding, not bit for bit; an empty ring adds exactly 0.
     """
-    train_u, train_phi = _check_training(train_u, train_phi)
+    train_u, train_phi = check_training(train_u, train_phi)
     eval_u = check_queries(eval_u, train_u.shape[1])
-    radii = np.asarray(deltas, dtype=float)
-    if not np.all(radii > 0):
-        raise ValueError(f"radii must be positive, got {list(deltas)}")
+    radii = check_radii(deltas)
     # ring_of maps each given radius, duplicates and order kept, to its ring
     thresholds, ring_of = np.unique(radii * radii, return_inverse=True)
     n_rings, n_train = thresholds.size, train_u.shape[0]
@@ -271,14 +332,23 @@ def default_delta_grid(train_u, n_candidates=8):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnnModel:
+    """knn's training set and k, checked once, with the training norms."""
+
     train_u: np.ndarray
     train_phi: np.ndarray
     k: int
 
+    def __post_init__(self):
+        train_u, train_phi = check_training(self.train_u, self.train_phi)
+        check_k(self.k, train_u.shape[0])
+        set_prepared(self, train_u=train_u, train_phi=train_phi,
+                     train_norms=sq_norms(train_u))
+
     def predict(self, eval_u):
-        return knn_predict(self.train_u, self.train_phi, eval_u, self.k)
+        return knn_predict_grid(self.train_u, self.train_phi, eval_u, [self.k],
+                                self.train_norms)[0]
 
 
 def nearest_order(sq_dists, k):
@@ -313,7 +383,7 @@ def _gamma(n):
     return n * u / (1.0 - n * u)
 
 
-def _tree_order(train_u, eval_u, k):
+def _tree_order(train_u, eval_u, k, train_norms):
     """A k-d tree's k nearest training rows per query row, and which it settles.
 
     A settled row's tree order provably equals ``nearest_order`` on that
@@ -351,7 +421,7 @@ def _tree_order(train_u, eval_u, k):
     q, order = tree.query(eval_u, k + 1)
     np.square(q, out=q)
     d = train_u.shape[1]
-    m = (eval_u * eval_u).sum(axis=1) + (train_u * train_u).sum(axis=1).max()
+    m = sq_norms(eval_u) + train_norms.max()
     beta = 2.0 * (
         2.0 * _gamma(d + 2) * m + _gamma(2 * tree.size + 2 * d + 10) * q[:, -1]
     )
@@ -360,16 +430,19 @@ def _tree_order(train_u, eval_u, k):
     return order[:, :k], settled
 
 
-def knn_order(train_u, eval_u, k):
+def knn_order(train_u, eval_u, k, train_norms=None):
     """Each query row's k (<= n_train) nearest training rows, by nearest_order.
 
     With at most TREE_MAX_DIM columns, at least ROW_BLOCK query rows,
     k < n_train and finite training rows, a k-d tree orders the rows whose
     order it can certify (``_tree_order``), in n_eval * (k + 1) memory. The
     other rows, and every row otherwise, go through ``distance_blocks``.
+    ``train_norms`` is ``sq_norms(train_u)``, computed here if not given.
     """
     train_u = np.asarray(train_u, dtype=float)
     eval_u = check_queries(eval_u, train_u.shape[1])
+    if train_norms is None:
+        train_norms = sq_norms(train_u)
     settled = None
     if (
         eval_u.shape[1] <= TREE_MAX_DIM
@@ -377,10 +450,10 @@ def knn_order(train_u, eval_u, k):
         and 0 < k < train_u.shape[0]
         and np.all(np.isfinite(train_u))
     ):
-        order, settled = _tree_order(train_u, eval_u, k)
+        order, settled = _tree_order(train_u, eval_u, k, train_norms)
     else:
         order = np.empty((eval_u.shape[0], k), dtype=np.intp)
-    for rows, sq in distance_blocks(train_u, eval_u, skip=settled):
+    for rows, sq in distance_blocks(train_u, eval_u, settled, train_norms):
         order[rows] = nearest_order(sq, k)
     return order
 
@@ -405,13 +478,18 @@ def knn_predict(train_u, train_phi, eval_u, k):
     return knn_predict_grid(train_u, train_phi, eval_u, [k])[0]
 
 
-def knn_predict_grid(train_u, train_phi, eval_u, ks):
-    """knn_predict for several k, sharing one neighbor ordering."""
-    train_u, train_phi = _check_training(train_u, train_phi)
+def knn_predict_grid(train_u, train_phi, eval_u, ks, train_norms=None):
+    """knn_predict for several k, sharing one neighbor ordering.
+
+    A KnnModel passes ``train_norms``, the norms of the arrays it checked
+    when built; without them the arrays are checked here.
+    """
+    if train_norms is None:
+        train_u, train_phi = check_training(train_u, train_phi)
     ks = [int(k) for k in ks]
-    if any(k < 1 or k > train_u.shape[0] for k in ks):
-        raise ValueError(f"all k must be in [1, {train_u.shape[0]}], got {ks}")
-    order = knn_order(train_u, eval_u, max(ks))
+    for k in ks:
+        check_k(k, train_u.shape[0])
+    order = knn_order(train_u, eval_u, max(ks), train_norms)
     means = neighbor_means(train_phi, order, ks)
     return [CoefficientPredictions(b_hat=b_hat) for b_hat in means]
 
@@ -535,7 +613,7 @@ def lasso_fit(
     columns get zero coefficients. Non-convergence in ``max_iter``
     cycles is a warning, not an error.
     """
-    train_u, train_phi = _check_training(train_u, train_phi)
+    train_u, train_phi = check_training(train_u, train_phi)
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     n, d = train_u.shape
@@ -587,7 +665,7 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10, ratio=1e-4):
     covariates; at that value the zero vector is stationary for every
     target, so the path starts fully sparse and relaxes.
     """
-    train_u, train_phi = _check_training(train_u, train_phi)
+    train_u, train_phi = check_training(train_u, train_phi)
     n = train_u.shape[0]
     x, _, _ = _standardize(train_u)
     yc = train_phi - train_phi.mean(axis=0)

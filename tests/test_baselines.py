@@ -148,8 +148,9 @@ def test_nnkcde_rejects_degenerate_inputs():
         default_bandwidth_grid(np.ones(50))
     y = generate("ar", 200, 3)
     u_tr, y_tr, u_va, y_va = split_series(y)
-    with pytest.raises(ValueError):
-        nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, h_grid=[0.0])
+    for h in (0.0, np.nan):  # NaN passes a `<= 0` test
+        with pytest.raises(ValueError, match="bandwidths must be positive"):
+            nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, h_grid=[0.5, h])
     model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3)
     with pytest.raises(DataError):
         model.predict_density(np.zeros(5))

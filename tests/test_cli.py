@@ -345,7 +345,24 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     v1_path = Path(__file__).parent / "data" / "v1" / "nnkcde.json"
     v1_doc = json.loads(v1_path.read_text())
     bad = tmp_path / "bad.json"
+
+    def with_nan(rows):
+        rows = copy.deepcopy(rows)
+        if isinstance(rows[0], list):
+            rows[0][0] = float("nan")
+        else:
+            rows[0] = float("nan")
+        return rows
+
     for base, owner, name, value in [
+        # training arrays are checked when the model is built, at load
+        (knn_doc, ("model", "backend"), "train_u",
+         with_nan(knn_doc["model"]["backend"]["train_u"])),
+        (doc, ("model",), "train_u", with_nan(doc["model"]["train_u"])),
+        (doc, ("model",), "train_y", with_nan(doc["model"]["train_y"])),
+        (doc, ("model",), "h", 0.0),  # every density would be uniform
+        (doc, ("model",), "h", -0.5),
+        (knn_doc, ("model",), "i_selected", knn_doc["model"]["i_max"] + 1),
         (doc, ("model",), "k", "abc"),
         (v1_doc, ("model",), "k", 2.5),  # int() would truncate these two
         (v1_doc, ("model",), "grid_size", 201.9),
@@ -512,9 +529,9 @@ def test_bench_cell_computes_test_row_state_once(monkeypatch):
     distance_rows = []
     pairwise_sq_dists = regression.pairwise_sq_dists
 
-    def counting_dists(a, b):
+    def counting_dists(a, b, b_norms=None):
         distance_rows.append(np.shape(a)[0])
-        return pairwise_sq_dists(a, b)
+        return pairwise_sq_dists(a, b, b_norms)
 
     monkeypatch.setattr(regression, "pairwise_sq_dists", counting_dists)
     row = cli.run_bench_cell(cli.BenchCell("ar", 300, "nnkcde", 3, 0))

@@ -270,9 +270,13 @@ def test_density_batch_grid_override():
     assert batch.grid_y.shape == (2001,)
     assert batch.density.shape == (2, 2001)
     np.testing.assert_allclose(np.trapezoid(batch.density, fine, axis=1), 1.0)
-    # on the fit-time grid it is the batch prediction, bit for bit
-    own = tabulate_density(model, predict_coefficients(model, u), model.grid())
-    assert np.array_equal(own.density, predict_density_batch(model, u).density)
+    # on the fit-time grid it is the batch prediction, bit for bit, whether
+    # the basis is the one the model prepared or tabulated afresh on a copy
+    batch = predict_density_batch(model, u)
+    for grid_y in (model.grid(), np.array(model.grid())):
+        own = tabulate_density(model, predict_coefficients(model, u), grid_y)
+        assert own.density.tobytes() == batch.density.tobytes()
+        assert own.raw_density.tobytes() == batch.raw_density.tobytes()
 
 
 def test_quantiles_monotone_and_validated():
@@ -286,6 +290,12 @@ def test_quantiles_monotone_and_validated():
         predict_quantiles(model, np.zeros(3), [0.0])
     with pytest.raises(ValueError):
         predict_quantiles(model, np.zeros(3), [1.0])
+    # NaN passes both `<= 0` and `>= 1` tests; it is rejected like the CLI does
+    for taus in ([np.nan], [0.5, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match=r"quantile level .* outside \(0, 1\)"):
+            predict_quantiles(model, np.zeros(3), taus)
+    with pytest.raises(ValueError, match="no quantile levels"):
+        predict_quantiles(model, np.zeros(3), [])
 
 
 def test_quantiles_match_rejection_sampling():

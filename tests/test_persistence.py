@@ -14,12 +14,22 @@ from flexts.baselines import garch_density_rows, garch_filter, garch_fit, nnkcde
 from flexts.basis import BASIS_KINDS, fit_scaler
 from flexts.cli import BenchConfig
 from flexts.errors import DataError
-from flexts.estimator import FitConfig, fit, predict_density_batch
+from flexts import estimator, regression
+from flexts.estimator import (
+    FitConfig,
+    fit,
+    predict_density,
+    predict_density_batch,
+    predict_quantiles,
+)
 from flexts.features import SeriesTable, lag_embed
 from flexts.persistence import FORMAT_VERSION, decode, load_model, save_model
 from flexts.regression import BACKEND_KINDS
 from flexts.scenarios import generate
 from v1_fixtures import DATA_DIR, fit_models
+
+
+TAUS = np.linspace(0.05, 0.95, 19)
 
 
 def ar_design(n=500, seed=0):
@@ -53,6 +63,64 @@ def test_flexcode_round_trip_is_bitwise(tmp_path, backend):
     b = predict_density_batch(loaded, u)
     np.testing.assert_array_equal(a.density, b.density)
     np.testing.assert_array_equal(a.raw_density, b.raw_density)
+    # single-row forecasts, on each model's prepared grid and training side
+    for row in u[:3]:
+        a, b = predict_density(model, row), predict_density(loaded, row)
+        assert a.density.tobytes() == b.density.tobytes()
+        assert a.raw_density.tobytes() == b.raw_density.tobytes()
+        assert (predict_quantiles(model, row, TAUS).tobytes()
+                == predict_quantiles(loaded, row, TAUS).tobytes())
+
+
+def test_forecasts_reuse_what_the_loaded_model_prepared(tmp_path, monkeypatch):
+    design = ar_design()
+    path = tmp_path / "nw.json"
+    save_model(path, "flexcode", fit(design, config=FitConfig(backend="nw")))
+    model = load_model(path)[1]
+    n_train = len(model.backend.train_u)
+    rows = design.u[-11:]
+    first = predict_density(model, rows[0])
+    basis_calls, training_norms = [], []
+    basis_matrix, sq_norms = estimator.basis_matrix, regression.sq_norms
+
+    def counting_basis(*args):
+        basis_calls.append(args)
+        return basis_matrix(*args)
+
+    def counting_norms(x):
+        if len(x) == n_train:
+            training_norms.append(x)
+        return sq_norms(x)
+
+    monkeypatch.setattr(estimator, "basis_matrix", counting_basis)
+    monkeypatch.setattr(regression, "sq_norms", counting_norms)
+    for row in rows[1:]:
+        predict_density(model, row)
+        predict_quantiles(model, row, TAUS)
+    assert (len(basis_calls), len(training_norms)) == (0, 0)
+
+    # another grid is tabulated afresh; a new grid size builds a new model
+    fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
+    coeffs = estimator.predict_coefficients(model, rows[:1])
+    fresh = estimator.tabulate_density(model, coeffs, fine)
+    assert len(basis_calls) == 1
+    regridded = dataclasses.replace(model, grid_size=2001)
+    assert len(basis_calls) == 2
+    got = predict_density(regridded, rows[0])
+    assert got.grid_y.tobytes() == fine.tobytes()
+    assert got.density.tobytes() == fresh.density[0].tobytes()
+    assert predict_density(model, rows[0]).grid_y.size == model.grid_size
+
+    # a caller cannot write into the prepared grid or change what it depends on
+    with pytest.raises(ValueError, match="read-only"):
+        first.grid_y[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.grid()[:] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.i_selected = 0
+    again = predict_density(model, rows[0])
+    assert again.grid_y.tobytes() == first.grid_y.tobytes()
+    assert again.density.tobytes() == first.density.tobytes()
 
 
 def test_saving_twice_gives_identical_bytes(tmp_path):
@@ -81,6 +149,9 @@ def test_nnkcde_round_trip(tmp_path):
     np.testing.assert_array_equal(
         model.predict_density_batch(u), loaded.predict_density_batch(u)
     )
+    for row in u[:3]:
+        assert (model.predict_density(row).tobytes()
+                == loaded.predict_density(row).tobytes())
 
 
 def test_garch_round_trip(tmp_path):
@@ -263,9 +334,12 @@ def predictions(method, model, rows):
     """The bytes of what a model predicts: densities, or the garch filter."""
     if method == "flexcode":
         batch = predict_density_batch(model, rows)
-        return batch.density.tobytes() + batch.raw_density.tobytes()
+        one = predict_density(model, rows[0])  # the single-row path
+        return b"".join(a.tobytes() for a in (
+            batch.density, batch.raw_density, one.density, one.raw_density))
     if method == "nnkcde":
-        return model.predict_density_batch(rows).tobytes()
+        one = model.predict_density(rows[0])
+        return model.predict_density_batch(rows).tobytes() + one.tobytes()
     return b"".join(a.tobytes() for a in garch_filter(model, rows))
 
 

@@ -1,6 +1,7 @@
 """Coefficient regressions: local averaging, kNN, and LASSO."""
 
 import contextlib
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from flexts.regression import (
     nw_predict_grid,
     pairwise_sq_dists,
     soft_threshold,
+    sq_norms,
 )
 
 
@@ -40,7 +42,7 @@ def random_problem(seed, n=120, d=3, n_targets=4, n_eval=7):
 
 def test_pairwise_sq_dists_matches_one_shot_formula():
     rng = np.random.default_rng(30)
-    for n_rows in [1, 3, 37, ROW_BLOCK, ROW_BLOCK + 37]:
+    for n_rows in [1, 3, 31, 32, 33, 37, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 37]:
         a = rng.normal(size=(n_rows, 3))
         b = rng.normal(size=(90, 3))
         b[5] = a[0]  # an exact zero distance
@@ -48,6 +50,41 @@ def test_pairwise_sq_dists_matches_one_shot_formula():
         one_shot -= 2.0 * (a @ b.T)
         np.maximum(one_shot, 0.0, out=one_shot)
         assert np.array_equal(pairwise_sq_dists(a, b), one_shot), n_rows
+        # the prepared-norm path: norms computed once by the caller
+        assert np.array_equal(pairwise_sq_dists(a, b, sq_norms(b)), one_shot), n_rows
+        # distance_blocks' norms, once per pass, give each block the same bits
+        prepared = [sq for _, sq in distance_blocks(b, a, train_norms=sq_norms(b))]
+        per_block = [pairwise_sq_dists(a[i : i + ROW_BLOCK], b)
+                     for i in range(0, n_rows, ROW_BLOCK)]
+        assert np.array_equal(np.vstack(prepared), np.vstack(per_block)), n_rows
+
+
+def test_models_check_their_training_side_once_when_built():
+    train_u, train_phi, eval_u = random_problem(31, n=ROW_BLOCK + 40)
+    nw = regression.NadarayaWatsonModel(train_u, train_phi, 0.8)
+    knn = regression.KnnModel(train_u, train_phi, 7)
+    assert np.array_equal(nw.train_norms, (train_u * train_u).sum(axis=1))
+    for n_eval in (1, ROW_BLOCK + 1):
+        u = np.vstack([eval_u] * (n_eval // len(eval_u) + 1))[:n_eval]
+        for model, fresh in ((nw, nw_predict(train_u, train_phi, u, 0.8)),
+                             (knn, knn_predict(train_u, train_phi, u, 7))):
+            got = model.predict(u)
+            assert got.b_hat.tobytes() == fresh.b_hat.tobytes()
+            assert got.n_fallback == fresh.n_fallback
+    bad_u = train_u.copy()
+    bad_u[3, 1] = np.nan
+    for build in (lambda: regression.NadarayaWatsonModel(bad_u, train_phi, 0.8),
+                  lambda: regression.KnnModel(bad_u, train_phi, 7)):
+        with pytest.raises(ValueError, match="non-finite"):
+            build()
+    for delta in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            regression.NadarayaWatsonModel(train_u, train_phi, delta)
+    for k in (0, len(train_u) + 1):
+        with pytest.raises(ValueError, match="outside"):
+            regression.KnnModel(train_u, train_phi, k)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nw.train_u = bad_u
 
 
 # ---------------------------------------------------------------------------
