@@ -36,7 +36,7 @@ from flexts.features import (
     next_step_covariates,
     temporal_split,
 )
-from flexts.regression import BACKEND_KINDS, HYPER_NAMES
+from flexts.regression import BACKEND_KINDS, BACKENDS, HYPER_NAMES
 
 PROG = "flexts"
 
@@ -253,15 +253,11 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
     tr, va, _ = temporal_split(design.n_rows, split)
     if method == "flexcode":
         config = estimator.FitConfig(
-            backend=backend,
-            hyper_grid=grids.get(HYPER_NAMES.get(backend)),
-            grid_size=meta["grid_size"],
-            pad=meta["pad"],
-            **config,
-        )
+            backend=backend, hyper_grid=grids.get(HYPER_NAMES.get(backend)),
+            grid_size=meta["grid_size"], pad=meta["pad"], **config)
         model = estimator.fit(design, split, config)
         meta.update(backend=model.backend_kind, basis=model.basis)
-        hyper_name = HYPER_NAMES[model.backend_kind]
+        hyper_name = model.backend.hyper_name
         hyper = getattr(model.backend, hyper_name)
         report = [
             f"method: flexcode backend={model.backend_kind}",
@@ -279,16 +275,9 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
         y_tr = design.y[tr.start : tr.stop]
         scaler = fit_scaler(y_tr, pad=meta["pad"])
         model = baselines.nnkcde_fit(
-            design.u[tr.start : tr.stop],
-            y_tr,
-            design.u[va.start : va.stop],
-            design.y[va.start : va.stop],
-            scaler.lo,
-            scaler.hi,
-            k_grid=grids.get("k"),
-            h_grid=grids.get("h"),
-            grid_size=meta["grid_size"],
-        )
+            design.u[tr.start : tr.stop], y_tr, design.u[va.start : va.stop],
+            design.y[va.start : va.stop], scaler.lo, scaler.hi,
+            k_grid=grids.get("k"), h_grid=grids.get("h"), grid_size=meta["grid_size"])
         return model, model.k, model.h, [
             f"method: nnkcde selected k={model.k} h={model.h!r}"
         ]
@@ -329,15 +318,30 @@ def _row_state(model, meta, u, table=None, design=None, rows=None):
 # ---------------------------------------------------------------------------
 
 
+def _grid_types(method, backend):
+    """The grid flags a fit reads: {the model field each names: its type}."""
+    if method == "flexcode":
+        model_cls, names = BACKENDS[backend], {HYPER_NAMES[backend]}
+    elif method == "nnkcde":
+        model_cls, names = baselines.NnkcdeModel, {"k", "h"}
+    else:  # garch tunes no grid
+        return {}
+    return {f.name: f.type for f in fields(model_cls) if f.name in names}
+
+
 def cmd_fit(args):
+    grid_types = _grid_types(args.method, args.backend)
+    grids = {}
+    for name in ("delta", "k", "lam", "h"):
+        if not getattr(args, name):
+            continue
+        if name not in grid_types:
+            takes = ", ".join(f"--{n}" for n in grid_types) or "none"
+            raise ValueError(f"--{name} is not a grid of this fit (its grids: {takes})")
+        grids[name] = tuple(grid_types[name](v) for v in getattr(args, name).split(","))
     meta = _metadata_from_args(args, args.method)
     table = _table_from_meta(meta, args.input)
     design = _features_from_meta(meta, table)
-    grids = {}
-    for name in ("delta", "k", "lam", "h"):
-        parse = int if name == "k" else float
-        if getattr(args, name):
-            grids[name] = tuple(parse(v) for v in getattr(args, name).split(","))
     model, _, _, report = _fit(
         args.method, meta, table, design, backend=args.backend, grids=grids,
         basis=args.basis, i_max=args.i_max, refit_final=args.refit_final,
@@ -465,9 +469,8 @@ def cmd_importance(args):
     if method != "flexcode":
         raise ValueError(f"importance is defined for flexcode models, not {method}")
     seed = _default_seed(args.seed)
-    if model.backend_kind == "lasso":
-        scores = estimator.importance(model)
-    else:
+    u_val = y_val = None
+    if not model.backend.scores_from_coefficients:
         if not args.input:
             raise ValueError(
                 f"{model.backend_kind} importance is permutation-based; "
@@ -476,13 +479,8 @@ def cmd_importance(args):
         table = _table_from_meta(meta, args.input)
         design = _features_from_meta(meta, table)
         _, va, _ = temporal_split(design.n_rows, _split_from_meta(meta))
-        scores = estimator.importance(
-            model,
-            u_val=design.u[va.start : va.stop],
-            y_val=design.y[va.start : va.stop],
-            n_permutations=args.n_permutations,
-            seed=seed,
-        )
+        u_val, y_val = design.u[va.start : va.stop], design.y[va.start : va.stop]
+    scores = estimator.importance(model, u_val, y_val, args.n_permutations, seed)
     order = np.argsort(-scores, kind="stable")
     rows = [(model.feature_names[j], scores[j]) for j in order]
     write_csv(args.output, ["feature", "score"], rows)

@@ -16,22 +16,10 @@ import numpy as np
 
 from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs, cde_loss_grid
+from flexts.evaluation import cde_loss_curve_on_basis, cde_loss_from_coeffs, cde_loss_grid
 from flexts.features import SplitSpec, temporal_split
-from flexts.regression import (
-    BACKEND_KINDS,
-    KnnModel,
-    LassoModel,
-    NadarayaWatsonModel,
-    check_queries,
-    default_delta_grid,
-    default_lambda_grid,
-    k_candidates,
-    knn_predict_grid,
-    lasso_path,
-    nw_predict_grid,
-    set_prepared,
-)
+# nw_predict_grid is unused here; perfbench/test_perfbench.py reads the binding
+from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prepared
 
 
 @dataclass(frozen=True)
@@ -50,7 +38,7 @@ class FitConfig:
     def __post_init__(self):
         if self.basis not in BASIS_KINDS:
             raise ValueError(f"unknown basis {self.basis!r}")
-        if self.backend not in BACKEND_KINDS:
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.i_max < 1:
             raise ValueError(f"i_max must be >= 1, got {self.i_max}")
@@ -129,37 +117,6 @@ class DensityEstimate:
     degenerate: bool
 
 
-def _candidate_predictions(u_tr, phi_tr, u_va, config):
-    """Validation-set coefficient predictions for every hyper candidate.
-
-    Returns (hypers, predictions, path_models); path_models is non-None
-    only for the lasso backend, whose fitted models are reused directly.
-    """
-    kind = config.backend
-    if kind == "nw":
-        hypers = (
-            default_delta_grid(u_tr)
-            if config.hyper_grid is None
-            else [float(h) for h in config.hyper_grid]
-        )
-        preds = nw_predict_grid(u_tr, phi_tr, u_va, hypers)
-        return list(hypers), preds, None
-    if kind == "knn":
-        hypers = k_candidates(config.hyper_grid, u_tr.shape[0])
-        preds = knn_predict_grid(u_tr, phi_tr, u_va, hypers)
-        return list(hypers), preds, None
-    # lasso
-    if config.hyper_grid is None:
-        lams = default_lambda_grid(u_tr, phi_tr)
-    else:
-        lams = sorted((float(l) for l in config.hyper_grid), reverse=True)
-        if any(l < 0 for l in lams):
-            raise ValueError("lasso penalties must be nonnegative")
-    models = lasso_path(u_tr, phi_tr, lams)
-    preds = [m.predict(u_va) for m in models]
-    return list(lams), preds, models
-
-
 def renormalize_rows(density, grid_y):
     """Scale nonnegative density rows to unit trapezoid mass on grid_y.
 
@@ -215,23 +172,26 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     phi_tr = basis_matrix(config.basis, z_tr, config.i_max)
     z_va = scaler.transform(y_va)
 
-    hypers, preds, path_models = _candidate_predictions(u_tr, phi_tr, u_va, config)
+    backend_cls = BACKENDS[config.backend]
+    hypers = backend_cls.candidates(config.hyper_grid, u_tr, phi_tr)
+    preds, swept = backend_cls.sweep(u_tr, phi_tr, u_va, hypers)
+
+    # the validation responses inside the padded range and their basis, read
+    # by every candidate's loss curve and by refit_final's stacked rows
+    inside = (z_va >= 0.0) & (z_va <= 1.0)
+    phi_va = basis_matrix(config.basis, z_va[inside], config.i_max)
 
     grid_y = np.linspace(scaler.lo, scaler.hi, config.grid_size)
-    phi_grid = basis_matrix(
-        config.basis, scaler.transform(grid_y), config.i_max
-    )
+    phi_grid = basis_matrix(config.basis, scaler.transform(grid_y), config.i_max)
 
     best = None  # (loss, i, candidate_index)
     curves = []
     for c, pred in enumerate(preds):
+        losses, ses = cde_loss_curve_on_basis(pred.b_hat, inside, phi_va)
         if config.select_postprocessed:
             losses = _postprocessed_loss_curve(
                 pred.b_hat, grid_y, phi_grid, scaler.width, y_va
             )
-            _, ses = cde_loss_curve(pred.b_hat, z_va, kind=config.basis)
-        else:
-            losses, ses = cde_loss_curve(pred.b_hat, z_va, kind=config.basis)
         bad = ~np.isfinite(losses)
         if bad.any():
             raise NumericError(
@@ -251,32 +211,16 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
             RuntimeWarning,
         )
 
-    n_fallback_val = getattr(preds[c_best], "n_fallback", 0)
-
     if config.refit_final:
         # refit on train+validation rows at the chosen hyperparameter;
         # the scaler stays train-only, so validation responses that fall
         # off the padded range cannot be used as targets and are dropped
-        inside = (z_va >= 0.0) & (z_va <= 1.0)
-        u_fit = np.vstack([u_tr, u_va[inside]])
-        phi_fit = np.vstack(
-            [phi_tr, basis_matrix(config.basis, z_va[inside], config.i_max)]
-        )
-        n_dropped = int((~inside).sum())
+        u_fit, phi_fit = np.vstack([u_tr, u_va[inside]]), np.vstack([phi_tr, phi_va])
+        backend = backend_cls.build(u_fit, phi_fit, hypers[: c_best + 1])
+    elif swept is not None:  # the sweep fitted the winner on these rows
+        backend = swept[c_best]
     else:
-        u_fit, phi_fit = u_tr, phi_tr
-        n_dropped = 0
-
-    kind = config.backend
-    hyper = hypers[c_best]
-    if kind == "nw":
-        backend = NadarayaWatsonModel(u_fit, phi_fit, float(hyper))
-    elif kind == "knn":
-        backend = KnnModel(u_fit, phi_fit, int(hyper))
-    elif config.refit_final:
-        backend = lasso_path(u_fit, phi_fit, hypers[: c_best + 1])[-1]
-    else:
-        backend = path_models[c_best]
+        backend = backend_cls.build(u_tr, phi_tr, hypers[: c_best + 1])
 
     losses, ses = curves[c_best]
     return CoefficientModel(
@@ -285,8 +229,8 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
         i_max=config.i_max,
         i_selected=i_selected,
         grid_size=config.grid_size,
-        backend_kind=kind,
-        hyper=float(hyper),
+        backend_kind=config.backend,
+        hyper=float(hypers[c_best]),
         backend=backend,
         val_losses=np.asarray(losses),
         val_std_errors=np.asarray(ses),
@@ -296,8 +240,8 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
         n_lags=design.n_lags,
         diagnostics={
             "val_loss": float(best_loss),
-            "n_fallback_val": int(n_fallback_val),
-            "n_val_dropped_refit": n_dropped,
+            "n_fallback_val": int(preds[c_best].n_fallback),
+            "n_val_dropped_refit": int((~inside).sum()) if config.refit_final else 0,
             "n_train": int(u_tr.shape[0]),
             "n_val": int(u_va.shape[0]),
             "n_test": int(te.stop - te.start),
@@ -392,16 +336,15 @@ def predict_quantiles(model, u, taus):
 def importance(model, u_val=None, y_val=None, n_permutations=5, seed=0):
     """Feature importance scores, one per covariate.
 
-    For the lasso backend the score of feature j is the mean absolute
-    standardized coefficient over the selected expansion terms, needing
-    no data. For the local backends (nw, knn) it is permutation
-    importance: the increase in validation density loss when column j is
-    shuffled, averaged over ``n_permutations`` draws and floored at zero.
+    For a backend that scores from coefficients (lasso) the score of
+    feature j is the mean absolute standardized coefficient over the
+    selected expansion terms, needing no data. For the others (nw, knn)
+    it is permutation importance: the increase in validation density
+    loss when column j is shuffled, averaged over ``n_permutations``
+    draws and floored at zero.
     """
-    if model.backend_kind == "lasso":
-        lm = model.backend
-        assert isinstance(lm, LassoModel)
-        return np.abs(lm.coef_std[:, : model.i_selected + 1]).mean(axis=1)
+    if model.backend.scores_from_coefficients:
+        return np.abs(model.backend.coef_std[:, : model.i_selected + 1]).mean(axis=1)
     if u_val is None or y_val is None:
         raise ValueError(
             f"{model.backend_kind} importance is permutation-based and "

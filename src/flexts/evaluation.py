@@ -80,20 +80,21 @@ def cde_loss_curve(b_hat, eval_z, kind="cosine"):
     eval_z = np.asarray(eval_z, dtype=float)
     if b_hat.ndim != 2 or b_hat.shape[0] != eval_z.shape[0]:
         raise ValueError("b_hat rows must match eval_z length")
+    inside = (eval_z >= 0.0) & (eval_z <= 1.0)
+    phi = basis_matrix(kind, eval_z[inside], b_hat.shape[1] - 1)
+    return cde_loss_curve_on_basis(b_hat, inside, phi)
+
+
+def cde_loss_curve_on_basis(b_hat, inside, phi):
+    """cde_loss_curve on a basis tabulated once for many b_hat: ``phi`` is
+    the basis 0..b_hat.shape[1]-1 at the responses flagged ``inside`` [0, 1]."""
     n, n_coef = b_hat.shape
     sq_cum = np.cumsum(b_hat * b_hat, axis=1)
-    inside = (eval_z >= 0.0) & (eval_z <= 1.0)
     cross_cum = np.zeros((n, n_coef))
-    if inside.any():
-        phi = basis_matrix(kind, eval_z[inside], n_coef - 1)
-        cross_cum[inside] = np.cumsum(b_hat[inside] * phi, axis=1)
+    cross_cum[inside] = np.cumsum(b_hat[inside] * phi, axis=1)
     contrib = sq_cum - 2.0 * cross_cum
-    losses = contrib.mean(axis=0)
-    if n < 2:
-        ses = np.zeros(n_coef)
-    else:
-        ses = contrib.std(axis=0, ddof=1) / np.sqrt(n)
-    return losses, ses
+    ses = np.zeros(n_coef) if n < 2 else contrib.std(axis=0, ddof=1) / np.sqrt(n)
+    return contrib.mean(axis=0), ses
 
 
 def interp_rows(grid, densities, points):

@@ -31,12 +31,11 @@ from flexts.basis import check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
 from flexts.features import RollingSpec, SplitSpec
-from flexts.regression import HYPER_NAMES, KnnModel, LassoModel, NadarayaWatsonModel
+from flexts.regression import BACKENDS
 
 FORMAT_VERSION = 2
 
 METHODS = {"flexcode": CoefficientModel, "nnkcde": NnkcdeModel, "garch": GarchModel}
-BACKENDS = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso": LassoModel}
 # the types of the metadata keys the CLI writes; other keys load unchecked
 METADATA_TYPES = {
     "target": str, "n_lags": int, "rolling": list[list], "exog": list[str],
@@ -127,7 +126,7 @@ def _flexcode_from_v1(body):
     """Move a version-1 backend's kind and hyper to the fields that hold them now."""
     backend = body["backend"]
     kind = body["backend_kind"] = backend.pop("kind")
-    body["hyper"] = backend[HYPER_NAMES[kind]] = backend.pop("hyper")
+    body["hyper"] = backend[BACKENDS[kind].hyper_name] = backend.pop("hyper")
     for name in ("candidate_hypers", "candidate_losses"):
         body[name] = [float(v) for v in body[name]]
 

@@ -15,6 +15,14 @@ Backends:
 * LASSO via cyclic coordinate descent on standardized covariates with
   an unpenalized intercept, objective (1/2n)||y - Xb||^2 + lam*||b||_1.
 
+``BACKENDS`` = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso":
+LassoModel} is the one table of backends. Each class states its
+``hyper_name`` (the field holding its hyperparameter), whether it
+``scores_from_coefficients`` (else importance is by permutation), its
+``candidates`` (the default grid, or a given one cleaned), its validation
+``sweep`` over them, which returns (predictions, the candidates' models if
+it fitted them, else None), and how it ``build``s the winner on the fit rows.
+
 nw reads distances through one pass over ROW_BLOCK query rows at a time
 (``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
 memory grows with n_train, not n_eval * n_train. The training rows'
@@ -40,15 +48,11 @@ which certifies the order the blocked pass would give. Ties, near ties
 and every other query set go through the blocked pass, so the order, and
 every output bit, is the blocked pass's either way.
 
-A fitted nw or knn model (``NadarayaWatsonModel``, ``KnnModel``; the
-NNKCDE baseline likewise) is frozen and prepares its training side once,
-when it is built by a fit or a model-file load: it checks the training
-arrays and its hyperparameter and computes the squared training norms
-(``sq_norms``). Each ``predict`` call hands those norms to the distance
-code and computes per call only what depends on the query rows: their
-check, norms, distances and the neighbor sums or means. The norms are
-the values a call without them would compute, so every output keeps its
-bits.
+A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
+when a fit or a model-file load builds it, checks its training arrays and
+hyperparameter and computes the squared training norms once. ``predict``
+hands those norms to the distance code, so a call computes only what
+depends on the query rows, and every output keeps its bits.
 """
 
 import warnings
@@ -59,10 +63,6 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from flexts.errors import DataError
-
-# each backend's hyperparameter: the field of its model that holds it
-HYPER_NAMES = {"nw": "delta", "knn": "k", "lasso": "lam"}
-BACKEND_KINDS = tuple(HYPER_NAMES)
 
 # query rows per distance_blocks block: its scratch is ROW_BLOCK * n_train values
 ROW_BLOCK = 256
@@ -215,6 +215,9 @@ class NadarayaWatsonModel:
     train_phi: np.ndarray
     delta: float
 
+    hyper_name = "delta"
+    scores_from_coefficients = False
+
     def __post_init__(self):
         train_u, train_phi = check_training(self.train_u, self.train_phi)
         check_radii(self.delta)
@@ -224,6 +227,22 @@ class NadarayaWatsonModel:
     def predict(self, eval_u):
         return nw_predict(self.train_u, self.train_phi, eval_u, self.delta,
                           self.train_norms)
+
+    @staticmethod
+    def candidates(hyper_grid, train_u, train_phi):
+        """default_delta_grid, or the given radii as floats in their order."""
+        if hyper_grid is None:
+            return list(default_delta_grid(train_u))
+        return [float(h) for h in hyper_grid]
+
+    @staticmethod
+    def sweep(train_u, train_phi, eval_u, hypers):
+        return nw_predict_grid(train_u, train_phi, eval_u, hypers), None
+
+    @classmethod
+    def build(cls, train_u, train_phi, hypers):
+        """The model of the last of ``hypers``, the winner, on these rows."""
+        return cls(train_u, train_phi, float(hypers[-1]))
 
 
 def nw_predict(train_u, train_phi, eval_u, delta, train_norms=None):
@@ -340,6 +359,9 @@ class KnnModel:
     train_phi: np.ndarray
     k: int
 
+    hyper_name = "k"
+    scores_from_coefficients = False
+
     def __post_init__(self):
         train_u, train_phi = check_training(self.train_u, self.train_phi)
         check_k(self.k, train_u.shape[0])
@@ -349,6 +371,18 @@ class KnnModel:
     def predict(self, eval_u):
         return knn_predict_grid(self.train_u, self.train_phi, eval_u, [self.k],
                                 self.train_norms)[0]
+
+    @staticmethod
+    def candidates(hyper_grid, train_u, train_phi):
+        return k_candidates(hyper_grid, train_u.shape[0])
+
+    @staticmethod
+    def sweep(train_u, train_phi, eval_u, hypers):
+        return knn_predict_grid(train_u, train_phi, eval_u, hypers), None
+
+    @classmethod
+    def build(cls, train_u, train_phi, hypers):
+        return cls(train_u, train_phi, int(hypers[-1]))
 
 
 def nearest_order(sq_dists, k):
@@ -499,24 +533,23 @@ def default_k_grid(n_train):
     if n_train < 1:
         raise ValueError("empty training set")
     ks = [5, 10, 20, 40, 80, int(round(np.sqrt(n_train)))]
-    ks = sorted({min(max(k, 1), n_train) for k in ks})
-    return ks
+    return sorted({min(max(k, 1), n_train) for k in ks})
 
 
 def k_candidates(k_grid, n_train):
     """The neighbor counts to try: default_k_grid when k_grid is None.
 
     From an explicit grid, each k larger than the training size is
-    skipped with a warning; nonpositive k and a grid left empty are
-    errors.
+    skipped with a warning; a non-integral or nonpositive k and a grid
+    left empty are errors.
     """
     if k_grid is None:
         return default_k_grid(n_train)
     kept = []
     for k in k_grid:
+        if not (float(k).is_integer() and k >= 1):  # int() would truncate 2.5
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
         k = int(k)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         if k > n_train:
             warnings.warn(
                 f"skipping k={k}: larger than the {n_train} training rows",
@@ -555,9 +588,29 @@ class LassoModel:
     converged: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
     n_iter: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
+    hyper_name = "lam"
+    scores_from_coefficients = True
+
     def predict(self, eval_u):
         eval_u = np.asarray(eval_u, dtype=float)
         return CoefficientPredictions(b_hat=eval_u @ self.coef + self.intercept)
+
+    @staticmethod
+    def candidates(hyper_grid, train_u, train_phi):
+        """default_lambda_grid, or the given penalties sorted descending."""
+        if hyper_grid is None:
+            return list(default_lambda_grid(train_u, train_phi))
+        return sorted((check_penalty(lam) for lam in hyper_grid), reverse=True)
+
+    @staticmethod
+    def sweep(train_u, train_phi, eval_u, hypers):
+        models = lasso_path(train_u, train_phi, hypers)
+        return [m.predict(eval_u) for m in models], models
+
+    @staticmethod
+    def build(train_u, train_phi, hypers):
+        """The last of ``hypers`` at the end of the warm-started path to it."""
+        return lasso_path(train_u, train_phi, hypers)[-1]
 
 
 def _standardize(train_u):
@@ -602,6 +655,14 @@ def _cd_solve(gram, cov, lam, beta0, max_iter, tol):
     return beta, ~active, n_iter
 
 
+def check_penalty(lam):
+    """A lasso penalty as a float, nonnegative (NaN is not)."""
+    lam = float(lam)
+    if not lam >= 0:
+        raise ValueError(f"lam must be nonnegative, got {lam}")
+    return lam
+
+
 def lasso_fit(
     train_u, train_phi, lam, max_iter=10000, tol=1e-7, warm_start=None
 ):
@@ -614,8 +675,7 @@ def lasso_fit(
     cycles is a warning, not an error.
     """
     train_u, train_phi = check_training(train_u, train_phi)
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    lam = check_penalty(lam)
     n, d = train_u.shape
     x, mu, scale = _standardize(train_u)
     ybar = train_phi.mean(axis=0)
@@ -632,16 +692,9 @@ def lasso_fit(
         )
     coef = beta / scale[:, None]
     intercept = ybar - mu @ coef
-    return LassoModel(
-        intercept=intercept,
-        coef=coef,
-        coef_std=beta,
-        lam=float(lam),
-        feature_mean=mu,
-        feature_scale=scale,
-        converged=converged,
-        n_iter=n_iter,
-    )
+    return LassoModel(intercept=intercept, coef=coef, coef_std=beta, lam=lam,
+                      feature_mean=mu, feature_scale=scale, converged=converged,
+                      n_iter=n_iter)
 
 
 def lasso_path(train_u, train_phi, lams):
@@ -673,3 +726,9 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10, ratio=1e-4):
     if lam_max <= 0.0 or not np.isfinite(lam_max):
         raise DataError("all targets are constant; penalty grid is undefined")
     return np.geomspace(lam_max, lam_max * ratio, n_candidates)
+
+
+# the backend table: each kind's model class, which states the rest
+BACKENDS = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso": LassoModel}
+BACKEND_KINDS = tuple(BACKENDS)
+HYPER_NAMES = {kind: cls.hyper_name for kind, cls in BACKENDS.items()}

@@ -104,6 +104,8 @@ def test_nnkcde_skips_oversized_k_with_warning():
     assert model.k == 5
     with pytest.raises(ValueError):
         nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, k_grid=[10_000])
+    with pytest.raises(ValueError, match="k must be an integer"):  # not k=2
+        nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, k_grid=[2.5, 5])
 
 
 def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):

@@ -486,18 +486,43 @@ def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):
     assert len(read_rows(tmp_path / "kept" / "row.csv")) == 502
 
 
+# usage errors of one method's fit: a NaN penalty, a grid flag it does not read
+FIT_USAGE_ERRORS = {
+    "flexcode": [(("--backend", "lasso", "--lam", "nan"), "lam must be nonnegative"),
+                 (("--backend", "knn", "--delta", 0.5), "--delta is not a grid")],
+    "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)")],
+    "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)")],
+}
+
+
 @pytest.mark.parametrize("method", ["flexcode", "nnkcde", "garch"])
 def test_fit_checks_the_response_grid(tmp_path, capsys, method):
     data = simulate(tmp_path, n=300)
     out = tmp_path / "model.json"
     for flags, message in [(("--grid-size", 4), "grid_size must be odd and >= 101"),
                            (("--grid-size", 1000), "grid_size must be odd"),
-                           (("--pad", -0.5), "pad must be nonnegative")]:
+                           (("--pad", -0.5), "pad must be nonnegative"),
+                           *FIT_USAGE_ERRORS[method]]:
         code, _, err = run(["fit", "--input", data, "--method", method, *flags,
                             "-o", out], capsys)
         assert code == 2, flags
         assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, field, expected", [
+    (("--backend", "nw", "--delta", "0.9,0.3"), "candidate_hypers", [0.9, 0.3]),
+    (("--backend", "knn", "--k", "7,3"), "candidate_hypers", [7, 3]),
+    (("--backend", "lasso", "--lam", "0.01,0.1"), "candidate_hypers", [0.1, 0.01]),
+    (("--method", "nnkcde", "--k", "7"), "k", 7),
+    (("--method", "nnkcde", "--h", "0.3"), "h", 0.3),
+])
+def test_fit_grid_flags_reach_the_fit(tmp_path, flags, field, expected):
+    data = simulate(tmp_path, n=300)
+    out = tmp_path / "model.json"
+    assert run(["fit", "--input", data, *flags, "-o", out]) == 0
+    # repr tells a k read as int from a float: [7, 3], not [7.0, 3.0]
+    assert repr(json.loads(out.read_text())["model"][field]) == repr(expected)
 
 
 def test_bench_rejects_descending_ranges(tmp_path, capsys):

@@ -219,6 +219,8 @@ def test_knn_candidate_filtering():
     assert model.hyper == 5.0
     with pytest.raises(ValueError):
         fit(design, config=FitConfig(backend="knn", hyper_grid=(10**6,)))
+    with pytest.raises(ValueError, match="k must be an integer"):  # not [2, 7]
+        fit(design, config=FitConfig(backend="knn", hyper_grid=(2.5, 7.9)))
 
 
 def test_predict_checks_covariates():
