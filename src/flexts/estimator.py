@@ -73,6 +73,9 @@ class CoefficientModel:
     feature_names: list
     n_lags: int
     diagnostics: dict = field(default_factory=dict)
+    # the scaled responses of the rows an nw or knn backend was built on; its
+    # train_phi is their basis, which a model file leaves out and load rebuilds
+    train_z: np.ndarray | None = None
 
     def __post_init__(self):
         # the backend predicts coefficients 0..i_max; the expansion is cut inside them
@@ -181,8 +184,9 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     inside = (z_va >= 0.0) & (z_va <= 1.0)
     phi_va = basis_matrix(config.basis, z_va[inside], config.i_max)
 
-    grid_y = np.linspace(scaler.lo, scaler.hi, config.grid_size)
-    phi_grid = basis_matrix(config.basis, scaler.transform(grid_y), config.i_max)
+    if config.select_postprocessed:
+        grid_y = np.linspace(scaler.lo, scaler.hi, config.grid_size)
+        phi_grid = basis_matrix(config.basis, scaler.transform(grid_y), config.i_max)
 
     best = None  # (loss, i, candidate_index)
     curves = []
@@ -211,10 +215,12 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
             RuntimeWarning,
         )
 
+    z_fit = z_tr
     if config.refit_final:
         # refit on train+validation rows at the chosen hyperparameter;
         # the scaler stays train-only, so validation responses that fall
         # off the padded range cannot be used as targets and are dropped
+        z_fit = np.concatenate([z_tr, z_va[inside]])
         u_fit, phi_fit = np.vstack([u_tr, u_va[inside]]), np.vstack([phi_tr, phi_va])
         backend = backend_cls.build(u_fit, phi_fit, hypers[: c_best + 1])
     elif swept is not None:  # the sweep fitted the winner on these rows
@@ -247,6 +253,7 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
             "n_test": int(te.stop - te.start),
             "at_i_max": bool(i_selected == config.i_max),
         },
+        train_z=z_fit if hasattr(backend, "train_phi") else None,
     )
 
 

@@ -1,23 +1,38 @@
 """Model save/load as self-describing JSON.
 
-A model file (format version 2) is sorted, compact JSON holding
+A model file (format version 3) is sorted, compact JSON holding
 ``format_version``, ``method``, ``metadata`` (feature construction and
 split fractions, enough to rebuild design matrices for evaluation) and
 ``model``: the fitted model's dataclass fields, arrays as nested lists
 and nested dataclasses (the scaler, a flexcode backend) as objects.
 ``json`` writes every float with ``repr``, which round-trips IEEE
-doubles exactly, so a loaded model reproduces the saved model's
-predictions bit for bit. Loading rebuilds each field from its type
-annotation with ``decode``, the reader ``flexts bench`` also parses its
-config with, and checks the metadata keys the CLI writes by their types
-and, for the split, the lag count and the rolling statistics, by their
+doubles exactly. Loading rebuilds each field from its type annotation
+with ``decode``, the reader ``flexts bench`` also parses its config
+with, and checks the metadata keys the CLI writes by their types and,
+for the split, the lag count and the rolling statistics, by their
 shapes and ranges. The model's constructor checks its own fields (finite
 training arrays, k, the nw radius, the basis) and prepares what
 predictions reuse.
 
-Version-1 files, which wrote floats as 17-digit decimal strings and kept
-a flexcode backend's kind and hyperparameter inside the backend object,
-still load.
+An nw or knn backend regresses the basis rows phi_i(z) of the scaled
+training responses z, an n x (i_max + 1) matrix (``train_phi``) that the
+n responses determine. A flexcode file therefore stores those responses
+(``train_z``: the training rows', then under ``refit_final`` the kept
+validation rows') in place of the matrix, and ``decode`` rebuilds the
+matrix with ``basis_matrix`` before the backend is built. The
+forecast-nw-n20k benchmark's model (n_train 14,000, i_max 15) takes
+1.16 MB in this format against 5.08 MB in version 2. Rebuilt rows equal
+the fitted ones bit for bit because ``basis_matrix`` computes each row on
+its own, the way the fit did, so a loaded model reproduces the saved
+model's predictions bit for bit on the numpy build that saved it; on
+another build ``cos`` and ``sin`` may round differently. Lasso, NNKCDE
+and GARCH files hold no such matrix and read as in version 2.
+
+Version-2 files, which store ``train_phi`` itself, and version-1 files,
+which also wrote floats as 17-digit decimal strings and kept a flexcode
+backend's kind and hyperparameter inside the backend object, still
+load; saved again, such a model keeps its ``train_phi``, having no
+responses to rebuild it from.
 """
 
 import dataclasses
@@ -27,13 +42,13 @@ import typing
 import numpy as np
 
 from flexts.baselines import GarchModel, NnkcdeModel
-from flexts.basis import check_grid_size
+from flexts.basis import basis_matrix, check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
 from flexts.features import RollingSpec, SplitSpec
 from flexts.regression import BACKENDS
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 METHODS = {"flexcode": CoefficientModel, "nnkcde": NnkcdeModel, "garch": GarchModel}
 # the types of the metadata keys the CLI writes; other keys load unchecked
@@ -45,9 +60,22 @@ METADATA_TYPES = {
 
 
 def _jsonable(obj):
-    """What json cannot write itself: dataclasses, arrays, numpy scalars."""
+    """What json cannot write itself: dataclasses, arrays, numpy scalars.
+
+    A flexcode model writes its training responses in place of its
+    backend's basis rows, which they determine, and nothing when it has
+    none (a lasso backend, or a model read from a version-1 or 2 file).
+    """
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, CoefficientModel):
+            if obj.train_z is None:
+                del doc["train_z"]
+            else:
+                doc["backend"] = {name: value for name, value
+                                  in _jsonable(obj.backend).items()
+                                  if name != "train_phi"}
+        return doc
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot save a {type(obj).__name__}")
@@ -100,16 +128,27 @@ def _read_value(kind, value, name):
 def decode(cls, doc):
     """Rebuild dataclass ``cls`` from the fields ``doc`` names, each read by its type.
 
-    Nested dataclasses decode in turn and arrays convert whole; keys that
-    are not fields are ignored.
+    Nested dataclasses decode in turn and arrays convert whole; an
+    optional field (``T | None``) reads null as None and anything else as
+    T. Keys that are not fields are ignored.
     """
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in doc:
             continue  # a default applies, or the constructor reports it missing
-        # a flexcode backend's class is the one its backend_kind names
-        kind = BACKENDS[doc["backend_kind"]] if f.type is object else f.type
-        value = doc[f.name]
+        kind, value = f.type, doc[f.name]
+        if type(None) in typing.get_args(kind):
+            if value is None:
+                kwargs[f.name] = None
+                continue
+            (kind,) = set(typing.get_args(kind)) - {type(None)}
+        if kind is object:
+            # a flexcode backend: the class its backend_kind names, whose
+            # basis rows a version-3 file rebuilds from the training responses
+            kind = BACKENDS[doc["backend_kind"]]
+            if doc.get("train_z") is not None:
+                value = {**value, "train_phi": basis_matrix(
+                    kwargs["basis"], doc["train_z"], kwargs["i_max"])}
         if dataclasses.is_dataclass(kind):
             value = decode(kind, value)
         elif kind is np.ndarray:
@@ -143,7 +182,7 @@ def load_model(path):
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise DataError(f"model file {path} lacks a format_version field")
     version = doc["format_version"]
-    if version not in (1, FORMAT_VERSION):
+    if version not in range(1, FORMAT_VERSION + 1):
         raise DataError(
             f"model file {path} has format_version {version}; "
             f"this build reads versions 1 to {FORMAT_VERSION}"

@@ -162,7 +162,9 @@ def check_training(train_u, targets, target_ndim=2):
 
 
 def check_k(k, n_train):
-    """The neighbor-count rule of knn and NNKCDE: 1 <= k <= n_train."""
+    """The neighbor-count rule of knn and NNKCDE: an integer 1 <= k <= n_train."""
+    if not float(k).is_integer():  # the neighbor means would truncate 2.5 to 2
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n_train:
         raise ValueError(f"k={k} is outside [1, {n_train}]")
 

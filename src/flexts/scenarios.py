@@ -23,10 +23,10 @@ nonlinear_variance
     Y_t = sigma_t e_t with sigma_t = 0.1 if |Y_{t-3}| > 0.5 else 1.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from flexts.errors import DataError
 
@@ -44,6 +44,9 @@ ORDER = 3
 JUMP_SCENARIOS = ("arma_jump", "arma_jump_t")
 JUMP_PROB = 0.05
 T_DOF = 3
+# the t(T_DOF) density's constant, Gamma((v + 1) / 2) / (sqrt(v pi) Gamma(v / 2))
+T_NORM = (math.exp(math.lgamma(0.5 * (T_DOF + 1)) - math.lgamma(0.5 * T_DOF))
+          / math.sqrt(T_DOF * math.pi))
 
 AR_COEFFS = (0.2, 0.3, 0.35)
 ARMA_COEFFS = (0.1, 0.4, 0.4)
@@ -102,7 +105,8 @@ def _innovations(name, rng, size):
 
 def _innovation_pdf(name, x, loc, scale):
     if name == "arma_jump_t":
-        return stats.t.pdf(x, T_DOF, loc=loc, scale=scale)
+        z = (x - loc) / scale
+        return T_NORM / scale * (1.0 + z * z / T_DOF) ** (-0.5 * (T_DOF + 1))
     z = (x - loc) / scale
     return np.exp(-0.5 * z * z) / (scale * np.sqrt(2.0 * np.pi))
 

@@ -1,12 +1,14 @@
-"""Version-1 model files for the persistence tests, and the fits behind them.
+"""Model files of older format versions for the persistence tests, and the fits behind them.
 
 ``fit_models`` fits one small model per method and per flexcode backend.
-The files in ``tests/data/v1/`` hold those fits as a format-version-1
+The files in ``tests/data/v<N>/`` hold those fits as a format-version-N
 build of flexts saved them; the tests load them with the current code
-and compare against a fresh ``fit_models``. To rewrite the files, run
-this script with a version-1 checkout's sources first on the path:
+and compare against a fresh ``fit_models``. This script writes the
+directory of the format version of the flexts it imports, so to write
+the files of version N, run it with a version-N checkout's sources first
+on the path:
 
-    PYTHONPATH=<version-1 checkout>/src python tests/v1_fixtures.py
+    PYTHONPATH=<version-N checkout>/src python tests/model_fixtures.py
 """
 
 import os
@@ -16,15 +18,21 @@ from flexts.basis import fit_scaler
 from flexts.features import SeriesTable, lag_embed
 from flexts.scenarios import generate
 
-DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "v1")
+NAMES = ("flexcode_nw", "flexcode_knn", "flexcode_lasso", "nnkcde", "garch")
 
-# small i_max and series keep each version-1 file under 40 KB
+# small i_max and series keep each file under 40 KB
 FLEXCODE_CONFIGS = {
     "flexcode_nw": {"backend": "nw", "i_max": 5},
     "flexcode_knn": {"backend": "knn", "basis": "fourier", "i_max": 5,
                      "refit_final": True},
     "flexcode_lasso": {"backend": "lasso", "i_max": 10},
 }
+
+
+def data_dir(version):
+    """The directory of the format-version-``version`` files."""
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                        f"v{version}")
 
 
 def ar_design(n, seed):
@@ -50,10 +58,9 @@ def fit_models():
 
 
 if __name__ == "__main__":
-    if persistence.FORMAT_VERSION != 1:
-        raise SystemExit("this writes version-1 files: run it with a version-1 flexts")
-    os.makedirs(DATA_DIR, exist_ok=True)
+    out_dir = data_dir(persistence.FORMAT_VERSION)
+    os.makedirs(out_dir, exist_ok=True)
     for name, (method, model, _) in fit_models().items():
-        path = os.path.join(DATA_DIR, f"{name}.json")
+        path = os.path.join(out_dir, f"{name}.json")
         persistence.save_model(path, method, model, {"fixture": name})
         print(f"{path}: {os.path.getsize(path)} bytes")

@@ -8,6 +8,7 @@ from flexts import regression
 from flexts.errors import DataError
 from flexts.baselines import (
     GarchModel,
+    NnkcdeModel,
     garch_density_rows,
     garch_filter,
     garch_fit,
@@ -156,6 +157,8 @@ def test_nnkcde_rejects_degenerate_inputs():
     model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3)
     with pytest.raises(DataError):
         model.predict_density(np.zeros(5))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        NnkcdeModel(u_tr, y_tr, k=2.5, h=model.h, lo=-3, hi=3)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flexts.basis import SQRT2, Scaler, basis_function, basis_matrix, fit_scaler
 from flexts.errors import DataError
@@ -121,3 +124,18 @@ def test_density_jacobian_preserves_mass():
     grid_y = np.linspace(s.lo, s.hi, 2001)
     dens_y = 2.0 * s.transform(grid_y) / s.width
     assert np.trapezoid(dens_y, grid_y) == pytest.approx(1.0, abs=1e-8)
+
+
+UNIT_POINTS = arrays(np.float64, st.integers(0, 300),
+                     elements=st.floats(0.0, 1.0, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["cosine", "fourier"]), a=UNIT_POINTS, b=UNIT_POINTS,
+       i_max=st.integers(0, 40))
+def test_basis_rows_do_not_depend_on_their_neighbors(kind, a, b, i_max):
+    # a model file rebuilds refit_final's stacked basis rows from the
+    # concatenated responses, so the two must agree byte for byte
+    whole = basis_matrix(kind, np.concatenate([a, b]), i_max)
+    stacked = np.vstack([basis_matrix(kind, a, i_max), basis_matrix(kind, b, i_max)])
+    assert whole.tobytes() == stacked.tobytes()

@@ -369,6 +369,12 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("model",), "k", 0),
         (knn_doc, ("model", "backend"), "k", n_knn + 1),
         (nw_doc, ("model", "backend"), "delta", -1.0),
+        # the responses the basis rows are rebuilt from
+        (nw_doc, ("model",), "train_z", with_nan(nw_doc["model"]["train_z"])),
+        (nw_doc, ("model",), "train_z", [1.5] + nw_doc["model"]["train_z"][1:]),
+        (nw_doc, ("model",), "train_z", nw_doc["model"]["train_z"][1:]),
+        (nw_doc, ("model",), "train_z", None),  # and no basis rows either
+        (knn_doc, ("model",), "train_z", "abc"),
         (nw_doc, ("model", "backend"), "delta", float("nan")),
         (knn_doc, ("model",), "grid_size", 5),  # breaks the fit's odd, >= 101 rule
         (doc, ("model",), "grid_size", 3),

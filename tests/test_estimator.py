@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from flexts import estimator
 from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
@@ -201,6 +202,26 @@ def test_select_postprocessed_runs():
     )
     assert 0 <= model.i_selected <= 8
     assert np.isfinite(model.diagnostics["val_loss"])
+
+
+def test_a_default_fit_tabulates_no_unread_basis(monkeypatch):
+    calls = []
+    basis_matrix = estimator.basis_matrix
+
+    def counting(kind, z, i_max):
+        calls.append((np.size(z), i_max))
+        return basis_matrix(kind, z, i_max)
+
+    monkeypatch.setattr(estimator, "basis_matrix", counting)
+    design = ar_design(n=600)
+    model = fit(design, config=FitConfig(backend="nw", i_max=8))
+    # the training and validation responses, then the model's grid up to I
+    assert len(calls) == 3
+    assert calls[-1] == (model.grid_size, model.i_selected)
+    calls.clear()
+    # only the grid-form selection loss reads the basis on the grid up to i_max
+    fit(design, config=FitConfig(backend="nw", i_max=8, select_postprocessed=True))
+    assert len(calls) == 4 and (model.grid_size, 8) in calls
 
 
 def test_fit_split_preconditions():

@@ -26,7 +26,7 @@ from flexts.features import SeriesTable, lag_embed
 from flexts.persistence import FORMAT_VERSION, decode, load_model, save_model
 from flexts.regression import BACKEND_KINDS
 from flexts.scenarios import generate
-from v1_fixtures import DATA_DIR, fit_models
+from model_fixtures import NAMES, data_dir, fit_models
 
 
 TAUS = np.linspace(0.05, 0.95, 19)
@@ -129,6 +129,25 @@ def test_saving_twice_gives_identical_bytes(tmp_path):
     save_model(p1, "flexcode", model, metadata={"split": [0.7, 0.1, 0.2]})
     save_model(p2, "flexcode", model, metadata={"split": [0.7, 0.1, 0.2]})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("backend,refit_final",
+                         itertools.product(["nw", "knn"], [False, True]))
+def test_files_keep_responses_and_load_rebuilds_the_basis_rows(tmp_path, backend,
+                                                               refit_final):
+    config = FitConfig(backend=backend, basis="fourier", refit_final=refit_final)
+    model = fit(ar_design(), config=config)
+    path = tmp_path / "m.json"
+    save_model(path, "flexcode", model)
+    body = json.loads(path.read_text())["model"]
+    assert "train_phi" not in body["backend"]
+    n_rows = model.backend.train_phi.shape[0]
+    assert len(body["train_z"]) == len(body["backend"]["train_u"]) == n_rows
+    if refit_final:  # the training rows, then the validation rows kept
+        assert n_rows > model.diagnostics["n_train"]
+    loaded = load_model(path)[1]
+    assert loaded.train_z.tobytes() == model.train_z.tobytes()
+    assert loaded.backend.train_phi.tobytes() == model.backend.train_phi.tobytes()
 
 
 def test_nnkcde_round_trip(tmp_path):
@@ -325,7 +344,7 @@ def test_garch_save_load_is_exact(tmp_path, series, p):
 
 
 @pytest.fixture(scope="module")
-def fresh_v1_fits():
+def fresh_fits():
     with pytest.warns(RuntimeWarning):  # the lasso fit selects I at i_max
         return fit_models()
 
@@ -343,16 +362,30 @@ def predictions(method, model, rows):
     return b"".join(a.tobytes() for a in garch_filter(model, rows))
 
 
-@pytest.mark.parametrize(
-    "name", ["flexcode_nw", "flexcode_knn", "flexcode_lasso", "nnkcde", "garch"]
-)
-def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_v1_fits, name):
-    path = os.path.join(DATA_DIR, f"{name}.json")
+@pytest.mark.parametrize("name", ["flexcode_lasso", "nnkcde", "garch"])
+def test_files_without_basis_rows_change_only_their_version(tmp_path, fresh_fits,
+                                                            name):
+    method, model, _ = fresh_fits[name]
+    path = tmp_path / "m.json"
+    save_model(path, method, model, {"fixture": name})
+    with open(os.path.join(data_dir(2), f"{name}.json")) as fh:
+        old = json.load(fh)
+    assert json.loads(path.read_text()) == {**old, "format_version": FORMAT_VERSION}
+
+
+# the version-1 cases keep their ids; the others are suffixed with their version
+@pytest.mark.parametrize("version,name", [
+    pytest.param(version, name, id=name if version == 1 else f"{name}-v{version}")
+    for version in (1, 2) for name in NAMES
+])
+def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, version,
+                                                  name):
+    path = os.path.join(data_dir(version), f"{name}.json")
     assert os.path.getsize(path) < 40_000
     with open(path) as fh:
-        assert json.load(fh)["format_version"] == 1
+        assert json.load(fh)["format_version"] == version
     method, loaded, meta = load_model(path)
-    fresh_method, fresh, rows = fresh_v1_fits[name]
+    fresh_method, fresh, rows = fresh_fits[name]
     assert (method, meta) == (fresh_method, {"fixture": name})
     assert predictions(method, loaded, rows) == predictions(method, fresh, rows)
     if method == "flexcode":
@@ -369,8 +402,13 @@ def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_v1_fits, name)
         else:
             assert loaded.candidate_losses == fresh.candidate_losses
             assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
-    # saved again, a version-1 model becomes a version-2 file
-    again = tmp_path / "v2.json"
+        # an older file holds the basis rows, not the responses behind them
+        assert loaded.train_z is None
+        if hasattr(fresh.backend, "train_phi"):
+            assert (loaded.backend.train_phi.tobytes()
+                    == fresh.backend.train_phi.tobytes())
+    # saved again, an older model becomes a file of the current version
+    again = tmp_path / "again.json"
     save_model(again, method, loaded)
     with open(again) as fh:
         assert json.load(fh)["format_version"] == FORMAT_VERSION

@@ -83,6 +83,8 @@ def test_models_check_their_training_side_once_when_built():
     for k in (0, len(train_u) + 1):
         with pytest.raises(ValueError, match="outside"):
             regression.KnnModel(train_u, train_phi, k)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        regression.KnnModel(train_u, train_phi, 2.5)  # would predict as k=2
     with pytest.raises(dataclasses.FrozenInstanceError):
         nw.train_u = bad_u
 

@@ -10,7 +10,9 @@ from flexts.scenarios import (
     ARMA_COEFFS,
     JUMP_PROB,
     SCENARIO_NAMES,
+    T_DOF,
     ScenarioSpec,
+    _innovation_pdf,
     density_rows,
     generate,
     simulate,
@@ -119,6 +121,16 @@ def test_true_density_arma_jump_is_two_component_mixture():
         grid, 3, base - 0.3, 0.10
     )
     np.testing.assert_allclose(dens_t, expected_t, rtol=1e-12)
+
+
+def test_t_innovation_density_matches_scipy():
+    rng = np.random.default_rng(4)
+    for loc, scale in [(0.0, 1.0), (0.3, 0.05), (-1.2, 0.1), (5.0, 3.0)]:
+        x = loc + scale * np.concatenate([np.linspace(-1e3, 1e3, 2001),
+                                          rng.standard_t(3, size=500)])
+        np.testing.assert_allclose(_innovation_pdf("arma_jump_t", x, loc, scale),
+                                   stats.t.pdf(x, T_DOF, loc=loc, scale=scale),
+                                   rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
