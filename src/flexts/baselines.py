@@ -186,7 +186,7 @@ def nnkcde_fit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GarchModel:
     """Fitted AR(p)-GARCH(1,1) parameters and the achieved loglik.
 

@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -185,6 +185,8 @@ def _table_from_meta(meta, path):
 
 def _features_from_meta(meta, table, build=lag_embed):
     """Build the fit's features on ``table`` with lag_embed or next_step_covariates."""
+    if "n_lags" not in meta:
+        raise DataError("model metadata lacks the number of lags")
     rolling = [RollingSpec(stat=s, window=int(w)) for s, w in meta.get("rolling", [])]
     return build(
         table,
@@ -308,8 +310,8 @@ def _row_state(model, meta, u, table=None, design=None, rows=None):
         # saved before GARCH models kept a grid: rebuild the one its fit had
         tr, _, _ = temporal_split(design.n_rows, _split_from_meta(meta))
         scaler = fit_scaler(design.y[tr.start : tr.stop], pad=meta.get("pad", 0.05))
-        model.lo, model.hi = scaler.lo, scaler.hi
-        model.grid_size = meta.get("grid_size", 1001)
+        model = replace(model, lo=scaler.lo, hi=scaler.hi,
+                        grid_size=meta.get("grid_size", 1001))
     return model.grid(), state
 
 

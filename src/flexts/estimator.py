@@ -16,7 +16,7 @@ import numpy as np
 
 from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.evaluation import cde_loss_curve_on_basis, cde_loss_from_coeffs, cde_loss_grid
+from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs, cde_loss_grid
 from flexts.features import SplitSpec, temporal_split
 # nw_predict_grid is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prepared
@@ -152,13 +152,14 @@ def _postprocessed_loss_curve(b_hat, grid_y, phi_grid, width, y_va):
 def fit(design, split=SplitSpec(), config=FitConfig()):
     """Fit the estimator on a design matrix with a temporal split.
 
-    Hyperparameter and cutoff are selected jointly: for every candidate
-    in the backend grid the validation loss curve over cutoffs I = 0..i_max
-    is computed, and the (candidate, I) pair with the smallest loss wins.
-    Ties prefer the smaller I, then the earlier candidate. By default
-    the selection loss is the coefficient form on raw expansions;
+    Hyperparameter and cutoff are selected jointly from one table: row c
+    holds candidate c's validation loss at every cutoff I = 0..i_max, and
+    the smallest entry wins. The table is searched I-major, so ties
+    prefer the smaller I, then the earlier candidate. By default the
+    selection loss is the coefficient form on raw expansions;
     ``config.select_postprocessed`` switches to the grid-form loss of
-    clipped, renormalized densities.
+    clipped, renormalized densities (the standard errors stay the
+    coefficient form's).
     """
     tr, va, te = temporal_split(design.n_rows, split)
     if tr.stop - tr.start < 30:
@@ -179,35 +180,23 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     hypers = backend_cls.candidates(config.hyper_grid, u_tr, phi_tr)
     preds, swept = backend_cls.sweep(u_tr, phi_tr, u_va, hypers)
 
-    # the validation responses inside the padded range and their basis, read
-    # by every candidate's loss curve and by refit_final's stacked rows
-    inside = (z_va >= 0.0) & (z_va <= 1.0)
-    phi_va = basis_matrix(config.basis, z_va[inside], config.i_max)
-
+    # (candidates x cutoffs) tables of validation losses and their SEs
+    losses, ses = cde_loss_curve([pred.b_hat for pred in preds], z_va, config.basis)
     if config.select_postprocessed:
         grid_y = np.linspace(scaler.lo, scaler.hi, config.grid_size)
         phi_grid = basis_matrix(config.basis, scaler.transform(grid_y), config.i_max)
-
-    best = None  # (loss, i, candidate_index)
-    curves = []
-    for c, pred in enumerate(preds):
-        losses, ses = cde_loss_curve_on_basis(pred.b_hat, inside, phi_va)
-        if config.select_postprocessed:
-            losses = _postprocessed_loss_curve(
-                pred.b_hat, grid_y, phi_grid, scaler.width, y_va
-            )
-        bad = ~np.isfinite(losses)
-        if bad.any():
-            raise NumericError(
-                f"non-finite validation loss at I={int(np.argmax(bad))} "
-                f"for {config.backend} candidate {hypers[c]!r}"
-            )
-        i_best = int(np.argmin(losses))
-        key = (float(losses[i_best]), i_best, c)
-        curves.append((losses, ses))
-        if best is None or key < best:
-            best = key
-    best_loss, i_selected, c_best = best
+        losses = np.array([
+            _postprocessed_loss_curve(pred.b_hat, grid_y, phi_grid, scaler.width, y_va)
+            for pred in preds
+        ])
+    bad = np.argwhere(~np.isfinite(losses))
+    if bad.size:
+        c, i = bad[0]  # the first bad candidate, then its first bad cutoff
+        raise NumericError(
+            f"non-finite validation loss at I={int(i)} "
+            f"for {config.backend} candidate {hypers[c]!r}"
+        )
+    i_selected, c_best = divmod(int(np.argmin(losses.T)), len(hypers))
 
     if i_selected == config.i_max and config.i_max > 0:
         warnings.warn(
@@ -215,12 +204,14 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
             RuntimeWarning,
         )
 
-    z_fit = z_tr
+    z_fit, n_dropped = z_tr, 0
     if config.refit_final:
         # refit on train+validation rows at the chosen hyperparameter;
         # the scaler stays train-only, so validation responses that fall
         # off the padded range cannot be used as targets and are dropped
-        z_fit = np.concatenate([z_tr, z_va[inside]])
+        inside = (z_va >= 0.0) & (z_va <= 1.0)
+        z_fit, n_dropped = np.concatenate([z_tr, z_va[inside]]), int((~inside).sum())
+        phi_va = basis_matrix(config.basis, z_va[inside], config.i_max)
         u_fit, phi_fit = np.vstack([u_tr, u_va[inside]]), np.vstack([phi_tr, phi_va])
         backend = backend_cls.build(u_fit, phi_fit, hypers[: c_best + 1])
     elif swept is not None:  # the sweep fitted the winner on these rows
@@ -228,7 +219,6 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     else:
         backend = backend_cls.build(u_tr, phi_tr, hypers[: c_best + 1])
 
-    losses, ses = curves[c_best]
     return CoefficientModel(
         scaler=scaler,
         basis=config.basis,
@@ -238,16 +228,16 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
         backend_kind=config.backend,
         hyper=float(hypers[c_best]),
         backend=backend,
-        val_losses=np.asarray(losses),
-        val_std_errors=np.asarray(ses),
+        val_losses=losses[c_best],
+        val_std_errors=ses[c_best],
         candidate_hypers=list(hypers),
-        candidate_losses=[float(c[0][int(np.argmin(c[0]))]) for c in curves],
+        candidate_losses=losses.min(axis=1).tolist(),
         feature_names=list(design.feature_names),
         n_lags=design.n_lags,
         diagnostics={
-            "val_loss": float(best_loss),
+            "val_loss": float(losses[c_best, i_selected]),
             "n_fallback_val": int(preds[c_best].n_fallback),
-            "n_val_dropped_refit": int((~inside).sum()) if config.refit_final else 0,
+            "n_val_dropped_refit": n_dropped,
             "n_train": int(u_tr.shape[0]),
             "n_val": int(u_va.shape[0]),
             "n_test": int(te.stop - te.start),
@@ -352,6 +342,8 @@ def importance(model, u_val=None, y_val=None, n_permutations=5, seed=0):
     """
     if model.backend.scores_from_coefficients:
         return np.abs(model.backend.coef_std[:, : model.i_selected + 1]).mean(axis=1)
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
     if u_val is None or y_val is None:
         raise ValueError(
             f"{model.backend_kind} importance is permutation-based and "

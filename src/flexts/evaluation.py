@@ -72,29 +72,34 @@ def cde_loss_from_coeffs(b_hat, eval_z, i_cut, kind="cosine"):
 def cde_loss_curve(b_hat, eval_z, kind="cosine"):
     """Coefficient-form loss at every cutoff I = 0..i_max at once.
 
-    Returns (losses, std_errors), each of length b_hat.shape[1]. Running
-    sums over the coefficient index make the whole curve as cheap as the
-    largest single cutoff; entry I matches cde_loss_from_coeffs at I.
+    ``b_hat`` is one (n, i_max+1) prediction or a sequence of them, all
+    for the responses ``eval_z``, whose basis is tabulated once. Returns
+    (losses, std_errors): a curve over I for one prediction, one row per
+    prediction for a sequence. Running sums over the coefficient index
+    make a curve as cheap as its largest cutoff; entry I matches
+    cde_loss_from_coeffs at I.
     """
-    b_hat = np.asarray(b_hat, dtype=float)
+    single = getattr(b_hat, "ndim", None) == 2
+    preds = [np.asarray(b, dtype=float) for b in ([b_hat] if single else b_hat)]
     eval_z = np.asarray(eval_z, dtype=float)
-    if b_hat.ndim != 2 or b_hat.shape[0] != eval_z.shape[0]:
-        raise ValueError("b_hat rows must match eval_z length")
+    shape = preds[0].shape if preds else ()
+    alike = all(b.shape == shape for b in preds)
+    if len(shape) != 2 or shape[0] != eval_z.shape[0] or not alike:
+        raise ValueError("b_hat rows must match eval_z length, alike for every b_hat")
+    n, n_coef = shape
     inside = (eval_z >= 0.0) & (eval_z <= 1.0)
-    phi = basis_matrix(kind, eval_z[inside], b_hat.shape[1] - 1)
-    return cde_loss_curve_on_basis(b_hat, inside, phi)
-
-
-def cde_loss_curve_on_basis(b_hat, inside, phi):
-    """cde_loss_curve on a basis tabulated once for many b_hat: ``phi`` is
-    the basis 0..b_hat.shape[1]-1 at the responses flagged ``inside`` [0, 1]."""
-    n, n_coef = b_hat.shape
-    sq_cum = np.cumsum(b_hat * b_hat, axis=1)
+    phi = basis_matrix(kind, eval_z[inside], n_coef - 1)
+    losses, ses = np.empty((len(preds), n_coef)), np.zeros((len(preds), n_coef))
     cross_cum = np.zeros((n, n_coef))
-    cross_cum[inside] = np.cumsum(b_hat[inside] * phi, axis=1)
-    contrib = sq_cum - 2.0 * cross_cum
-    ses = np.zeros(n_coef) if n < 2 else contrib.std(axis=0, ddof=1) / np.sqrt(n)
-    return contrib.mean(axis=0), ses
+    # one prediction at a time: a stacked (k, n, I+1) pass is slower (cache misses)
+    for c, b in enumerate(preds):
+        sq_cum = np.cumsum(b * b, axis=1)
+        cross_cum[inside] = np.cumsum(b[inside] * phi, axis=1)
+        contrib = sq_cum - 2.0 * cross_cum
+        losses[c] = contrib.mean(axis=0)
+        if n >= 2:
+            ses[c] = contrib.std(axis=0, ddof=1) / np.sqrt(n)
+    return (losses[0], ses[0]) if single else (losses, ses)
 
 
 def interp_rows(grid, densities, points):

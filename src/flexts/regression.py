@@ -573,7 +573,7 @@ def soft_threshold(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LassoModel:
     """Per-target linear fits sharing one covariate standardization.
 

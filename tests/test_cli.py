@@ -263,6 +263,22 @@ def test_evaluate_custom_quantiles(tmp_path, fitted_trio):
     assert header[-1] == "pinball_0.5"
 
 
+def test_model_files_without_feature_metadata_are_data_errors(tmp_path,
+                                                              fitted_trio, capsys):
+    data, models = fitted_trio
+    doc = json.loads(Path(models["flexcode"]).read_text())
+    bad = tmp_path / "bad.json"
+    for key in ("target", "n_lags"):
+        edited = copy.deepcopy(doc)
+        del edited["metadata"][key]
+        bad.write_text(json.dumps(edited))
+        for argv in (["evaluate", "--model", bad, "-o", tmp_path / "e.csv"],
+                     ["predict", "--model", bad, "-o", tmp_path / "p.csv"]):
+            code, _, err = run([*argv, "--input", data], capsys)
+            assert code == 3, (key, argv[0])
+            assert "model metadata lacks" in err
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -594,6 +610,17 @@ def test_importance_permutation_needs_input(tmp_path):
     out = tmp_path / "imp.csv"
     assert run(["importance", "--model", model, "-o", out]) == 2
     assert run(["importance", "--model", model, "--input", data, "-o", out]) == 0
+
+
+def test_importance_needs_a_permutation(tmp_path, capsys):
+    data = simulate(tmp_path)
+    model = fit(tmp_path, data, extra=("--backend", "nw",))
+    out = tmp_path / "imp.csv"
+    for n in (0, -2):
+        code, _, err = run(["importance", "--model", model, "--input", data,
+                            "--n-permutations", n, "-o", out], capsys)
+        assert code == 2 and "n_permutations must be >= 1" in err
+    assert not out.exists()
 
 
 def test_importance_rejects_non_flexcode_models(tmp_path, fitted_trio):

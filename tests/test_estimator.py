@@ -1,12 +1,14 @@
 """Fitting, selection, prediction, and importance for the density estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flexts import estimator
+from flexts import estimator, evaluation
 from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
@@ -25,7 +27,7 @@ from flexts.estimator import (
 )
 from flexts.evaluation import cde_loss_from_coeffs
 from flexts.features import DesignMatrix, SeriesTable, SplitSpec, lag_embed
-from flexts.regression import CoefficientPredictions, LassoModel
+from flexts.regression import BACKENDS, CoefficientPredictions, LassoModel
 from flexts.scenarios import generate
 
 
@@ -212,7 +214,9 @@ def test_a_default_fit_tabulates_no_unread_basis(monkeypatch):
         calls.append((np.size(z), i_max))
         return basis_matrix(kind, z, i_max)
 
+    # the validation basis is tabulated in evaluation.cde_loss_curve, the rest here
     monkeypatch.setattr(estimator, "basis_matrix", counting)
+    monkeypatch.setattr(evaluation, "basis_matrix", counting)
     design = ar_design(n=600)
     model = fit(design, config=FitConfig(backend="nw", i_max=8))
     # the training and validation responses, then the model's grid up to I
@@ -222,6 +226,68 @@ def test_a_default_fit_tabulates_no_unread_basis(monkeypatch):
     # only the grid-form selection loss reads the basis on the grid up to i_max
     fit(design, config=FitConfig(backend="nw", i_max=8, select_postprocessed=True))
     assert len(calls) == 4 and (model.grid_size, 8) in calls
+
+
+def spy_on_sweep(monkeypatch, backend, edit=lambda c, b_hat: b_hat):
+    """Record (hypers, validation predictions) of a backend's sweep; ``edit``
+    may replace candidate c's coefficients before fit scores them."""
+    cls, seen = BACKENDS[backend], []
+    sweep = cls.sweep
+
+    def spy(train_u, train_phi, eval_u, hypers):
+        preds, swept = sweep(train_u, train_phi, eval_u, hypers)
+        preds = [CoefficientPredictions(edit(c, p.b_hat.copy()), p.n_fallback)
+                 for c, p in enumerate(preds)]
+        seen.append((list(hypers), preds))
+        return preds, swept
+
+    monkeypatch.setattr(cls, "sweep", staticmethod(spy))
+    return seen
+
+
+def test_a_non_finite_loss_names_the_first_bad_candidate_and_cutoff(monkeypatch):
+    def poison(c, b_hat):
+        if c in (1, 2):  # candidate 2 turns bad at a smaller I, but later in the grid
+            b_hat[:, 5 - 2 * (c - 1):] = np.nan
+        return b_hat
+
+    seen = spy_on_sweep(monkeypatch, "knn", poison)
+    with pytest.raises(NumericError) as err:
+        fit(ar_design(n=600), config=FitConfig(backend="knn", hyper_grid=(5, 10, 20)))
+    hypers = seen[0][0]
+    assert str(err.value) == (
+        f"non-finite validation loss at I=5 for knn candidate {hypers[1]!r}"
+    )
+
+
+@pytest.mark.parametrize("backend", ["nw", "knn", "lasso"])
+@pytest.mark.parametrize("tie", [False, True])
+def test_fit_picks_the_brute_force_minimum(monkeypatch, backend, tie):
+    # with the tie, every expansion stops after I=2: the losses at I=2..6 are
+    # equal in both forms (fewer than 8 terms sum in order), so I=2 must win
+    def flatten(c, b_hat):
+        if tie:
+            b_hat[:, 3:] = 0.0
+        return b_hat
+
+    seen = spy_on_sweep(monkeypatch, backend, flatten)
+    design = ar_design(n=600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # I may reach i_max
+        model = fit(design, config=FitConfig(backend=backend, i_max=6))
+    hypers, preds = seen[0]
+    n_tr, n_va = model.diagnostics["n_train"], model.diagnostics["n_val"]
+    z_va = model.scaler.transform(design.y[n_tr : n_tr + n_va])
+    ref = np.array([[cde_loss_from_coeffs(p.b_hat, z_va, i).loss for i in range(7)]
+                    for p in preds])
+    loss, i_best, c_best = min((ref[c, i], i, c) for c in range(len(hypers))
+                               for i in range(7))
+    assert (model.hyper, model.i_selected) == (float(hypers[c_best]), i_best)
+    assert model.diagnostics["val_loss"] == pytest.approx(loss, abs=1e-12)
+    np.testing.assert_allclose(model.candidate_losses, ref.min(axis=1),
+                               rtol=0, atol=1e-12)
+    if tie:
+        assert i_best == 2 and ref[c_best, 3] == loss
 
 
 def test_fit_split_preconditions():
@@ -398,6 +464,17 @@ def test_permutation_importance_requires_data():
     model = fit(ar_design(n=400))
     with pytest.raises(ValueError):
         importance(model)
+
+
+def test_permutation_importance_needs_a_permutation():
+    design = ar_design(n=400)
+    model = fit(design)
+    val = slice(model.diagnostics["n_train"], None)
+    for n_permutations in (0, -2):
+        with pytest.raises(ValueError, match="n_permutations must be >= 1"):
+            importance(model, design.u[val], design.y[val], n_permutations)
+    lasso = fit(design, config=FitConfig(backend="lasso"))
+    assert importance(lasso, n_permutations=0).shape == (3,)  # reads no permutations
 
 
 def test_fit_accepts_handbuilt_design():

@@ -123,6 +123,14 @@ def test_forecasts_reuse_what_the_loaded_model_prepared(tmp_path, monkeypatch):
     assert again.density.tobytes() == first.density.tobytes()
 
 
+def test_every_fitted_model_is_frozen():
+    for _, model, _ in fit_models().values():
+        for obj in (model, getattr(model, "backend", model)):
+            field = dataclasses.fields(obj)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
+
+
 def test_saving_twice_gives_identical_bytes(tmp_path):
     model = fit(ar_design(), config=FitConfig(backend="knn"))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
