@@ -145,7 +145,7 @@ def fit_scaler(y_train, pad=0.05):
         raise ValueError("cannot fit scaler on empty training responses")
     if not np.all(np.isfinite(y_train)):
         raise ValueError("training responses contain non-finite values")
-    if pad < 0:
+    if not pad >= 0:  # NaN too
         raise ValueError(f"pad must be nonnegative, got {pad}")
     y_min = float(y_train.min())
     y_max = float(y_train.max())

@@ -347,7 +347,6 @@ def cmd_fit(args):
     model, _, _, report = _fit(
         args.method, meta, table, design, backend=args.backend, grids=grids,
         basis=args.basis, i_max=args.i_max, refit_final=args.refit_final,
-        select_postprocessed=args.select_postprocessed,
     )
     for line in report:
         print(line)
@@ -445,12 +444,15 @@ def cmd_predict(args):
             label = f"design row {row}"
 
     grid_y, state = _row_state(model, meta, u, table, design, rows)
-    dens = model.density_rows(state, grid_y)[0]
+    if method == "flexcode":  # tabulated once: the density and its raw expansion
+        batch = estimator.tabulate_density(model, state, grid_y)
+        dens = batch.density[0]
+    else:
+        batch, dens = None, model.density_rows(state, grid_y)[0]
     if taus is not None:
         q = estimator.quantiles_from_grid_density(grid_y, dens, taus)
         write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-    elif method == "flexcode":  # the expansion before clipping is a third column
-        batch = estimator.tabulate_density(model, state, grid_y)
+    elif batch is not None:  # the expansion before clipping is a third column
         write_csv(args.output, ["y", "density", "raw_density"],
                   list(zip(grid_y, dens, batch.raw_density[0])))
         if batch.degenerate[0]:
@@ -702,7 +704,6 @@ def build_parser():
     p_fit.add_argument("--grid-size", type=int, default=1001)
     p_fit.add_argument("--pad", type=float, default=0.05)
     p_fit.add_argument("--refit-final", action="store_true")
-    p_fit.add_argument("--select-postprocessed", action="store_true")
     p_fit.add_argument("-o", "--output", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

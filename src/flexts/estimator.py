@@ -16,7 +16,7 @@ import numpy as np
 
 from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs, cde_loss_grid
+from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs
 from flexts.features import SplitSpec, temporal_split
 # nw_predict_grid is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prepared
@@ -24,7 +24,14 @@ from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prep
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Estimator settings; hyper_grid=None means backend defaults."""
+    """Estimator settings; hyper_grid=None means backend defaults.
+
+    A fit selects (hyperparameter, I <= i_max) by one loss, the
+    coefficient-form validation loss of the raw expansions, from a
+    (candidates x cutoffs) table whose ties go to the smaller I, then the
+    earlier candidate (see ``fit``). ``refit_final`` refits the winner on
+    the train+validation rows.
+    """
 
     basis: str = "cosine"
     i_max: int = 30
@@ -33,7 +40,6 @@ class FitConfig:
     grid_size: int = 1001
     pad: float = 0.05
     refit_final: bool = False
-    select_postprocessed: bool = False
 
     def __post_init__(self):
         if self.basis not in BASIS_KINDS:
@@ -137,29 +143,16 @@ def renormalize_rows(density, grid_y):
     return out, degenerate
 
 
-def _postprocessed_loss_curve(b_hat, grid_y, phi_grid, width, y_va):
-    """Grid-form validation loss of post-processed densities at each cutoff."""
-    n_coef = b_hat.shape[1]
-    losses = np.empty(n_coef)
-    raw = np.zeros((b_hat.shape[0], grid_y.size))
-    for i in range(n_coef):
-        raw += np.outer(b_hat[:, i], phi_grid[:, i]) / width
-        density, _ = renormalize_rows(np.maximum(raw, 0.0), grid_y)
-        losses[i] = cde_loss_grid(grid_y, density, y_va).loss
-    return losses
-
-
 def fit(design, split=SplitSpec(), config=FitConfig()):
     """Fit the estimator on a design matrix with a temporal split.
 
     Hyperparameter and cutoff are selected jointly from one table: row c
     holds candidate c's validation loss at every cutoff I = 0..i_max, and
     the smallest entry wins. The table is searched I-major, so ties
-    prefer the smaller I, then the earlier candidate. By default the
-    selection loss is the coefficient form on raw expansions;
-    ``config.select_postprocessed`` switches to the grid-form loss of
-    clipped, renormalized densities (the standard errors stay the
-    coefficient form's).
+    prefer the smaller I, then the earlier candidate. The loss is the
+    coefficient form on the raw expansions, so the table needs no
+    response grid; ``val_losses`` and ``val_std_errors`` are the
+    winner's row of it and of its standard errors.
     """
     tr, va, te = temporal_split(design.n_rows, split)
     if tr.stop - tr.start < 30:
@@ -182,13 +175,6 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
 
     # (candidates x cutoffs) tables of validation losses and their SEs
     losses, ses = cde_loss_curve([pred.b_hat for pred in preds], z_va, config.basis)
-    if config.select_postprocessed:
-        grid_y = np.linspace(scaler.lo, scaler.hi, config.grid_size)
-        phi_grid = basis_matrix(config.basis, scaler.transform(grid_y), config.i_max)
-        losses = np.array([
-            _postprocessed_loss_curve(pred.b_hat, grid_y, phi_grid, scaler.width, y_va)
-            for pred in preds
-        ])
     bad = np.argwhere(~np.isfinite(losses))
     if bad.size:
         c, i = bad[0]  # the first bad candidate, then its first bad cutoff

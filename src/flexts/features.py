@@ -211,9 +211,10 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        # written so that a NaN fraction fails both tests
+        if not all(f > 0 for f in fracs):
             raise ValueError(f"split fractions must all be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-8:
+        if not abs(sum(fracs) - 1.0) <= 1e-8:
             raise ValueError(f"split fractions must sum to 1, got {fracs}")
 
     @classmethod

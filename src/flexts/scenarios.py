@@ -52,6 +52,12 @@ AR_COEFFS = (0.2, 0.3, 0.35)
 ARMA_COEFFS = (0.1, 0.4, 0.4)
 
 
+def check_sigma_nm(sigma_nm):
+    """The rule for nonlinear_mean's noise scale: positive and finite (not NaN)."""
+    if not 0.0 < sigma_nm < math.inf:
+        raise ValueError(f"sigma_nm must be positive and finite, got {sigma_nm}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """What to simulate: scenario name, length, seed, and knobs."""
@@ -71,8 +77,7 @@ class ScenarioSpec:
             raise ValueError(f"scenario length must be >= 100, got {self.n}")
         if self.burn_in < 100:
             raise ValueError(f"burn-in must be >= 100, got {self.burn_in}")
-        if self.sigma_nm <= 0:
-            raise ValueError(f"sigma_nm must be positive, got {self.sigma_nm}")
+        check_sigma_nm(self.sigma_nm)
 
 
 @dataclass
@@ -156,6 +161,7 @@ def true_density(name, u, grid_y, sigma_nm=0.5):
         raise ValueError(
             f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}"
         )
+    check_sigma_nm(sigma_nm)
     u = np.asarray(u, dtype=float).ravel()
     if u.size < ORDER:
         raise DataError(

@@ -93,6 +93,8 @@ def test_fit_scaler_rejects_bad_inputs():
         fit_scaler([0.0, np.nan], pad=0.05)
     with pytest.raises(ValueError):
         fit_scaler([0.0, 1.0], pad=-0.1)
+    with pytest.raises(ValueError, match="pad must be nonnegative"):
+        fit_scaler([0.0, 1.0], pad=np.nan)
     with pytest.raises(ValueError):
         Scaler(lo=1.0, hi=1.0, pad=0.0)
 

@@ -95,6 +95,16 @@ def test_simulate_unknown_scenario_exit_code(tmp_path):
                 "-o", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("sigma_nm", ["0", "-0.5", "nan", "inf"])
+def test_simulate_checks_sigma_nm(tmp_path, capsys, sigma_nm):
+    out = tmp_path / "x.csv"
+    code, _, err = run(["simulate", "--scenario", "nonlinear_mean", "--n", 200,
+                        "--sigma-nm", sigma_nm, "-o", out], capsys)
+    assert code == 2
+    assert "sigma_nm must be positive and finite" in err
+    assert not out.exists()
+
+
 def test_csv_round_trip_is_value_identical(tmp_path):
     src = simulate(tmp_path, n=200)
     cols = cli.read_series_csv(src, "y")
@@ -247,6 +257,21 @@ def test_evaluate_one_row_per_method(tmp_path, fitted_trio):
         assert np.isfinite(float(r[6]))
 
 
+def test_evaluate_checks_the_oracle_sigma_nm(tmp_path, capsys):
+    data = simulate(tmp_path, name="nonlinear_mean", n=600)
+    model = fit(tmp_path, data, extra=("--backend", "knn"))
+    out = tmp_path / "e.csv"
+    argv = ["evaluate", "--input", data, "--model", model,
+            "--oracle-scenario", "nonlinear_mean", "-o", out]
+    for sigma_nm in ("0", "nan", "-0.5"):
+        code, _, err = run([*argv, "--sigma-nm", sigma_nm], capsys)
+        assert code == 2, sigma_nm
+        assert "sigma_nm must be positive and finite" in err
+        assert not out.exists()
+    assert run([*argv, "--sigma-nm", "0.5"]) == 0
+    assert np.isfinite(float(read_rows(out)[1][6]))
+
+
 def test_evaluate_quantile_levels_validated(tmp_path, fitted_trio):
     data, models = fitted_trio
     code = run(["evaluate", "--input", data, "--model", models["flexcode"],
@@ -284,11 +309,16 @@ def test_model_files_without_feature_metadata_are_data_errors(tmp_path,
 # ---------------------------------------------------------------------------
 
 
-def test_predict_density_from_covariates(tmp_path, fitted_trio):
+def test_predict_density_from_covariates(tmp_path, fitted_trio, monkeypatch):
     _, models = fitted_trio
     out = tmp_path / "dens.csv"
+    calls = []
+    tabulate = estimator.tabulate_density
+    monkeypatch.setattr(estimator, "tabulate_density",
+                        lambda *args: calls.append(1) or tabulate(*args))
     assert run(["predict", "--model", models["flexcode"], "--u", "0.1,0.2,0.0",
                 "-o", out]) == 0
+    assert len(calls) == 1  # the density and its raw expansion from one batch
     rows = read_rows(out)
     assert rows[0] == ["y", "density", "raw_density"]
     grid = np.array([float(r[0]) for r in rows[1:]])
@@ -399,6 +429,7 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("metadata",), "n_lags", "x"),
         (doc, ("metadata",), "split", [0.5]),
         (doc, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
+        (doc, ("metadata",), "split", [0.5, 0.5, float("nan")]),
         (doc, ("metadata",), "n_lags", 0),
         (doc, ("metadata",), "rolling", [["mean", 3, 4]]),
         (doc, ("metadata",), "rolling", [["median", 3]]),
@@ -511,7 +542,8 @@ def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):
 # usage errors of one method's fit: a NaN penalty, a grid flag it does not read
 FIT_USAGE_ERRORS = {
     "flexcode": [(("--backend", "lasso", "--lam", "nan"), "lam must be nonnegative"),
-                 (("--backend", "knn", "--delta", 0.5), "--delta is not a grid")],
+                 (("--backend", "knn", "--delta", 0.5), "--delta is not a grid"),
+                 (("--select-postprocessed",), "unrecognized arguments")],
     "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)")],
     "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)")],
 }
@@ -524,6 +556,9 @@ def test_fit_checks_the_response_grid(tmp_path, capsys, method):
     for flags, message in [(("--grid-size", 4), "grid_size must be odd and >= 101"),
                            (("--grid-size", 1000), "grid_size must be odd"),
                            (("--pad", -0.5), "pad must be nonnegative"),
+                           (("--pad", "nan"), "pad must be nonnegative"),
+                           (("--split", "0.5,0.5,nan"), "must all be positive"),
+                           (("--split", "0.5,nan,0.5"), "must all be positive"),
                            *FIT_USAGE_ERRORS[method]]:
         code, _, err = run(["fit", "--input", data, "--method", method, *flags,
                             "-o", out], capsys)
@@ -698,6 +733,7 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "scenarios": "ar"}, "'scenarios' must be a list of str"),
         ({**base, "sizes": 300}, "'sizes' must be a list of int"),
         ({**base, "split": [0.6, 0.2]}, "'split' needs three fractions"),
+        ({**base, "split": [0.5, 0.5, float("nan")]}, "must all be positive"),
         ({**base, "i_max": "abc"}, "'i_max' must be int"),
         ({**base, "oracle": "false"}, "'oracle' must be bool"),  # a true string
         ({**base, "output": None}, "'output' must be str"),  # not a file "None"

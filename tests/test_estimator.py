@@ -197,15 +197,6 @@ def test_refit_final_absorbs_validation_rows():
     assert np.all(np.isfinite(batch.density))
 
 
-def test_select_postprocessed_runs():
-    model = fit(
-        ar_design(n=600),
-        config=FitConfig(backend="nw", i_max=8, select_postprocessed=True),
-    )
-    assert 0 <= model.i_selected <= 8
-    assert np.isfinite(model.diagnostics["val_loss"])
-
-
 def test_a_default_fit_tabulates_no_unread_basis(monkeypatch):
     calls = []
     basis_matrix = estimator.basis_matrix
@@ -222,10 +213,6 @@ def test_a_default_fit_tabulates_no_unread_basis(monkeypatch):
     # the training and validation responses, then the model's grid up to I
     assert len(calls) == 3
     assert calls[-1] == (model.grid_size, model.i_selected)
-    calls.clear()
-    # only the grid-form selection loss reads the basis on the grid up to i_max
-    fit(design, config=FitConfig(backend="nw", i_max=8, select_postprocessed=True))
-    assert len(calls) == 4 and (model.grid_size, 8) in calls
 
 
 def spy_on_sweep(monkeypatch, backend, edit=lambda c, b_hat: b_hat):

@@ -183,3 +183,6 @@ def test_split_spec_validation():
         SplitSpec(0.8, 0.0, 0.2)
     with pytest.raises(ValueError):
         SplitSpec(0.5, 0.2, 0.2)
+    for fracs in [(0.5, 0.5, np.nan), (np.nan, 0.5, 0.5), (0.5, np.inf, 0.5)]:
+        with pytest.raises(ValueError):
+            SplitSpec(*fracs)

@@ -161,6 +161,15 @@ def test_true_density_needs_three_lags():
         true_density("garch", [0.0, 0.0, 0.0], np.linspace(-1, 1, 5))
 
 
+@pytest.mark.parametrize("sigma_nm", [0.0, -0.5, float("nan"), float("inf")])
+def test_spec_and_oracle_share_the_sigma_nm_rule(sigma_nm):
+    with pytest.raises(ValueError, match="sigma_nm must be positive and finite"):
+        ScenarioSpec(name="nonlinear_mean", n=200, seed=0, sigma_nm=sigma_nm)
+    with pytest.raises(ValueError, match="sigma_nm must be positive and finite"):
+        density_rows("nonlinear_mean", np.zeros((2, 3)), np.linspace(-1, 1, 5),
+                     sigma_nm=sigma_nm)
+
+
 def test_density_rows_stacks_per_row():
     rng = np.random.default_rng(9)
     u_rows = rng.normal(size=(6, 3))
