@@ -15,14 +15,19 @@ innovations fit by Gaussian quasi-maximum-likelihood:
 The optimizer is Nelder-Mead on an unconstrained reparameterization
 (log omega; a softmax puts (alpha, beta) inside the stationarity
 triangle), run from a small set of fixed starting points.
+
+Only the GARCH code loads ``scipy.optimize`` and ``scipy.signal``, on
+first use: ``garch_fit`` imports ``minimize`` once its input checks
+pass, and ``_variance_recursion`` (under ``garch_fit``, ``garch_filter``
+and ``garch_forecast``) imports ``lfilter``. Importing this module, or
+the CLI, loads neither, nor the ``scipy.stats`` that ``scipy.signal``
+pulls in.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from flexts.basis import check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
@@ -41,6 +46,7 @@ from flexts.regression import (
 )
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+LOG_2PI = np.log(2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +262,16 @@ PERSISTENCE_CAP = 0.999
 
 
 def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _unpack(theta, p):
     """Map unconstrained parameters to (c, ar, omega, alpha, beta).
 
     omega = exp(.); logistic maps put alpha+beta in (0, PERSISTENCE_CAP)
-    and split it between alpha and beta.
+    and split it between alpha and beta. A logistic argument below about
+    -709 overflows exp to inf, which maps exactly to 0; ``garch_fit``
+    runs the optimizer under ``np.errstate(over="ignore")`` for that.
     """
     c = theta[0]
     ar = theta[1 : 1 + p]
@@ -280,21 +287,31 @@ def _variance_recursion(eps, omega, alpha, beta, s2_init):
     The linear recursion is an IIR filter in beta driven by
     omega + alpha*eps^2, evaluated exactly by lfilter.
     """
+    # deferred: scipy.signal (and the scipy.stats it loads) only for GARCH
+    from scipy.signal import lfilter
+
     driver = np.empty(eps.shape[0])
     driver[0] = s2_init
-    driver[1:] = omega + alpha * eps[:-1] ** 2
+    rest = driver[1:]
+    np.square(eps[:-1], out=rest)
+    rest *= alpha
+    rest += omega
     return lfilter([1.0], [1.0, -beta], driver)
 
 
-def garch_negloglik(theta, y, p, s2_init):
-    """Negative Gaussian log-likelihood in unconstrained parameters."""
-    c, ar, omega, alpha, beta = _unpack(theta, p)
-    lags = _lag_matrix(y, p)
-    eps = y[p:] - c - lags @ ar
+def garch_negloglik(theta, target, lags, s2_init):
+    """Negative Gaussian log-likelihood in unconstrained parameters.
+
+    ``target`` is the fitted responses y[p:] and ``lags`` their
+    ``_lag_matrix(y, p)``, both built once per fit. Non-finite or
+    nonpositive variances, and a non-finite loglik, give inf.
+    """
+    c, ar, omega, alpha, beta = _unpack(theta, lags.shape[1])
+    eps = target - c - lags @ ar
     s2 = _variance_recursion(eps, omega, alpha, beta, s2_init)
-    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0.0):
+    if not s2.min() > 0.0:  # NaN fails too; +inf ends as a non-finite ll
         return np.inf
-    ll = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + eps * eps / s2)
+    ll = -0.5 * np.sum(LOG_2PI + np.log(s2) + eps * eps / s2)
     return -ll if np.isfinite(ll) else np.inf
 
 
@@ -345,23 +362,27 @@ def garch_fit(y, p, pad=0.05, grid_size=1001):
         raise DataError("constant series; garch variance is unidentified")
     check_grid_size(grid_size)
     scaler = fit_scaler(y[p:], pad)
+    # deferred: scipy.optimize only for GARCH, and after the input checks
+    from scipy.optimize import minimize
 
     starts, s2_init = garch_starting_points(y, p)
+    likelihood_args = (y[p:], _lag_matrix(y, p), s2_init)
     best_res = None
-    for theta0 in starts:
-        res = minimize(
-            garch_negloglik,
-            theta0,
-            args=(y, p, s2_init),
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-8},
-        )
-        if np.isfinite(res.fun) and (best_res is None or res.fun < best_res.fun):
-            best_res = res
-    if best_res is None:
-        raise NumericError("garch likelihood non-finite at every starting point")
-
-    c, ar, omega, alpha, beta = _unpack(best_res.x, p)
+    # far-out logistic arguments overflow exp; they map exactly to 0 or 1
+    with np.errstate(over="ignore"):
+        for theta0 in starts:
+            res = minimize(
+                garch_negloglik,
+                theta0,
+                args=likelihood_args,
+                method="Nelder-Mead",
+                options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-8},
+            )
+            if np.isfinite(res.fun) and (best_res is None or res.fun < best_res.fun):
+                best_res = res
+        if best_res is None:
+            raise NumericError("garch likelihood non-finite at every starting point")
+        c, ar, omega, alpha, beta = _unpack(best_res.x, p)
     if np.abs(ar).sum() >= 1.0:
         warnings.warn(
             f"sum of AR coefficient magnitudes is {np.abs(ar).sum():.3f} >= 1; "

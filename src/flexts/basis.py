@@ -132,6 +132,12 @@ def check_grid_size(grid_size):
         raise ValueError(f"grid_size must be odd and >= 101, got {grid_size}")
 
 
+def check_pad(pad):
+    """The scaler's padding rule: nonnegative (NaN is not)."""
+    if not pad >= 0:
+        raise ValueError(f"pad must be nonnegative, got {pad}")
+
+
 def fit_scaler(y_train, pad=0.05):
     """Fit the affine response scaler on training responses.
 
@@ -145,8 +151,7 @@ def fit_scaler(y_train, pad=0.05):
         raise ValueError("cannot fit scaler on empty training responses")
     if not np.all(np.isfinite(y_train)):
         raise ValueError("training responses contain non-finite values")
-    if not pad >= 0:  # NaN too
-        raise ValueError(f"pad must be nonnegative, got {pad}")
+    check_pad(pad)
     y_min = float(y_train.min())
     y_max = float(y_train.max())
     rng = y_max - y_min

@@ -25,7 +25,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, replace
 import numpy as np
 
 from flexts import baselines, estimator, persistence, scenarios
-from flexts.basis import BASIS_KINDS, fit_scaler
+from flexts.basis import BASIS_KINDS, check_pad, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_grid, oracle_cde_loss, pinball_loss
 from flexts.features import (
@@ -503,7 +503,11 @@ ORACLE_GRID_SIZE = 2001
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Bench settings: the keys a --config JSON object may hold, typed, with defaults."""
+    """Bench settings: the keys a --config JSON object may hold, typed, with defaults.
+
+    Building one checks the split, the names and the numeric settings by
+    the fit's rules, so a bad value fails before any cell runs.
+    """
 
     scenarios: list[str] = field(default_factory=lambda: ["ar"])
     sizes: list[int] = field(default_factory=lambda: [1000])
@@ -523,6 +527,10 @@ class BenchConfig:
 
     def __post_init__(self):
         SplitSpec.from_list(self.split)
+        scenarios.check_sigma_nm(self.sigma_nm)
+        check_pad(self.pad)
+        # i_max and grid_size by the fit's own rules
+        estimator.FitConfig(i_max=self.i_max, grid_size=self.grid_size)
         for name, values, known in [
             ("scenarios", self.scenarios, scenarios.SCENARIO_NAMES),
             ("methods", self.methods, tuple(persistence.METHODS)),

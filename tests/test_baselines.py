@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from flexts import regression
 from flexts.errors import DataError
 from flexts.baselines import (
+    PERSISTENCE_CAP,
     GarchModel,
+    _lag_matrix,
     NnkcdeModel,
     garch_density_rows,
     garch_filter,
@@ -226,8 +228,54 @@ def test_garch_likelihood_beats_every_start():
     y = generate("nonlinear_variance", 1500, 5)
     model = garch_fit(y, p=3)
     starts, s2_init = garch_starting_points(y, 3)
+    likelihood_args = (y[3:], _lag_matrix(y, 3), s2_init)
     for theta0 in starts:
-        assert model.loglik >= -garch_negloglik(theta0, y, 3, s2_init) - 1e-9
+        assert model.loglik >= -garch_negloglik(theta0, *likelihood_args) - 1e-9
+
+
+def reference_negloglik(theta, y, p, s2_init):
+    """The GARCH likelihood as first written, each array built per call."""
+    with np.errstate(over="ignore"):
+        persistence = PERSISTENCE_CAP * (1.0 / (1.0 + np.exp(-theta[2 + p])))
+        mix = 1.0 / (1.0 + np.exp(-theta[3 + p]))
+    c, ar, omega = theta[0], theta[1 : 1 + p], np.exp(theta[1 + p])
+    alpha, beta = persistence * mix, persistence * (1.0 - mix)
+    n = y.shape[0]
+    lags = np.column_stack([y[p - lag : n - lag] for lag in range(1, p + 1)])
+    eps = y[p:] - c - lags @ ar
+    driver = np.empty(eps.shape[0])
+    driver[0] = s2_init
+    driver[1:] = omega + alpha * eps[:-1] ** 2
+    s2 = signal.lfilter([1.0], [1.0, -beta], driver)
+    if not np.all(np.isfinite(s2)) or np.any(s2 <= 0.0):
+        return np.inf
+    ll = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + eps * eps / s2)
+    return -ll if np.isfinite(ll) else np.inf
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_garch_negloglik_keeps_the_bits_of_the_reference(p):
+    y = generate("nonlinear_variance", 1500, 8)
+    starts, s2_init = garch_starting_points(y, p)
+    rng = np.random.default_rng(p)
+    thetas = [t + rng.normal(scale=scale, size=t.shape)
+              for t in starts for scale in (0.0, 1e-3, 0.1, 1.0, 3.0) for _ in range(3)]
+    for k in (p + 2, p + 3):  # logistic arguments where exp overflows
+        for x in (-720.0, -710.5, 710.5, 800.0):
+            thetas.append(starts[0].copy())
+            thetas[-1][k] = x
+    for big in (1e200, 1e308, -1e308):  # eps^2, or eps itself, overflows
+        thetas.append(starts[1].copy())
+        thetas[-1][1 : 1 + p] = big
+    thetas.append(starts[2].copy())
+    thetas[-1][1 + p] = 800.0  # omega = inf
+    assert len(thetas) >= 50
+    args = (y[p:], _lag_matrix(y, p), s2_init)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [garch_negloglik(t, *args) for t in thetas]
+        want = [reference_negloglik(t, y, p, s2_init) for t in thetas]
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+    assert 0 < sum(np.isinf(got)) < len(got) - 30
 
 
 def test_garch_fit_is_deterministic():

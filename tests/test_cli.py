@@ -4,6 +4,7 @@ import copy
 import csv
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -742,6 +743,10 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "basis": "bogus"}, "'basis' holds unknown value 'bogus'"),
         ({**base, "scenarios": ["ar", "nope"]}, "'scenarios' holds unknown value"),
         ({**base, "methods": ["flexcode", "arima"]}, "'methods' holds unknown value"),
+        ({**base, "sigma_nm": -1}, "sigma_nm must be positive and finite"),
+        ({**base, "pad": -1}, "pad must be nonnegative"),
+        ({**base, "grid_size": 4}, "grid_size must be odd and >= 101"),
+        ({**base, "i_max": 0}, "i_max must be >= 1"),
         (5, "bench config must be a JSON object"),
         (None, "bench config must be a JSON object"),
     ]:
@@ -790,3 +795,48 @@ def test_console_script_exit_codes(tmp_path):
     assert ok.returncode == 0 and out.exists()
     usage = subprocess.run(launcher, capture_output=True, text=True)
     assert usage.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# cold start: only GARCH loads scipy.optimize and scipy.signal
+# ---------------------------------------------------------------------------
+
+GARCH_ONLY_MODULES = ("scipy.optimize", "scipy.signal", "scipy.stats")
+# imports the CLI and runs it on its arguments, if any, then prints the exit
+# code and which of GARCH_ONLY_MODULES the process loaded to stderr
+LOADED_PROBE = (
+    "import json, sys\n"
+    "from flexts import cli\n"
+    "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+    f"loaded = [m for m in {GARCH_ONLY_MODULES!r} if m in sys.modules]\n"
+    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+)
+
+
+def run_fresh(argv=()):
+    """(exit code, GARCH-only modules loaded) of the CLI in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *map(str, argv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stderr.splitlines()[-1])
+    return code, loaded
+
+
+def test_importing_the_cli_loads_no_garch_scipy():
+    assert run_fresh() == (None, [])
+
+
+def test_nw_predict_loads_no_garch_scipy(tmp_path):
+    data = simulate(tmp_path, n=400)
+    model = fit(tmp_path, data, extra=("--backend", "nw"))
+    out = tmp_path / "dens.csv"
+    assert run_fresh(["predict", "--model", model, "--u", "0.1,0.2,0.0",
+                      "-o", out]) == (0, [])
+    assert read_rows(out)[0] == ["y", "density", "raw_density"]
+    # the probe does see a GARCH fit load them
+    assert run_fresh(["fit", "--input", data, "--method", "garch",
+                      "-o", tmp_path / "garch.json"]) == (0, list(GARCH_ONLY_MODULES))
