@@ -33,6 +33,7 @@ from flexts.basis import check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import renormalize_rows
 from flexts.evaluation import cde_loss_grid
+from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import (
     check_k,
@@ -69,6 +70,9 @@ class NnkcdeModel:
     lo: float
     hi: float
     grid_size: int = 1001
+    # the design and split the model was fitted on, which the CLI records
+    features: FeatureSpec | None = None
+    split: SplitSpec | None = None
 
     def __post_init__(self):
         train_u, train_y = check_training(self.train_u, self.train_y, target_ndim=1)
@@ -213,6 +217,9 @@ class GarchModel:
     lo: float = float("nan")
     hi: float = float("nan")
     grid_size: int = 0
+    # the design and split the model was fitted on, which the CLI records
+    features: FeatureSpec | None = None
+    split: SplitSpec | None = None
 
     @property
     def p(self):

@@ -8,10 +8,13 @@ a single-line ``flexts: error: ...`` message on stderr and a category
 code: 2 for usage, 3 for data problems, 4 for numeric failures.
 
 Every method (flexcode, nnkcde, garch) is fitted by ``_fit``, and each
-fitted model tabulates itself: ``row_state`` computes some rows' state
-once, ``density_rows`` gives their densities on any response grid, and
-``grid()`` is the fit-time grid (the padded training range at
-``grid_size`` points) each method is scored on.
+fitted model records its feature spec (``model.features``: the target
+and exogenous columns, lags, rolling statistics) and its ``model.split``,
+which ``evaluate``, ``predict`` and ``importance`` rebuild the design and
+its blocks from. Each model tabulates itself: ``row_state`` computes
+some rows' state once, ``density_rows`` gives their densities on any
+response grid, and ``grid()`` is the fit-time grid (the padded training
+range at ``grid_size`` points) each method is scored on.
 """
 
 import argparse
@@ -20,7 +23,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from flexts.basis import BASIS_KINDS, check_pad, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_grid, oracle_cde_loss, pinball_loss
 from flexts.features import (
+    FeatureSpec,
     RollingSpec,
     SeriesTable,
     SplitSpec,
@@ -116,10 +120,6 @@ def _parse_rolling(specs):
     return out
 
 
-def _parse_split(text):
-    return SplitSpec.from_list([float(p) for p in text.split(",")])
-
-
 def _parse_taus(text):
     taus = [float(p) for p in text.split(",") if p]
     estimator.check_taus(taus)
@@ -153,51 +153,24 @@ def _default_seed(value):
 
 
 # ---------------------------------------------------------------------------
-# feature spec plumbing shared by fit/evaluate/predict/importance
+# a model's series: read and embedded as its feature spec says
 # ---------------------------------------------------------------------------
 
 
-def _metadata_from_args(args, method):
-    return {
-        "target": args.target,
-        "n_lags": args.lags,
-        "rolling": [[s.stat, s.window] for s in _parse_rolling(args.rolling)],
-        "exog": list(args.exog or ()),
-        "exog_contemporaneous": bool(args.exog_contemporaneous),
-        "split": list(astuple(_parse_split(args.split))),
-        "method": method,
-        "pad": args.pad,
-        "grid_size": args.grid_size,
-    }
+def _read_design(features, path):
+    """The series at ``path`` and its design, built as ``features`` says.
 
-
-def _table_from_meta(meta, path):
-    target = meta.get("target")
-    if not target:
-        raise DataError("model metadata lacks the target column name")
-    cols = read_series_csv(path, target, meta.get("exog", ()))
-    exog_names = list(meta.get("exog", ()))
-    exog = (
-        np.column_stack([cols[name] for name in exog_names]) if exog_names else None
-    )
-    return SeriesTable(response=cols[target], exogenous=exog, exog_names=exog_names)
-
-
-def _features_from_meta(meta, table, build=lag_embed):
-    """Build the fit's features on ``table`` with lag_embed or next_step_covariates."""
-    if "n_lags" not in meta:
-        raise DataError("model metadata lacks the number of lags")
-    rolling = [RollingSpec(stat=s, window=int(w)) for s, w in meta.get("rolling", [])]
-    return build(
-        table,
-        meta["n_lags"],
-        rolling=rolling,
-        exog_contemporaneous=meta.get("exog_contemporaneous", False),
-    )
-
-
-def _split_from_meta(meta):
-    return SplitSpec.from_list(meta["split"]) if "split" in meta else SplitSpec()
+    ``features`` is a fitted model's spec, which a model file whose
+    metadata lacks the target or the lag count does not record.
+    """
+    if features is None:
+        raise DataError("the model records no feature spec (target column and lags)")
+    target, exog = features.target, list(features.exog)
+    cols = read_series_csv(path, target, exog)
+    exog_cols = np.column_stack([cols[name] for name in exog]) if exog else None
+    table = SeriesTable(cols[target], exog_cols, exog, target)
+    return table, lag_embed(table, features.n_lags, features.rolling,
+                            features.exog_contemporaneous)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +212,23 @@ def cmd_simulate(args):
 # fitting and tabulating any method
 # ---------------------------------------------------------------------------
 
-def _fit(method, meta, table, design, backend="nw", grids=None, **config):
-    """Fit any method on a design, split as ``meta`` records.
+def _fit(method, table, design, split, pad, grid_size, grids=None, **config):
+    """Fit any method on a design with a temporal split.
 
-    ``meta`` gives the split fractions, ``pad`` and ``grid_size``; a
-    flexcode fit adds its backend and basis to it. ``grids`` maps a
+    ``pad`` and ``grid_size`` set the response grid. ``grids`` maps a
     hyperparameter name (delta, k, lam; k and h for NNKCDE) to its
     candidates, absent names taking the defaults; ``config`` holds the
-    other flexcode FitConfig fields. Returns (model, i_selected, hyper,
-    report): the selection as ``bench`` tabulates it and the lines
-    ``flexts fit`` prints.
+    other flexcode FitConfig fields, which the baselines do not read. The
+    model records the design's feature spec and ``split``. Returns (model,
+    i_selected, hyper, report): the selection as ``bench`` tabulates it
+    and the lines ``flexts fit`` prints.
     """
     grids = grids or {}
-    split = _split_from_meta(meta)
     tr, va, _ = temporal_split(design.n_rows, split)
     if method == "flexcode":
-        config = estimator.FitConfig(
-            backend=backend, hyper_grid=grids.get(HYPER_NAMES.get(backend)),
-            grid_size=meta["grid_size"], pad=meta["pad"], **config)
+        config = estimator.FitConfig(pad=pad, grid_size=grid_size, **config)
+        config = replace(config, hyper_grid=grids.get(HYPER_NAMES[config.backend]))
         model = estimator.fit(design, split, config)
-        meta.update(backend=model.backend_kind, basis=model.basis)
         hyper_name = model.backend.hyper_name
         hyper = getattr(model.backend, hyper_name)
         report = [
@@ -275,21 +245,23 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
         return model, model.i_selected, model.hyper, report
     if method == "nnkcde":
         y_tr = design.y[tr.start : tr.stop]
-        scaler = fit_scaler(y_tr, pad=meta["pad"])
+        scaler = fit_scaler(y_tr, pad=pad)
         model = baselines.nnkcde_fit(
             design.u[tr.start : tr.stop], y_tr, design.u[va.start : va.stop],
             design.y[va.start : va.stop], scaler.lo, scaler.hi,
-            k_grid=grids.get("k"), h_grid=grids.get("h"), grid_size=meta["grid_size"])
+            k_grid=grids.get("k"), h_grid=grids.get("h"), grid_size=grid_size)
+        model = replace(model, features=design.features, split=split)
         return model, model.k, model.h, [
             f"method: nnkcde selected k={model.k} h={model.h!r}"
         ]
     if method == "garch":
-        if len(design.feature_names) != design.n_lags:
+        if design.features.rolling or design.features.exog:
             raise ValueError("garch supports lag features only")
         # fit on the series prefix covered by the training rows
         prefix_end = int(design.origin_index[tr.stop - 1]) + 1
-        model = baselines.garch_fit(table.response[:prefix_end], design.n_lags,
-                                    meta["pad"], meta["grid_size"])
+        model = baselines.garch_fit(table.response[:prefix_end], design.features.n_lags,
+                                    pad, grid_size)
+        model = replace(model, features=design.features, split=split)
         return model, "", model.alpha + model.beta, [
             f"method: garch p={model.p} omega={model.omega:.6g} "
             f"alpha={model.alpha:.6g} beta={model.beta:.6g} "
@@ -298,21 +270,23 @@ def _fit(method, meta, table, design, backend="nw", grids=None, **config):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _row_state(model, meta, u, table=None, design=None, rows=None):
-    """A loaded model's fit-time grid and the state of some rows, computed once.
+def _with_fit_grid(model, meta, design):
+    """``model``, or a version-1 or 2 GARCH model given the grid its fit had.
 
-    The state is the one ``model.density_rows`` tabulates: from covariate
-    rows ``u`` for flexcode and NNKCDE, from design ``rows`` of
-    ``table``'s series for GARCH (with rows=None, one step past its end).
+    Such a file keeps no grid (grid_size 0). Its fit's grid spanned the
+    training responses of ``design``, widened by the ``pad`` the file's
+    metadata records, at its ``grid_size`` (0.05 and 1001 when absent).
     """
-    state = model.row_state(u, None if table is None else table.response, rows)
-    if isinstance(model, baselines.GarchModel) and not model.grid_size:
-        # saved before GARCH models kept a grid: rebuild the one its fit had
-        tr, _, _ = temporal_split(design.n_rows, _split_from_meta(meta))
-        scaler = fit_scaler(design.y[tr.start : tr.stop], pad=meta.get("pad", 0.05))
-        model = replace(model, lo=scaler.lo, hi=scaler.hi,
-                        grid_size=meta.get("grid_size", 1001))
-    return model.grid(), state
+    if not (isinstance(model, baselines.GarchModel) and not model.grid_size):
+        return model
+    try:
+        fit = persistence.decode(estimator.FitConfig, {
+            key: meta[key] for key in ("pad", "grid_size") if key in meta})
+    except ValueError as exc:
+        raise DataError(f"model metadata: {exc}") from None
+    tr, _, _ = temporal_split(design.n_rows, model.split)
+    scaler = fit_scaler(design.y[tr.start : tr.stop], pad=fit.pad)
+    return replace(model, lo=scaler.lo, hi=scaler.hi, grid_size=fit.grid_size)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +306,14 @@ def _grid_types(method, backend):
 
 
 def cmd_fit(args):
-    grid_types = _grid_types(args.method, args.backend)
+    # the flexcode flags given; FitConfig's defaults stand in for the others
+    flexcode = {name: getattr(args, name) for name in ("basis", "i_max", "backend",
+                "refit_final") if getattr(args, name) is not None}
+    if args.method != "flexcode" and flexcode:
+        flag = "--" + next(iter(flexcode)).replace("_", "-")
+        raise ValueError(f"{flag} is a flexcode flag; {args.method} does not read it")
+    grid_types = _grid_types(args.method,
+                             flexcode.get("backend", estimator.FitConfig.backend))
     grids = {}
     for name in ("delta", "k", "lam", "h"):
         if not getattr(args, name):
@@ -341,16 +322,15 @@ def cmd_fit(args):
             takes = ", ".join(f"--{n}" for n in grid_types) or "none"
             raise ValueError(f"--{name} is not a grid of this fit (its grids: {takes})")
         grids[name] = tuple(grid_types[name](v) for v in getattr(args, name).split(","))
-    meta = _metadata_from_args(args, args.method)
-    table = _table_from_meta(meta, args.input)
-    design = _features_from_meta(meta, table)
-    model, _, _, report = _fit(
-        args.method, meta, table, design, backend=args.backend, grids=grids,
-        basis=args.basis, i_max=args.i_max, refit_final=args.refit_final,
-    )
+    features = FeatureSpec(args.target, args.lags, _parse_rolling(args.rolling),
+                           args.exog or [], args.exog_contemporaneous)
+    split = SplitSpec.from_list([float(p) for p in args.split.split(",")])
+    table, design = _read_design(features, args.input)
+    model, _, _, report = _fit(args.method, table, design, split, args.pad,
+                               args.grid_size, grids, **flexcode)
     for line in report:
         print(line)
-    persistence.save_model(args.output, args.method, model, meta)
+    persistence.save_model(args.output, args.method, model)
     print(f"model written: {args.output}")
     return 0
 
@@ -375,18 +355,19 @@ def cmd_evaluate(args):
     out_rows = []
     for path in args.model:
         method, model, meta = persistence.load_model(path)
-        table = _table_from_meta(meta, args.input)
-        design = _features_from_meta(meta, table)
-        _, _, te = temporal_split(design.n_rows, _split_from_meta(meta))
+        table, design = _read_design(model.features, args.input)
+        _, _, te = temporal_split(design.n_rows, model.split)
         rows = slice(te.start, te.stop)
         y_te = design.y[rows]
-        grid_y, state = _row_state(model, meta, design.u[rows], table, design, rows)
+        model = _with_fit_grid(model, meta, design)
+        state = model.row_state(design.u[rows], table.response, rows)
+        grid_y = model.grid()
         dens = model.density_rows(state, grid_y)
         rep = cde_loss_grid(grid_y, dens, y_te)
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
         if args.oracle_scenario:
-            if meta["n_lags"] < scenarios.ORDER:
+            if model.features.n_lags < scenarios.ORDER:
                 raise ValueError(
                     f"oracle loss needs at least {scenarios.ORDER} lagged "
                     "covariates in the design"
@@ -427,15 +408,17 @@ def cmd_predict(args):
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
 
-    table = design = rows = None
+    series = rows = None
     if args.u is not None:
         u = np.array([float(v) for v in args.u.split(",")])
         label = "explicit covariates"
     else:
-        table = _table_from_meta(meta, args.input)
-        design = _features_from_meta(meta, table)
+        table, design = _read_design(model.features, args.input)
+        series, model = table.response, _with_fit_grid(model, meta, design)
         if args.row is None:
-            u = _features_from_meta(meta, table, next_step_covariates)
+            spec = model.features
+            u = next_step_covariates(table, spec.n_lags, spec.rolling,
+                                     spec.exog_contemporaneous)
             label = "one step past the series end"
         else:
             row = _resolve_row(design, args.row)
@@ -443,7 +426,8 @@ def cmd_predict(args):
             u = design.u[rows]
             label = f"design row {row}"
 
-    grid_y, state = _row_state(model, meta, u, table, design, rows)
+    state = model.row_state(u, series, rows)
+    grid_y = model.grid()
     if method == "flexcode":  # tabulated once: the density and its raw expansion
         batch = estimator.tabulate_density(model, state, grid_y)
         dens = batch.density[0]
@@ -469,7 +453,7 @@ def cmd_predict(args):
 
 
 def cmd_importance(args):
-    method, model, meta = persistence.load_model(args.model)
+    method, model, _ = persistence.load_model(args.model)
     if method != "flexcode":
         raise ValueError(f"importance is defined for flexcode models, not {method}")
     seed = _default_seed(args.seed)
@@ -480,9 +464,8 @@ def cmd_importance(args):
                 f"{model.backend_kind} importance is permutation-based; "
                 "pass --input with the fitting data"
             )
-        table = _table_from_meta(meta, args.input)
-        design = _features_from_meta(meta, table)
-        _, va, _ = temporal_split(design.n_rows, _split_from_meta(meta))
+        _, design = _read_design(model.features, args.input)
+        _, va, _ = temporal_split(design.n_rows, model.split)
         u_val, y_val = design.u[va.start : va.stop], design.y[va.start : va.stop]
     scores = estimator.importance(model, u_val, y_val, args.n_permutations, seed)
     order = np.argsort(-scores, kind="stable")
@@ -567,12 +550,11 @@ def run_bench_cell(cell, **settings):
     )
     table = SeriesTable(y)
     design = lag_embed(table, cell.lags)
-    meta = {"split": cfg.split, "pad": cfg.pad, "grid_size": cfg.grid_size}
     model, i_selected, hyper, _ = _fit(
-        cell.method, meta, table, design, backend=cfg.backend, basis=cfg.basis,
-        i_max=cfg.i_max,
+        cell.method, table, design, SplitSpec.from_list(cfg.split), cfg.pad,
+        cfg.grid_size, backend=cfg.backend, basis=cfg.basis, i_max=cfg.i_max,
     )
-    _, _, te = temporal_split(design.n_rows, _split_from_meta(meta))
+    _, _, te = temporal_split(design.n_rows, model.split)
     rows = slice(te.start, te.stop)
     state = model.row_state(design.u[rows], y, rows)
     grid_y = model.grid()
@@ -702,16 +684,17 @@ def build_parser():
     p_fit.add_argument("--exog", action="append", metavar="COLUMN")
     p_fit.add_argument("--exog-contemporaneous", action="store_true")
     p_fit.add_argument("--split", default="0.7,0.1,0.2")
-    p_fit.add_argument("--basis", choices=BASIS_KINDS, default="cosine")
-    p_fit.add_argument("--i-max", type=int, default=30)
-    p_fit.add_argument("--backend", choices=BACKEND_KINDS, default="nw")
+    # flexcode flags, None when absent so that a baseline fit can reject them
+    p_fit.add_argument("--basis", choices=BASIS_KINDS)
+    p_fit.add_argument("--i-max", type=int)
+    p_fit.add_argument("--backend", choices=BACKEND_KINDS)
+    p_fit.add_argument("--refit-final", action="store_true", default=None)
     p_fit.add_argument("--delta", help="comma list of nw radii")
     p_fit.add_argument("--k", help="comma list of neighbor counts")
     p_fit.add_argument("--lam", help="comma list of lasso penalties")
     p_fit.add_argument("--h", help="comma list of nnkcde bandwidths")
     p_fit.add_argument("--grid-size", type=int, default=1001)
     p_fit.add_argument("--pad", type=float, default=0.05)
-    p_fit.add_argument("--refit-final", action="store_true")
     p_fit.add_argument("-o", "--output", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -17,7 +17,7 @@ import numpy as np
 from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs
-from flexts.features import SplitSpec, temporal_split
+from flexts.features import FeatureSpec, SplitSpec, temporal_split
 # nw_predict_grid is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prepared
 
@@ -77,11 +77,14 @@ class CoefficientModel:
     candidate_hypers: list
     candidate_losses: list
     feature_names: list
-    n_lags: int
     diagnostics: dict = field(default_factory=dict)
     # the scaled responses of the rows an nw or knn backend was built on; its
     # train_phi is their basis, which a model file leaves out and load rebuilds
     train_z: np.ndarray | None = None
+    # how the design's rows were built and split; a hand-built design has
+    # no feature spec, and an older model file may record neither
+    features: FeatureSpec | None = None
+    split: SplitSpec | None = None
 
     def __post_init__(self):
         # the backend predicts coefficients 0..i_max; the expansion is cut inside them
@@ -219,7 +222,6 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
         candidate_hypers=list(hypers),
         candidate_losses=losses.min(axis=1).tolist(),
         feature_names=list(design.feature_names),
-        n_lags=design.n_lags,
         diagnostics={
             "val_loss": float(losses[c_best, i_selected]),
             "n_fallback_val": int(preds[c_best].n_fallback),
@@ -230,6 +232,8 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
             "at_i_max": bool(i_selected == config.i_max),
         },
         train_z=z_fit if hasattr(backend, "train_phi") else None,
+        features=design.features,
+        split=split,
     )
 
 

@@ -40,11 +40,12 @@ class RollingSpec:
 
 @dataclass
 class SeriesTable:
-    """A univariate response with optional exogenous columns."""
+    """A univariate response (``response_name``) with optional exogenous columns."""
 
     response: np.ndarray
     exogenous: np.ndarray | None = None
     exog_names: list[str] = field(default_factory=list)
+    response_name: str = "y"
 
     def __post_init__(self):
         self.response = np.asarray(self.response, dtype=float)
@@ -73,15 +74,39 @@ class SeriesTable:
                 )
 
 
+@dataclass(frozen=True)
+class FeatureSpec:
+    """How ``lag_embed`` built a design from a series: the columns and covariates.
+
+    ``target`` and ``exog`` name the series' response and exogenous
+    columns, so a fitted model's spec reads and embeds a later series the
+    way its fit did.
+    """
+
+    target: str
+    n_lags: int
+    rolling: list[RollingSpec] = field(default_factory=list)
+    exog: list[str] = field(default_factory=list)
+    exog_contemporaneous: bool = False
+
+    def __post_init__(self):
+        if self.n_lags < 1:
+            raise ValueError(f"n_lags must be >= 1, got {self.n_lags}")
+
+
 @dataclass
 class DesignMatrix:
-    """Covariates, responses, and bookkeeping for one modeling problem."""
+    """Covariates, responses, and bookkeeping for one modeling problem.
+
+    ``features`` is the spec ``lag_embed`` built the design by; a design
+    built by hand has none.
+    """
 
     u: np.ndarray
     y: np.ndarray
     feature_names: list[str]
     origin_index: np.ndarray
-    n_lags: int
+    features: FeatureSpec | None = None
 
     @property
     def n_rows(self):
@@ -124,11 +149,13 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
     -------
     DesignMatrix
         One row per usable time index t; ``origin_index[r]`` is the
-        position of that row's response in the original series.
+        position of that row's response in the original series, and
+        ``features`` records the arguments and the table's column names.
     """
-    if n_lags < 1:
-        raise ValueError(f"n_lags must be >= 1, got {n_lags}")
-    rolling = tuple(rolling)
+    exog = table.exog_names if table.exogenous is not None else []
+    spec = FeatureSpec(table.response_name, n_lags, list(rolling), list(exog),
+                       exog_contemporaneous)
+    rolling = spec.rolling
     y = table.response
     n = y.shape[0]
     max_window = max((s.window for s in rolling), default=0)
@@ -143,9 +170,8 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
     start = n_lags + (max_window - 1 if rolling else 0)
     t = np.arange(start, n)
     u, names = _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous)
-    return DesignMatrix(
-        u=u, y=y[t], feature_names=names, origin_index=t, n_lags=n_lags
-    )
+    return DesignMatrix(u=u, y=y[t], feature_names=names, origin_index=t,
+                        features=spec)
 
 
 def _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous):

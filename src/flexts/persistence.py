@@ -1,17 +1,19 @@
 """Model save/load as self-describing JSON.
 
-A model file (format version 3) is sorted, compact JSON holding
-``format_version``, ``method``, ``metadata`` (feature construction and
-split fractions, enough to rebuild design matrices for evaluation) and
-``model``: the fitted model's dataclass fields, arrays as nested lists
-and nested dataclasses (the scaler, a flexcode backend) as objects.
-``json`` writes every float with ``repr``, which round-trips IEEE
-doubles exactly. Loading rebuilds each field from its type annotation
-with ``decode``, the reader ``flexts bench`` also parses its config
-with, and checks the metadata keys the CLI writes by their types and,
-for the split, the lag count and the rolling statistics, by their
-shapes and ranges. The model's constructor checks its own fields (finite
-training arrays, k, the nw radius, the basis) and prepares what
+A model file (format version 4) is sorted, compact JSON holding
+``format_version``, ``method``, ``metadata`` (whatever the caller passed;
+nothing in flexts reads it from a version-4 file) and ``model``: the
+fitted model's dataclass fields, arrays as nested lists and nested
+dataclasses (the scaler, a flexcode backend, the feature spec and the
+split) as objects. ``features`` and ``split`` say how the fit built and
+split its design, so ``flexts evaluate``, ``predict`` and ``importance``
+rebuild a design from a series with the model alone. ``json`` writes
+every float with ``repr``, which round-trips IEEE doubles exactly.
+Loading rebuilds each field from its type annotation with ``decode``,
+the reader ``flexts bench`` also parses its config with. The model's
+constructor, and those of its feature spec and split, check their own
+fields (finite training arrays, k, the nw radius, the basis, the lag
+count, the rolling statistics, the split fractions) and prepare what
 predictions reuse.
 
 An nw or knn backend regresses the basis rows phi_i(z) of the scaled
@@ -25,13 +27,17 @@ forecast-nw-n20k benchmark's model (n_train 14,000, i_max 15) takes
 the fitted ones bit for bit because ``basis_matrix`` computes each row on
 its own, the way the fit did, so a loaded model reproduces the saved
 model's predictions bit for bit on the numpy build that saved it; on
-another build ``cos`` and ``sin`` may round differently. Lasso, NNKCDE
-and GARCH files hold no such matrix and read as in version 2.
+another build ``cos`` and ``sin`` may round differently.
 
-Version-2 files, which store ``train_phi`` itself, and version-1 files,
-which also wrote floats as 17-digit decimal strings and kept a flexcode
-backend's kind and hyperparameter inside the backend object, still
-load; saved again, such a model keeps its ``train_phi``, having no
+Older versions still load. Versions 1 to 3 kept the feature spec and the
+split as metadata keys the CLI wrote (``target``, ``n_lags``,
+``rolling``, ``exog``, ``exog_contemporaneous``, ``split``); load reads
+them into the model's fields through the same constructors, so malformed
+ones are a data error, and a file whose metadata lacks ``target`` or
+``n_lags`` loads with neither field. Version-2 files store ``train_phi``
+itself, and version-1 files also wrote floats as 17-digit decimal strings
+and kept a flexcode backend's kind and hyperparameter inside the backend
+object; saved again, such a model keeps its ``train_phi``, having no
 responses to rebuild it from.
 """
 
@@ -45,18 +51,12 @@ from flexts.baselines import GarchModel, NnkcdeModel
 from flexts.basis import basis_matrix, check_grid_size
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
-from flexts.features import RollingSpec, SplitSpec
+from flexts.features import SplitSpec
 from flexts.regression import BACKENDS
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 METHODS = {"flexcode": CoefficientModel, "nnkcde": NnkcdeModel, "garch": GarchModel}
-# the types of the metadata keys the CLI writes; other keys load unchecked
-METADATA_TYPES = {
-    "target": str, "n_lags": int, "rolling": list[list], "exog": list[str],
-    "exog_contemporaneous": bool, "split": list[float], "method": str,
-    "pad": float, "grid_size": int, "backend": str, "basis": str,
-}
 
 
 def _jsonable(obj):
@@ -100,10 +100,12 @@ def save_model(path, method, model, metadata=None):
 def _read_value(kind, value, name):
     """``value`` as annotation ``kind``, or a ValueError naming field ``name``.
 
-    A list[T] converts each entry. A number may be a decimal string, as
-    version 1 wrote floats, and an int must be integral; a bool, str, list
-    or dict must have that type already.
+    A dataclass decodes from its object and a list[T] converts each entry.
+    A number may be a decimal string, as version 1 wrote floats, and an int
+    must be integral; a bool, str, list or dict must have that type already.
     """
+    if dataclasses.is_dataclass(kind):
+        return decode(kind, value)
     (item,) = typing.get_args(kind) or (None,)
     try:
         if item is not None:
@@ -128,9 +130,9 @@ def _read_value(kind, value, name):
 def decode(cls, doc):
     """Rebuild dataclass ``cls`` from the fields ``doc`` names, each read by its type.
 
-    Nested dataclasses decode in turn and arrays convert whole; an
-    optional field (``T | None``) reads null as None and anything else as
-    T. Keys that are not fields are ignored.
+    Nested dataclasses, alone or in a list, decode in turn and arrays
+    convert whole; an optional field (``T | None``) reads null as None and
+    anything else as T. Keys that are not fields are ignored.
     """
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -149,9 +151,7 @@ def decode(cls, doc):
             if doc.get("train_z") is not None:
                 value = {**value, "train_phi": basis_matrix(
                     kwargs["basis"], doc["train_z"], kwargs["i_max"])}
-        if dataclasses.is_dataclass(kind):
-            value = decode(kind, value)
-        elif kind is np.ndarray:
+        if kind is np.ndarray:
             value = np.asarray(value)
             if value.dtype.kind == "U":  # version 1's decimal strings
                 value = value.astype(float)
@@ -168,6 +168,21 @@ def _flexcode_from_v1(body):
     body["hyper"] = backend[BACKENDS[kind].hyper_name] = backend.pop("hyper")
     for name in ("candidate_hypers", "candidate_losses"):
         body[name] = [float(v) for v in body[name]]
+
+
+def _fields_from_metadata(body, metadata):
+    """Give a version 1-3 model the feature spec and split its file's metadata records.
+
+    The CLI wrote the spec's fields as metadata keys, its rolling
+    statistics as [stat, window] pairs and the split as a list of three
+    fractions, which a file without ``split`` took as the default.
+    """
+    if "target" in metadata and "n_lags" in metadata:
+        rolling = [{"stat": stat, "window": window}
+                   for stat, window in metadata.get("rolling", [])]
+        body["features"] = {**metadata, "rolling": rolling}
+        body["split"] = (dataclasses.asdict(SplitSpec.from_list(metadata["split"]))
+                         if "split" in metadata else {})
 
 
 def load_model(path):
@@ -191,25 +206,20 @@ def load_model(path):
     if method not in METHODS:
         raise DataError(f"model file {path} has unknown method {method!r}")
     body = doc.get("model", {})
-    meta = doc.get("metadata", {})
+    metadata = doc.get("metadata", {})
     try:
         if version == 1 and method == "flexcode":
             _flexcode_from_v1(body)
-        # the constructors check training arrays, k, the radius and the basis
+        if version < 4:
+            _fields_from_metadata(body, metadata)
+        # the constructors check training arrays, k, the radius, the basis,
+        # the feature spec and the split
         model = decode(METHODS[method], body)
         # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
         if not (method == "garch" and model.grid_size == 0):
             check_grid_size(model.grid_size)
-        meta = {key: _read_value(METADATA_TYPES[key], value, key)
-                if key in METADATA_TYPES else value for key, value in meta.items()}
-        if "split" in meta:
-            SplitSpec.from_list(meta["split"])
-        if meta.get("n_lags", 1) < 1:
-            raise ValueError(f"n_lags must be >= 1, got {meta['n_lags']}")
-        for stat, window in meta.get("rolling", []):
-            RollingSpec(stat=stat, window=_read_value(int, window, "rolling"))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"
         ) from exc
-    return method, model, meta
+    return method, model, metadata

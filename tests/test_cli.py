@@ -14,9 +14,28 @@ import numpy as np
 import pytest
 
 from flexts import baselines, cli, estimator, regression
-from flexts.features import SeriesTable, SplitSpec, lag_embed, temporal_split
+from flexts.features import (
+    FeatureSpec,
+    RollingSpec,
+    SeriesTable,
+    SplitSpec,
+    lag_embed,
+    temporal_split,
+)
 from flexts.persistence import load_model
 from flexts.scenarios import generate
+
+DATA = Path(__file__).parent / "data"
+# the metadata a format-3 fit wrote; versions 1 to 3 kept the feature spec here
+V3_METADATA = {"target": "y", "n_lags": 3, "rolling": [], "exog": [],
+               "exog_contemporaneous": False, "split": [0.7, 0.1, 0.2],
+               "method": "nnkcde", "pad": 0.05, "grid_size": 1001}
+
+
+def v3_doc(name):
+    """A committed format-3 model file's document, with a format-3 fit's metadata."""
+    doc = json.loads((DATA / "v3" / f"{name}.json").read_text())
+    return {**doc, "metadata": dict(V3_METADATA)}
 
 
 def run(argv, capsys=None):
@@ -140,7 +159,7 @@ def test_fit_flexcode_reports_selection(tmp_path, capsys):
     assert "I=" in stdout and "validation loss curve" in stdout
     doc = json.loads(out.read_text())
     assert doc["method"] == "flexcode"
-    assert doc["metadata"]["n_lags"] == 3
+    assert doc["model"]["features"]["n_lags"] == 3
 
 
 def test_fit_same_flags_same_bytes(tmp_path):
@@ -188,6 +207,24 @@ def test_fit_missing_target_column(tmp_path, capsys):
     )
     assert code == 3
     assert "close" in err
+    # with the column there, evaluate and predict read it by the model's spec
+    y = [float(row[0]) for row in read_rows(data)[1:]]
+    prices = tmp_path / "prices.csv"
+    cli.write_csv(prices, ["open", "close"], [(0.0, v) for v in y])
+    outputs = {}
+    for name, series, extra in (("close", prices, ("--target", "close")),
+                                ("y", data, ())):
+        model = fit(tmp_path, series, fname=f"{name}.json", extra=extra)
+        for kind, argv in (("eval", ["evaluate", "--model", model]),
+                           ("next", ["predict", "--model", model]),
+                           ("row", ["predict", "--model", model, "--row", 5])):
+            out = tmp_path / f"{name}_{kind}.csv"
+            assert run([*argv, "--input", series, "-o", out]) == 0, (name, kind)
+            outputs[name, kind] = out
+    for kind in ("next", "row"):
+        assert outputs["close", kind].read_bytes() == outputs["y", kind].read_bytes()
+    evals = {name: read_rows(outputs[name, "eval"])[1][1:] for name in ("close", "y")}
+    assert evals["close"] == evals["y"]  # all but the model path
 
 
 def test_fit_nnkcde_and_garch(tmp_path):
@@ -212,9 +249,20 @@ def test_fit_rolling_and_exog_features(tmp_path):
         data,
         extra=("--rolling", "mean:4", "--exog", "x", "--lags", "2"),
     )
-    _, model, meta = load_model(out)
+    _, model, _ = load_model(out)
     assert model.feature_names == ["lag1", "lag2", "x_lag1", "roll_mean4"]
-    assert meta["rolling"] == [["mean", 4]]
+    assert model.features == FeatureSpec("y", 2, [RollingSpec("mean", 4)], ["x"])
+    # evaluate and predict build the fit's covariates from the model's spec
+    assert run(["evaluate", "--model", out, "--input", data,
+                "-o", tmp_path / "eval.csv"]) == 0
+    design = lag_embed(SeriesTable(y, x, ["x"]), 2, [RollingSpec("mean", 4)])
+    pred = tmp_path / "row.csv"
+    assert run(["predict", "--model", out, "--input", data, "--row", -1,
+                "-o", pred]) == 0
+    want = estimator.predict_density_batch(model, design.u[-1:]).density[0]
+    assert [float(r[1]) for r in read_rows(pred)[1:]] == want.tolist()
+    assert run(["predict", "--model", out, "--input", data,
+                "-o", tmp_path / "next.csv"]) == 0
 
 
 def test_fit_bad_rolling_spec(tmp_path):
@@ -291,18 +339,21 @@ def test_evaluate_custom_quantiles(tmp_path, fitted_trio):
 
 def test_model_files_without_feature_metadata_are_data_errors(tmp_path,
                                                               fitted_trio, capsys):
-    data, models = fitted_trio
-    doc = json.loads(Path(models["flexcode"]).read_text())
-    bad = tmp_path / "bad.json"
-    for key in ("target", "n_lags"):
+    data, _ = fitted_trio
+    doc = v3_doc("flexcode_nw")
+    path = tmp_path / "model.json"
+    for key in (None, "target", "n_lags"):
         edited = copy.deepcopy(doc)
-        del edited["metadata"][key]
-        bad.write_text(json.dumps(edited))
-        for argv in (["evaluate", "--model", bad, "-o", tmp_path / "e.csv"],
-                     ["predict", "--model", bad, "-o", tmp_path / "p.csv"]):
+        if key is not None:
+            del edited["metadata"][key]
+        path.write_text(json.dumps(edited))
+        assert (load_model(path)[1].features is None) == (key is not None)
+        for argv in (["evaluate", "--model", path, "-o", tmp_path / "e.csv"],
+                     ["predict", "--model", path, "-o", tmp_path / "p.csv"]):
             code, _, err = run([*argv, "--input", data], capsys)
-            assert code == 3, (key, argv[0])
-            assert "model metadata lacks" in err
+            assert code == (0 if key is None else 3), (key, argv[0])
+            if key is not None:
+                assert "no feature spec" in err
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +440,8 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     knn_doc = json.loads(knn.read_text())
     n_knn = len(knn_doc["model"]["backend"]["train_u"])
     nw_doc = json.loads(fit(tmp_path, data, fname="nw.json").read_text())
-    v1_path = Path(__file__).parent / "data" / "v1" / "nnkcde.json"
-    v1_doc = json.loads(v1_path.read_text())
+    v1_doc = json.loads((DATA / "v1" / "nnkcde.json").read_text())
+    v3 = v3_doc("nnkcde")
     bad = tmp_path / "bad.json"
 
     def with_nan(rows):
@@ -427,15 +478,18 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("model",), "grid_size", 3),
         (knn_doc, ("model",), "basis", None),  # not the string "None"
         (knn_doc, ("model",), "basis", "sine"),
-        (doc, ("metadata",), "n_lags", "x"),
-        (doc, ("metadata",), "split", [0.5]),
-        (doc, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
-        (doc, ("metadata",), "split", [0.5, 0.5, float("nan")]),
-        (doc, ("metadata",), "n_lags", 0),
-        (doc, ("metadata",), "rolling", [["mean", 3, 4]]),
-        (doc, ("metadata",), "rolling", [["median", 3]]),
-        (doc, ("metadata",), "rolling", [["mean", 0]]),
-        (doc, ("metadata",), "rolling", [["mean", 2.5]]),
+        # a format-3 file's feature spec and split, read from its metadata
+        (v3, ("metadata",), "n_lags", "x"),
+        (v3, ("metadata",), "split", [0.5]),
+        (v3, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
+        (v3, ("metadata",), "split", [0.5, 0.5, float("nan")]),
+        (v3, ("metadata",), "n_lags", 0),
+        (v3, ("metadata",), "rolling", [["mean", 3, 4]]),
+        (v3, ("metadata",), "rolling", [["median", 3]]),
+        (v3, ("metadata",), "rolling", [["mean", 0]]),
+        (v3, ("metadata",), "rolling", [["mean", 2.5]]),
+        (v3, ("metadata",), "exog", "x"),
+        (v3, ("metadata",), "exog_contemporaneous", "false"),
     ]:
         edited = copy.deepcopy(base)
         target = edited
@@ -473,8 +527,7 @@ def test_baselines_are_scored_on_their_fit_time_grid(tmp_path):
     columns = {}
     for method in ("nnkcde", "garch"):
         model = fit(tmp_path, data, method=method, extra=grid_flags)
-        meta = load_model(model)[2]
-        assert (meta["pad"], meta["grid_size"]) == (0.3, 501)
+        assert load_model(model)[1].grid_size == 501
         out = tmp_path / f"row_{method}.csv"
         assert run(["predict", "--model", model, "--input", data,
                     "--row", -1, "-o", out]) == 0
@@ -486,10 +539,9 @@ def test_baselines_are_scored_on_their_fit_time_grid(tmp_path):
 def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
     data, models = fitted_trio
     for method, path in models.items():
-        _, model, meta = load_model(path)
-        table = cli._table_from_meta(meta, data)
-        design = cli._features_from_meta(meta, table)
-        _, _, te = temporal_split(design.n_rows, cli._split_from_meta(meta))
+        _, model, _ = load_model(path)
+        table, design = cli._read_design(model.features, data)
+        _, _, te = temporal_split(design.n_rows, model.split)
         rows = slice(te.start, te.stop)
         state = model.row_state(design.u[rows], table.response, rows)
         grid_y = model.grid()
@@ -515,8 +567,15 @@ def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):
                 extra=("--pad", "0.3", "--grid-size", "501"))
     doc = json.loads(model.read_text())
     assert doc["model"]["grid_size"] == 501
-    for key in ("lo", "hi", "grid_size"):
+    # a version-2 file: no grid, and the fit's settings in the CLI's metadata
+    for key in ("lo", "hi", "grid_size", "features", "split"):
         del doc["model"][key]
+    doc["format_version"] = 2
+    doc["metadata"] = {**V3_METADATA, "method": "garch", "pad": 0.3, "grid_size": 501}
+    bad_pad = tmp_path / "bad_pad.json"
+    bad_pad.write_text(json.dumps({**doc, "metadata": {**doc["metadata"], "pad": "x"}}))
+    assert run(["evaluate", "--input", data, "--model", bad_pad,
+                "-o", tmp_path / "bad.csv"]) == 3
     outputs = {}
     for name, text in (("kept", model.read_text()), ("rebuilt", json.dumps(doc))):
         # same relative model path, so evaluate's model column matches
@@ -565,6 +624,19 @@ def test_fit_checks_the_response_grid(tmp_path, capsys, method):
                             "-o", out], capsys)
         assert code == 2, flags
         assert message in err
+    assert not out.exists()
+
+
+def test_baseline_fits_reject_flexcode_flags(tmp_path, capsys):
+    data = simulate(tmp_path, n=300)
+    out = tmp_path / "model.json"
+    for method in ("nnkcde", "garch"):
+        for flags in (("--refit-final",), ("--i-max", 5), ("--basis", "fourier"),
+                      ("--backend", "lasso")):
+            code, _, err = run(["fit", "--input", data, "--method", method, *flags,
+                                "-o", out], capsys)
+            assert code == 2, (method, flags)
+            assert f"{flags[0]} is a flexcode flag; {method} does not read it" in err
     assert not out.exists()
 
 

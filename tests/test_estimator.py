@@ -62,7 +62,6 @@ def manual_model(coeffs, lo=0.0, hi=2.0, i_selected=None):
         candidate_hypers=[1.0],
         candidate_losses=[0.0],
         feature_names=["lag1", "lag2"],
-        n_lags=2,
     )
 
 
@@ -469,11 +468,10 @@ def test_fit_accepts_handbuilt_design():
     n = 80
     u = rng.normal(size=(n, 2))
     y = 0.5 * u[:, 0] + rng.normal(size=n)
-    design = DesignMatrix(
-        u=u, y=y, feature_names=["a", "b"], origin_index=np.arange(n), n_lags=1
-    )
+    design = DesignMatrix(u=u, y=y, feature_names=["a", "b"], origin_index=np.arange(n))
     model = fit(design, config=FitConfig(backend="knn", i_max=4))
     assert model.feature_names == ["a", "b"]
+    assert (model.features, model.split) == (None, SplitSpec())
 
 
 # ---------------------------------------------------------------------------

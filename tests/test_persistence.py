@@ -22,7 +22,14 @@ from flexts.estimator import (
     predict_density_batch,
     predict_quantiles,
 )
-from flexts.features import SeriesTable, lag_embed
+from flexts.features import (
+    ROLLING_STATS,
+    FeatureSpec,
+    RollingSpec,
+    SeriesTable,
+    SplitSpec,
+    lag_embed,
+)
 from flexts.persistence import FORMAT_VERSION, decode, load_model, save_model
 from flexts.regression import BACKEND_KINDS
 from flexts.scenarios import generate
@@ -56,6 +63,7 @@ def test_flexcode_round_trip_is_bitwise(tmp_path, backend):
     method, loaded, meta = load_model(path)
     assert method == "flexcode"
     assert meta["n_lags"] == 3
+    assert (loaded.features, loaded.split) == (design.features, SplitSpec())
     assert loaded.i_selected == model.i_selected
     assert loaded.hyper == model.hyper
     u = design.u[-10:]
@@ -351,6 +359,36 @@ def test_garch_save_load_is_exact(tmp_path, series, p):
     assert a.tobytes() == b.tobytes()
 
 
+FEATURE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@FEATURE_SETTINGS
+@given(n_lags=st.integers(1, 5),
+       rolling=st.dictionaries(st.sampled_from(ROLLING_STATS), st.integers(2, 6)),
+       n_exog=st.integers(0, 2), contemporaneous=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_feature_specs_round_trip(tmp_path, n_lags, rolling, n_exog,
+                                  contemporaneous, seed):
+    y = generate("ar", 300, seed)
+    exog = np.random.default_rng(seed).normal(size=(300, n_exog))
+    names = ["temp", "load"][:n_exog]
+    table = SeriesTable(y, exog if n_exog else None, list(names), "close")
+    rolling = [RollingSpec(stat, window) for stat, window in rolling.items()]
+    design = lag_embed(table, n_lags, rolling, contemporaneous)
+    spec = FeatureSpec("close", n_lags, rolling, names, contemporaneous)
+    assert design.features == spec
+    split = SplitSpec(0.6, 0.2, 0.2)
+    model = fit(design, split, FitConfig(backend="knn", i_max=5))
+    path = tmp_path / "m.json"
+    save_model(path, "flexcode", model)
+    loaded = load_model(path)[1]
+    assert (loaded.features, loaded.split) == (spec, split)
+    first = path.read_bytes()
+    save_model(path, "flexcode", loaded)
+    assert path.read_bytes() == first
+
+
 @pytest.fixture(scope="module")
 def fresh_fits():
     with pytest.warns(RuntimeWarning):  # the lasso fit selects I at i_max
@@ -378,13 +416,26 @@ def test_files_without_basis_rows_change_only_their_version(tmp_path, fresh_fits
     save_model(path, method, model, {"fixture": name})
     with open(os.path.join(data_dir(2), f"{name}.json")) as fh:
         old = json.load(fh)
-    assert json.loads(path.read_text()) == {**old, "format_version": FORMAT_VERSION}
+    new = json.loads(path.read_text())
+    # besides the version, format 4 holds the feature spec and the split,
+    # in place of a flexcode model's lag count
+    specs = {key: new["model"].pop(key) for key in ("features", "split")}
+    old["model"].pop("n_lags", None)
+    assert new == {**old, "format_version": FORMAT_VERSION}
+    if method == "flexcode":  # fitted on 3 lags of "y" with the default split
+        assert specs == {
+            "features": {"target": "y", "n_lags": 3, "rolling": [], "exog": [],
+                         "exog_contemporaneous": False},
+            "split": {"train_frac": 0.7, "val_frac": 0.1, "test_frac": 0.2},
+        }
+    else:  # fitted by the library, which records neither
+        assert specs == {"features": None, "split": None}
 
 
 # the version-1 cases keep their ids; the others are suffixed with their version
 @pytest.mark.parametrize("version,name", [
     pytest.param(version, name, id=name if version == 1 else f"{name}-v{version}")
-    for version in (1, 2) for name in NAMES
+    for version in (1, 2, 3) for name in NAMES
 ])
 def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, version,
                                                   name):
@@ -395,6 +446,8 @@ def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, version,
     method, loaded, meta = load_model(path)
     fresh_method, fresh, rows = fresh_fits[name]
     assert (method, meta) == (fresh_method, {"fixture": name})
+    # the fixtures' metadata records no feature spec or split
+    assert (loaded.features, loaded.split) == (None, None)
     assert predictions(method, loaded, rows) == predictions(method, fresh, rows)
     if method == "flexcode":
         assert (loaded.backend_kind, loaded.hyper, loaded.i_selected) == (
@@ -410,8 +463,10 @@ def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, version,
         else:
             assert loaded.candidate_losses == fresh.candidate_losses
             assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
-        # an older file holds the basis rows, not the responses behind them
-        assert loaded.train_z is None
+        if version < 3:  # the basis rows, not the responses behind them
+            assert loaded.train_z is None
+        else:
+            assert np.array_equal(loaded.train_z, fresh.train_z)
         if hasattr(fresh.backend, "train_phi"):
             assert (loaded.backend.train_phi.tobytes()
                     == fresh.backend.train_phi.tobytes())
