@@ -31,7 +31,7 @@ import numpy as np
 
 from flexts.basis import check_grid_size, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.estimator import renormalize_rows
+from flexts.estimator import DensityBatch, renormalize_rows
 from flexts.evaluation import cde_loss_grid
 from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
@@ -94,19 +94,12 @@ class NnkcdeModel:
     def density_rows(self, neighbors, grid_y):
         """Renormalized Gaussian KDE over each row's neighbor responses."""
         raw = kernel_means(self.train_y, neighbors, [self.k], grid_y, self.h)[0]
-        return renormalize_rows(raw, grid_y)[0]
+        density, degenerate = renormalize_rows(raw, grid_y)
+        return DensityBatch(grid_y, density, raw, degenerate)
 
-    def predict_density_batch(self, eval_u, grid_y=None):
-        """Renormalized neighbor-KDE densities, one row per query."""
-        if grid_y is None:
-            grid_y = self.grid()
-        return self.density_rows(self.row_state(eval_u), grid_y)
-
-    def predict_density(self, u, grid_y=None):
-        batch = self.predict_density_batch(u, grid_y=grid_y)
-        if batch.shape[0] != 1:
-            raise DataError("predict_density expects a single covariate row")
-        return batch[0]
+    def predict_density_batch(self, eval_u):
+        """Densities on the model's grid; perfbench's nnkcde_predict probe wraps it."""
+        return self.density_rows(self.row_state(eval_u), self.grid()).density
 
 
 def kernel_means(train_y, order, ks, grid_y, h):
@@ -443,7 +436,7 @@ def garch_forecast(model, y):
 
 
 def garch_density_rows(means, s2, grid_y):
-    """Renormalized Gaussian predictive densities on a common grid."""
+    """Renormalized Gaussian predictive densities on a common grid, a DensityBatch."""
     means = np.asarray(means, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     if np.any(s2 <= 0):
@@ -451,4 +444,5 @@ def garch_density_rows(means, s2, grid_y):
     sd = np.sqrt(s2)
     zz = (grid_y[None, :] - means[:, None]) / sd[:, None]
     raw = np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
-    return renormalize_rows(raw, grid_y)[0]
+    density, degenerate = renormalize_rows(raw, grid_y)
+    return DensityBatch(grid_y, density, raw, degenerate)

@@ -12,9 +12,10 @@ fitted model records its feature spec (``model.features``: the target
 and exogenous columns, lags, rolling statistics) and its ``model.split``,
 which ``evaluate``, ``predict`` and ``importance`` rebuild the design and
 its blocks from. Each model tabulates itself: ``row_state`` computes
-some rows' state once, ``density_rows`` gives their densities on any
-response grid, and ``grid()`` is the fit-time grid (the padded training
-range at ``grid_size`` points) each method is scored on.
+some rows' state once, ``density_rows`` gives their ``DensityBatch`` on
+any response grid, and ``grid()`` is the fit-time grid (the padded
+training range at ``grid_size`` points) each method is scored on. So
+``evaluate``, ``predict`` and ``bench`` take one path for every method.
 """
 
 import argparse
@@ -362,7 +363,7 @@ def cmd_evaluate(args):
         model = _with_fit_grid(model, meta, design)
         state = model.row_state(design.u[rows], table.response, rows)
         grid_y = model.grid()
-        dens = model.density_rows(state, grid_y)
+        dens = model.density_rows(state, grid_y).density
         rep = cde_loss_grid(grid_y, dens, y_te)
         row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
 
@@ -403,7 +404,7 @@ def _resolve_row(design, row):
 
 
 def cmd_predict(args):
-    method, model, meta = persistence.load_model(args.model)
+    _, model, meta = persistence.load_model(args.model)
     taus = _parse_taus(args.taus) if args.taus else None
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
@@ -426,23 +427,15 @@ def cmd_predict(args):
             u = design.u[rows]
             label = f"design row {row}"
 
-    state = model.row_state(u, series, rows)
-    grid_y = model.grid()
-    if method == "flexcode":  # tabulated once: the density and its raw expansion
-        batch = estimator.tabulate_density(model, state, grid_y)
-        dens = batch.density[0]
-    else:
-        batch, dens = None, model.density_rows(state, grid_y)[0]
+    batch = model.density_rows(model.row_state(u, series, rows), model.grid())
     if taus is not None:
-        q = estimator.quantiles_from_grid_density(grid_y, dens, taus)
+        q = estimator.quantiles_from_grid_density(batch.grid_y, batch.density[0], taus)
         write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
-    elif batch is not None:  # the expansion before clipping is a third column
+    else:  # the density before clipping and renormalization is a third column
         write_csv(args.output, ["y", "density", "raw_density"],
-                  list(zip(grid_y, dens, batch.raw_density[0])))
+                  list(zip(batch.grid_y, batch.density[0], batch.raw_density[0])))
         if batch.degenerate[0]:
             print("warning: clipped density had no mass; wrote uniform")
-    else:
-        write_csv(args.output, ["y", "density"], list(zip(grid_y, dens)))
     print(f"prediction for {label} written: {args.output}")
     return 0
 
@@ -558,7 +551,8 @@ def run_bench_cell(cell, **settings):
     rows = slice(te.start, te.stop)
     state = model.row_state(design.u[rows], y, rows)
     grid_y = model.grid()
-    rep = cde_loss_grid(grid_y, model.density_rows(state, grid_y), design.y[rows])
+    rep = cde_loss_grid(grid_y, model.density_rows(state, grid_y).density,
+                        design.y[rows])
     result = {
         **asdict(cell),
         "status": "ok",
@@ -576,7 +570,8 @@ def run_bench_cell(cell, **settings):
         truth = scenarios.density_rows(
             cell.scenario, design.u[rows], fine_grid, sigma_nm=cfg.sigma_nm
         )
-        orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid), fine_grid)
+        orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid).density,
+                               fine_grid)
         result["oracle_cde_loss"] = orep.loss
         result["oracle_cde_loss_se"] = orep.std_error
     return result

@@ -7,6 +7,11 @@ of expansion terms and the backend hyperparameter are chosen jointly by
 minimizing the empirical density loss on a later-in-time validation
 block. Predicted densities are post-processed (negative part clipped,
 mass renormalized) before consumption.
+
+Every fitted model, this one and the ``baselines``, tabulates through
+``grid()``, ``row_state`` and ``density_rows`` (a ``DensityBatch``);
+``predict_density_batch``, ``predict_density`` and ``predict_quantiles``
+are that call on the model's grid, for any model whose state needs only u.
 """
 
 import warnings
@@ -101,17 +106,32 @@ class CoefficientModel:
         return self._grid
 
     def row_state(self, u, series=None, rows=None):
-        """The backend's coefficient predictions at covariate rows u."""
-        return predict_coefficients(self, u)
+        """The backend's predicted coefficients (all i_max+1) at covariate rows u."""
+        u = check_queries(np.atleast_2d(u), len(self.feature_names))
+        return self.backend.predict(u)
 
     def density_rows(self, state, grid_y):
-        """Post-processed densities of row_state's rows on any response grid."""
-        return tabulate_density(self, state, grid_y).density
+        """Densities of row_state's rows on any response grid, cut at the selected I.
+
+        On the model's own grid the basis is the one it prepared when built.
+        """
+        phi_grid = self._phi_grid
+        if grid_y is not self._grid:
+            phi_grid = basis_matrix(
+                self.basis, self.scaler.transform(grid_y), self.i_selected
+            )
+        raw = (state.b_hat[:, : self.i_selected + 1] @ phi_grid.T) / self.scaler.width
+        density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
+        return DensityBatch(grid_y, density, raw, degenerate)
 
 
 @dataclass
 class DensityBatch:
-    """Post-processed densities on a shared response grid."""
+    """Post-processed densities on a shared response grid.
+
+    ``raw_density`` is the method's density before clipping and
+    renormalization; ``degenerate`` flags rows without mass, made uniform.
+    """
 
     grid_y: np.ndarray
     density: np.ndarray
@@ -237,35 +257,13 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     )
 
 
-def predict_coefficients(model, u):
-    """Predicted basis coefficients (all i_max+1 columns) at covariate rows u."""
-    u = check_queries(np.atleast_2d(u), len(model.feature_names))
-    return model.backend.predict(u)
-
-
-def tabulate_density(model, pred, grid_y):
-    """Post-processed densities of predicted coefficients on any response grid.
-
-    ``pred`` is the backend's prediction for some covariate rows; the
-    expansion is cut at the selected I, evaluated on ``grid_y``, clipped
-    at zero and renormalized. On the model's own grid the basis is the
-    one the model prepared when built.
-    """
-    if grid_y is model.grid():
-        phi_grid = model._phi_grid
-    else:
-        phi_grid = basis_matrix(
-            model.basis, model.scaler.transform(grid_y), model.i_selected
-        )
-    coeffs = pred.b_hat[:, : model.i_selected + 1]
-    raw = (coeffs @ phi_grid.T) / model.scaler.width
-    density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
-    return DensityBatch(grid_y, density, raw, degenerate)
-
-
 def predict_density_batch(model, u):
-    """Post-processed conditional densities for many covariate rows."""
-    return tabulate_density(model, predict_coefficients(model, u), model.grid())
+    """Post-processed conditional densities for many covariate rows.
+
+    Any model whose row state needs only covariates (flexcode, NNKCDE)
+    tabulates here on its fit-time grid; GARCH's needs the series.
+    """
+    return model.density_rows(model.row_state(u), model.grid())
 
 
 def predict_density(model, u):

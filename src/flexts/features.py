@@ -92,6 +92,11 @@ class FeatureSpec:
     def __post_init__(self):
         if self.n_lags < 1:
             raise ValueError(f"n_lags must be >= 1, got {self.n_lags}")
+        # the target as a covariate would, with contemporaneous timing, be y_t itself
+        if self.target in self.exog:
+            raise ValueError(f"exogenous column {self.target!r} is the target")
+        if len(set(self.exog)) != len(self.exog):
+            raise ValueError(f"exogenous columns repeat a name: {self.exog}")
 
 
 @dataclass

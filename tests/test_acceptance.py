@@ -188,7 +188,7 @@ def test_criterion_8_baseline_sanity(acceptance):
     nn = baselines.NnkcdeModel(
         np.array([[0.0]]), np.array([0.3]), k=1, h=0.2, lo=-1.0, hi=1.0)
     grid = nn.grid()
-    dens = nn.predict_density(np.array([0.0]))
+    dens = estimator.predict_density(nn, np.array([0.0])).density
     closed = stats.norm.pdf(grid, loc=0.3, scale=0.2)
     closed /= np.trapezoid(closed, grid)
     nn_ok = np.abs(dens - closed).max() < 1e-10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
-from flexts import regression
+from flexts import estimator, regression
 from flexts.errors import DataError
 from flexts.baselines import (
     PERSISTENCE_CAP,
@@ -49,7 +49,7 @@ def test_single_training_point_kde_matches_closed_form():
         k_grid=[1],
         h_grid=[1.0],
     )
-    dens = model.predict_density(np.zeros(1))
+    dens = estimator.predict_density(model, np.zeros(1)).density
     grid = model.grid()
     expected = stats.norm.pdf(grid)
     expected /= np.trapezoid(expected, grid)
@@ -68,7 +68,7 @@ def test_two_point_kde_is_bimodal():
         h_grid=[0.05],
     )
     grid = model.grid()
-    dens = model.predict_density(np.array([0.5]))
+    dens = estimator.predict_density(model, np.array([0.5])).density
     at = lambda y: dens[np.argmin(np.abs(grid - y))]
     assert at(-1.0) > 20 * at(0.0)
     assert at(1.0) > 20 * at(0.0)
@@ -129,7 +129,8 @@ def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):
                 fast.h * np.sqrt(2.0 * np.pi)
             )
         want = renormalize_rows(raw, grid)[0]
-        assert np.array_equal(fast.predict_density_batch(u_va, grid_y=grid), want)
+        got = fast.density_rows(fast.row_state(u_va), grid).density
+        assert np.array_equal(got, want)
 
     fallback_rows = []
 
@@ -158,7 +159,7 @@ def test_nnkcde_rejects_degenerate_inputs():
             nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, h_grid=[0.5, h])
     model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3)
     with pytest.raises(DataError):
-        model.predict_density(np.zeros(5))
+        estimator.predict_density(model, np.zeros(5))
     with pytest.raises(ValueError, match="k must be an integer"):
         NnkcdeModel(u_tr, y_tr, k=2.5, h=model.h, lo=-3, hi=3)
 
@@ -322,7 +323,7 @@ def test_garch_density_rows_are_renormalized_gaussians():
     means = np.array([0.0, 1.0])
     s2 = np.array([1.0, 0.25])
     grid = np.linspace(-6.0, 6.0, 1201)
-    dens = garch_density_rows(means, s2, grid)
+    dens = garch_density_rows(means, s2, grid).density
     for r in range(2):
         expected = stats.norm.pdf(grid, means[r], np.sqrt(s2[r]))
         expected /= np.trapezoid(expected, grid)
@@ -332,7 +333,7 @@ def test_garch_density_rows_are_renormalized_gaussians():
 def test_garch_quantiles_match_gaussian_closed_form():
     mu, s2 = 0.3, 0.81
     grid = np.linspace(mu - 8 * np.sqrt(s2), mu + 8 * np.sqrt(s2), 2001)
-    dens = garch_density_rows(np.array([mu]), np.array([s2]), grid)[0]
+    dens = garch_density_rows(np.array([mu]), np.array([s2]), grid).density[0]
     taus = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
     q = quantiles_from_grid_density(grid, dens, taus)
     expected = mu + np.sqrt(s2) * stats.norm.ppf(taus)

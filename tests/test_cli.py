@@ -265,6 +265,26 @@ def test_fit_rolling_and_exog_features(tmp_path):
                 "-o", tmp_path / "next.csv"]) == 0
 
 
+def test_fit_rejects_the_target_as_an_exogenous_column(tmp_path, capsys):
+    data = tmp_path / "exog.csv"
+    x = np.random.default_rng(0).normal(size=300)
+    cli.write_csv(data, ["y", "x"], list(zip(generate("ar", 300, 2), x)))
+    # with contemporaneous timing the design would hold y_t as a covariate of y_t
+    for exog in (["--exog", "y"], ["--exog", "x", "--exog", "x"]):
+        code, _, err = run(["fit", "--input", data, *exog, "--exog-contemporaneous",
+                            "-o", tmp_path / "m.json"], capsys)
+        assert code == 2, exog
+    # a model file whose feature spec does so is malformed data
+    doc = json.loads(fit(tmp_path, data, extra=("--exog", "x")).read_text())
+    doc["model"]["features"]["exog"] = ["y"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(["evaluate", "--model", bad, "--input", data,
+                        "-o", tmp_path / "eval.csv"], capsys)
+    assert code == 3
+    assert "'y' is the target" in err
+
+
 def test_fit_bad_rolling_spec(tmp_path):
     data = simulate(tmp_path)
     assert run(["fit", "--input", data, "--rolling", "mean", "-o",
@@ -365,8 +385,8 @@ def test_predict_density_from_covariates(tmp_path, fitted_trio, monkeypatch):
     _, models = fitted_trio
     out = tmp_path / "dens.csv"
     calls = []
-    tabulate = estimator.tabulate_density
-    monkeypatch.setattr(estimator, "tabulate_density",
+    tabulate = estimator.CoefficientModel.density_rows
+    monkeypatch.setattr(estimator.CoefficientModel, "density_rows",
                         lambda *args: calls.append(1) or tabulate(*args))
     assert run(["predict", "--model", models["flexcode"], "--u", "0.1,0.2,0.0",
                 "-o", out]) == 0
@@ -547,18 +567,39 @@ def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
         grid_y = model.grid()
         fine = np.linspace(grid_y[0], grid_y[-1], 2001)
         for grid in (grid_y, fine):
-            got = model.density_rows(state, grid)
-            if method == "flexcode":
-                regridded = dataclasses.replace(model, grid_size=grid.size)
-                assert np.array_equal(regridded.grid(), grid)
-                want = estimator.predict_density_batch(
-                    regridded, design.u[rows]).density
-            elif method == "nnkcde":
-                want = model.predict_density_batch(design.u[rows], grid_y=grid)
-            else:
+            got = model.density_rows(state, grid).density
+            if method == "garch":
                 means, s2 = baselines.garch_filter(model, table.response)
                 want = baselines.garch_density_rows(means[rows], s2[rows], grid)
-            assert np.array_equal(got, want), method
+            else:
+                regridded = dataclasses.replace(model, grid_size=grid.size)
+                assert np.array_equal(regridded.grid(), grid)
+                want = estimator.predict_density_batch(regridded, design.u[rows])
+            assert np.array_equal(got, want.density), method
+
+
+def test_every_method_tabulates_one_density_batch(tmp_path, fitted_trio):
+    data, models = fitted_trio
+    for method, path in models.items():
+        _, model, _ = load_model(path)
+        table, design = cli._read_design(model.features, data)
+        _, _, te = temporal_split(design.n_rows, model.split)
+        for rows in (slice(te.start, te.stop), slice(design.n_rows - 1, None)):
+            state = model.row_state(design.u[rows], table.response, rows)
+            batch = model.density_rows(state, model.grid())
+            density, degenerate = estimator.renormalize_rows(
+                np.maximum(batch.raw_density, 0.0), batch.grid_y)
+            assert density.tobytes() == batch.density.tobytes(), method
+            assert np.array_equal(degenerate, batch.degenerate), method
+        # predict writes the last row's batch: the density and its raw form
+        out = tmp_path / f"row_{method}.csv"
+        assert run(["predict", "--model", path, "--input", data, "--row", -1,
+                    "-o", out]) == 0
+        written = read_rows(out)
+        assert written[0] == ["y", "density", "raw_density"], method
+        for j, column in enumerate((batch.grid_y, batch.density[0],
+                                    batch.raw_density[0])):
+            assert [float(r[j]) for r in written[1:]] == column.tolist(), method
 
 
 def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):

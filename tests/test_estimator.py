@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flexts import estimator, evaluation
-from flexts.baselines import GarchModel, NnkcdeModel
+from flexts.baselines import GarchModel, NnkcdeModel, nnkcde_fit
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import (
@@ -17,13 +17,11 @@ from flexts.estimator import (
     FitConfig,
     fit,
     importance,
-    predict_coefficients,
     predict_density,
     predict_density_batch,
     predict_quantiles,
     quantiles_from_grid_density,
     renormalize_rows,
-    tabulate_density,
 )
 from flexts.evaluation import cde_loss_from_coeffs
 from flexts.features import DesignMatrix, SeriesTable, SplitSpec, lag_embed
@@ -81,8 +79,8 @@ def test_every_model_checks_query_rows_alike():
     for model in (manual_model([1.0, 0.2]), small_nnkcde()):
         one_row = model.row_state(np.array([0.3, -0.1]), None, None)
         rows = model.row_state(np.array([[0.3, -0.1]]), None, None)
-        assert np.array_equal(model.density_rows(one_row, model.grid()),
-                              model.density_rows(rows, model.grid()))
+        assert np.array_equal(model.density_rows(one_row, model.grid()).density,
+                              model.density_rows(rows, model.grid()).density)
         for bad, match in [(np.zeros(3), "2 columns"),
                            (np.zeros((4, 1)), "2 columns"),
                            (np.array([[0.0, np.nan]]), "non-finite")]:
@@ -91,9 +89,8 @@ def test_every_model_checks_query_rows_alike():
 
 
 def test_every_model_predicts_one_row_density_alike():
-    flexcode = manual_model([1.0, 0.2])
-    for predict in (lambda u: predict_density(flexcode, u).density,
-                    small_nnkcde().predict_density):
+    for model in (manual_model([1.0, 0.2]), small_nnkcde()):
+        predict = lambda u: predict_density(model, u).density
         one_row = predict(np.array([0.3, -0.1]))
         assert one_row.ndim == 1
         assert np.array_equal(one_row, predict(np.array([[0.3, -0.1]])))
@@ -306,7 +303,7 @@ def test_predict_checks_covariates():
 
 def test_constant_coefficient_column_is_preserved():
     model = fit(ar_design(n=600))
-    pred = predict_coefficients(model, ar_design(n=600).u[:8])
+    pred = model.row_state(ar_design(n=600).u[:8])
     np.testing.assert_array_equal(pred.b_hat[:, 0], np.ones(8))
 
 
@@ -341,7 +338,7 @@ def test_density_batch_grid_override():
     model = fit(ar_design(n=400))
     u = np.zeros((2, 3))
     fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
-    batch = tabulate_density(model, predict_coefficients(model, u), fine)
+    batch = model.density_rows(model.row_state(u), fine)
     assert batch.grid_y.shape == (2001,)
     assert batch.density.shape == (2, 2001)
     np.testing.assert_allclose(np.trapezoid(batch.density, fine, axis=1), 1.0)
@@ -349,9 +346,33 @@ def test_density_batch_grid_override():
     # the basis is the one the model prepared or tabulated afresh on a copy
     batch = predict_density_batch(model, u)
     for grid_y in (model.grid(), np.array(model.grid())):
-        own = tabulate_density(model, predict_coefficients(model, u), grid_y)
+        own = model.density_rows(model.row_state(u), grid_y)
         assert own.density.tobytes() == batch.density.tobytes()
         assert own.raw_density.tobytes() == batch.raw_density.tobytes()
+
+
+def test_estimator_helpers_are_one_protocol_call():
+    design = ar_design(n=600)
+    models = [fit(design, config=FitConfig(backend=b)) for b in BACKENDS]
+    scaler = fit_scaler(design.y[:400])
+    models.append(nnkcde_fit(design.u[:400], design.y[:400], design.u[400:500],
+                             design.y[400:500], scaler.lo, scaler.hi))
+    u, taus = design.u[-15:], np.linspace(0.05, 0.95, 19)
+    for model in models:
+        want = model.density_rows(model.row_state(u), model.grid())
+        got = predict_density_batch(model, u)
+        for name in ("grid_y", "density", "raw_density", "degenerate"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        q = quantiles_from_grid_density(want.grid_y, want.density, taus)
+        assert predict_quantiles(model, u, taus).tobytes() == q.tobytes()
+        # one row: the same call on a one-row batch
+        want = model.density_rows(model.row_state(u[:1]), model.grid())
+        one = predict_density(model, u[0])
+        assert one.density.tobytes() == want.density[0].tobytes()
+        assert one.raw_density.tobytes() == want.raw_density[0].tobytes()
+        assert one.degenerate == want.degenerate[0]
+        q = quantiles_from_grid_density(want.grid_y, want.density[0], taus)
+        assert predict_quantiles(model, u[0], taus).tobytes() == q.tobytes()
 
 
 def test_quantiles_monotone_and_validated():
@@ -521,7 +542,7 @@ def model_states(draw, grid_y):
 @given(data=st.data(), grid_y=response_grids())
 def test_density_rows_are_nonnegative_with_unit_mass(data, grid_y):
     model, state = data.draw(model_states(grid_y))
-    dens = model.density_rows(state, grid_y)
+    dens = model.density_rows(state, grid_y).density
     assert np.all(dens >= 0.0)
     np.testing.assert_allclose(np.trapezoid(dens, grid_y, axis=1), 1.0, rtol=1e-12)
 

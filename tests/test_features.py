@@ -5,6 +5,7 @@ import pytest
 
 from flexts.errors import DataError
 from flexts.features import (
+    FeatureSpec,
     RollingSpec,
     SeriesTable,
     SplitSpec,
@@ -56,6 +57,19 @@ def test_lag_embed_exog_lagged_by_default():
     d2 = lag_embed(table(y, x, ["temp"]), n_lags=1, exog_contemporaneous=True)
     assert d2.feature_names == ["lag1", "temp"]
     np.testing.assert_array_equal(d2.u, [[1, 20], [2, 30], [3, 40]])
+
+
+def test_exog_columns_exclude_the_target_and_repeats():
+    y = [1.0, 2.0, 3.0, 4.0]
+    # with contemporaneous timing the target as a covariate would be y_t itself
+    for timing in (False, True):
+        with pytest.raises(ValueError, match="'y' is the target"):
+            lag_embed(table(y, [[1.0]] * 4, ["y"]), n_lags=1,
+                      exog_contemporaneous=timing)
+    with pytest.raises(ValueError, match="repeat a name"):
+        lag_embed(table(y, [[1.0, 2.0]] * 4, ["a", "a"]), n_lags=1)
+    with pytest.raises(ValueError, match="'temp' is the target"):
+        FeatureSpec("temp", 1, exog=["temp"])
 
 
 def test_lag_embed_no_future_leakage():

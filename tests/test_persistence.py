@@ -109,8 +109,7 @@ def test_forecasts_reuse_what_the_loaded_model_prepared(tmp_path, monkeypatch):
 
     # another grid is tabulated afresh; a new grid size builds a new model
     fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
-    coeffs = estimator.predict_coefficients(model, rows[:1])
-    fresh = estimator.tabulate_density(model, coeffs, fine)
+    fresh = model.density_rows(model.row_state(rows[:1]), fine)
     assert len(basis_calls) == 1
     regridded = dataclasses.replace(model, grid_size=2001)
     assert len(basis_calls) == 2
@@ -185,8 +184,8 @@ def test_nnkcde_round_trip(tmp_path):
         model.predict_density_batch(u), loaded.predict_density_batch(u)
     )
     for row in u[:3]:
-        assert (model.predict_density(row).tobytes()
-                == loaded.predict_density(row).tobytes())
+        assert (predict_density(model, row).density.tobytes()
+                == predict_density(loaded, row).density.tobytes())
 
 
 def test_garch_round_trip(tmp_path):
@@ -356,7 +355,7 @@ def test_garch_save_load_is_exact(tmp_path, series, p):
     loaded = round_trip(tmp_path / "m.json", "garch", model)
     grid = np.linspace(y.min(), y.max(), 101)
     a, b = (garch_density_rows(*garch_filter(m, y), grid) for m in (model, loaded))
-    assert a.tobytes() == b.tobytes()
+    assert a.density.tobytes() == b.density.tobytes()
 
 
 FEATURE_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=12)
@@ -397,15 +396,12 @@ def fresh_fits():
 
 def predictions(method, model, rows):
     """The bytes of what a model predicts: densities, or the garch filter."""
-    if method == "flexcode":
-        batch = predict_density_batch(model, rows)
-        one = predict_density(model, rows[0])  # the single-row path
-        return b"".join(a.tobytes() for a in (
-            batch.density, batch.raw_density, one.density, one.raw_density))
-    if method == "nnkcde":
-        one = model.predict_density(rows[0])
-        return model.predict_density_batch(rows).tobytes() + one.tobytes()
-    return b"".join(a.tobytes() for a in garch_filter(model, rows))
+    if method == "garch":
+        return b"".join(a.tobytes() for a in garch_filter(model, rows))
+    batch = predict_density_batch(model, rows)
+    one = predict_density(model, rows[0])  # the single-row path
+    return b"".join(a.tobytes() for a in (
+        batch.density, batch.raw_density, one.density, one.raw_density))
 
 
 @pytest.mark.parametrize("name", ["flexcode_lasso", "nnkcde", "garch"])
