@@ -48,6 +48,19 @@ which certifies the order the blocked pass would give. Ties, near ties
 and every other query set go through the blocked pass, so the order, and
 every output bit, is the blocked pass's either way.
 
+Each block's distances are computed on the caller's thread. The per-row
+work after them, ``nw_predict_grid``'s rings and ``knn_order``'s
+``nearest_order``, is split by ``split_rows`` into contiguous
+SLICE_ROWS-aligned row ranges over ROW_THREADS threads, the CPUs the
+process may run on (the k-d tree query uses as many). The caller's
+thread runs the first range and a pool the others; the pool's threads
+start with the first split block, idle ones block rather than spin, and
+BLAS thread settings do not govern them. A row's result depends on its
+own distances alone, so every output has the same bits for any thread
+count. A block still holds ROW_BLOCK rows' distances, and the threads'
+temporaries together cover no more rows than the block. ``nw_predict``
+runs on the caller's thread alone.
+
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
 hyperparameter and computes the squared training norms once. ``predict``
@@ -55,8 +68,11 @@ hands those norms to the distance code, so a call computes only what
 depends on the query rows, and every output keeps its bits.
 """
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -70,6 +86,29 @@ ROW_BLOCK = 256
 # pairwise_sq_dists, nw_predict_grid's ring indicator), which stay
 # SLICE_ROWS * n_train values, much smaller than the block's distances
 SLICE_ROWS = 32
+# threads that share each block's per-row work: at most one per SLICE_ROWS
+# rows, and no more than the CPUs this process may run on
+ROW_THREADS = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1,
+    ROW_BLOCK // SLICE_ROWS,
+)
+
+
+def _new_row_pool():
+    """Make split_rows' pool, one thread per range but the caller's.
+
+    No thread starts before the first block it splits. A forked child
+    makes its own: the copy of its parent's pool has no running threads.
+    """
+    global _ROW_POOL
+    _ROW_POOL = ThreadPoolExecutor(ROW_BLOCK // SLICE_ROWS - 1,
+                                   thread_name_prefix="flexts-rows")
+
+
+_new_row_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_row_pool)
 
 # Most covariate columns for which knn_order queries a k-d tree. Tree
 # against blocked knn_order (arma_jump lag designs, 1 BLAS thread; the
@@ -132,6 +171,30 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
             keep = np.flatnonzero(~skip[rows])
             sq = pairwise_sq_dists(eval_u[rows], train_u, train_norms)
             yield start + keep, sq[keep]
+
+
+def split_rows(n_rows, work):
+    """[work(lo, hi)] over contiguous row ranges covering n_rows rows.
+
+    The ranges start at multiples of SLICE_ROWS, at most ROW_THREADS of
+    them. The caller's thread runs the first, a pool of threads the
+    others, so ``work`` must write only to its own rows and each row's
+    result must depend on that row alone: then the results are the same
+    bits for any ROW_THREADS. Rows of one slice or fewer run on the
+    caller's thread without the pool.
+    """
+    n_slices = -(-n_rows // SLICE_ROWS)
+    n_parts = min(ROW_THREADS, n_slices)
+    if n_parts < 2:
+        return [work(0, n_rows)]
+    step = SLICE_ROWS * -(-n_slices // n_parts)
+    ranges = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    futures = [_ROW_POOL.submit(work, lo, hi) for lo, hi in ranges[1:]]
+    try:
+        first = work(*ranges[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 def check_training(train_u, targets, target_ndim=2):
@@ -280,7 +343,11 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     SLICE_ROWS query rows, one sparse (rings * rows, n_train) indicator
     times train_phi sums each ring and a cumulative sum over the rings
     sums each radius: memory and work grow with the points inside the
-    largest radius, not with the number of radii. The order of summation
+    largest radius, not with the number of radii. A point's ring is the
+    count of squared radii below its squared distance, counted over all
+    but the largest, since only points within the largest are kept. The
+    slices of a block are shared among threads (``split_rows``); each
+    row's sums depend on that row alone. The order of summation
     differs from nw_predict's dense product, so the means agree to
     rounding, not bit for bit; an empty ring adds exactly 0.
     """
@@ -292,24 +359,34 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     n_rings, n_train = thresholds.size, train_u.shape[0]
     sums = np.empty((radii.size, eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(sums.shape[:2], dtype=np.intp)
-    for rows, sq in distance_blocks(train_u, eval_u):
-        for start in range(0, sq.shape[0], SLICE_ROWS):
+
+    def add_rings(sq, first, lo, hi):
+        """Ring sums of block rows lo..hi, which are query rows first + lo.."""
+        for start in range(lo, hi, SLICE_ROWS):
             part = sq[start : start + SLICE_ROWS]
             n_rows = part.shape[0]
             n_keys = n_rings * n_rows
             flat = np.flatnonzero(part <= thresholds[-1])
-            ring = np.searchsorted(thresholds, part.ravel()[flat])
+            vals = part.ravel()[flat]
             row = flat // n_train
-            key = ring * n_rows + row
             col = flat - row * n_train
+            # key = ring * n_rows + row; see the docstring for the ring count
+            key = np.zeros(flat.size, dtype=np.intp)
+            for t in thresholds[:-1]:
+                key += vals > t
+            key *= n_rows
+            key += row
             indicator = sparse.csr_matrix(
                 (np.ones(key.size), (key, col)), shape=(n_keys, n_train)
             )
             ring_sums = (indicator @ train_phi).reshape(n_rings, n_rows, -1)
             ring_counts = np.bincount(key, minlength=n_keys).reshape(n_rings, n_rows)
-            out = slice(rows.start + start, rows.start + start + n_rows)
+            out = slice(first + start, first + start + n_rows)
             sums[:, out] = np.cumsum(ring_sums, axis=0)[ring_of]
             counts[:, out] = np.cumsum(ring_counts, axis=0)[ring_of]
+
+    for rows, sq in distance_blocks(train_u, eval_u):
+        split_rows(sq.shape[0], partial(add_rings, sq, rows.start))
     return [_local_means(s, c, train_phi) for s, c in zip(sums, counts)]
 
 
@@ -454,7 +531,7 @@ def _tree_order(train_u, eval_u, k, train_norms):
     finite, as ``cKDTree`` requires.
     """
     tree = cKDTree(train_u)
-    q, order = tree.query(eval_u, k + 1)
+    q, order = tree.query(eval_u, k + 1, workers=ROW_THREADS)
     np.square(q, out=q)
     d = train_u.shape[1]
     m = sq_norms(eval_u) + train_norms.max()
@@ -490,7 +567,9 @@ def knn_order(train_u, eval_u, k, train_norms=None):
     else:
         order = np.empty((eval_u.shape[0], k), dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u, settled, train_norms):
-        order[rows] = nearest_order(sq, k)
+        order[rows] = np.concatenate(
+            split_rows(sq.shape[0], lambda lo, hi, sq=sq: nearest_order(sq[lo:hi], k))
+        )
     return order
 
 

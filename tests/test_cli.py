@@ -926,21 +926,35 @@ LOADED_PROBE = (
 )
 
 
-def run_fresh(argv=()):
-    """(exit code, GARCH-only modules loaded) of the CLI in a fresh process."""
+def run_python(code, *argv):
+    """A fresh Python process running ``code`` on this checkout's flexts."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", LOADED_PROBE, *map(str, argv)],
+        [sys.executable, "-c", code, *map(str, argv)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert done.returncode == 0, done.stderr
+    return done
+
+
+def run_fresh(argv=()):
+    """(exit code, GARCH-only modules loaded) of the CLI in a fresh process."""
+    done = run_python(LOADED_PROBE, *argv)
     code, loaded = json.loads(done.stderr.splitlines()[-1])
     return code, loaded
 
 
 def test_importing_the_cli_loads_no_garch_scipy():
     assert run_fresh() == (None, [])
+
+
+def test_importing_the_cli_starts_no_thread():
+    # the fit's row threads start with the first distance block it splits
+    done = run_python("import threading\n"
+                      "from flexts import cli\n"
+                      "print(threading.active_count())")
+    assert done.stdout.split() == ["1"]
 
 
 def test_nw_predict_loads_no_garch_scipy(tmp_path):

@@ -2,6 +2,10 @@
 
 import contextlib
 import dataclasses
+import os
+import signal
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -10,9 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexts import regression
+from flexts.baselines import nnkcde_fit
 from flexts.errors import DataError
+from flexts.estimator import FitConfig, fit
+from flexts.features import SeriesTable, lag_embed
 from flexts.regression import (
     ROW_BLOCK,
+    SLICE_ROWS,
     TREE_MAX_DIM,
     default_delta_grid,
     default_k_grid,
@@ -30,6 +38,7 @@ from flexts.regression import (
     soft_threshold,
     sq_norms,
 )
+from flexts.scenarios import generate
 
 
 def random_problem(seed, n=120, d=3, n_targets=4, n_eval=7):
@@ -510,6 +519,127 @@ def test_bad_queries_are_rejected(n_eval):
         for call in calls:
             with pytest.raises(ValueError, match=match):
                 call(bad)
+
+
+# ---------------------------------------------------------------------------
+# row threads: each distance block's per-row work split across threads
+# ---------------------------------------------------------------------------
+
+
+def on_one_and_two_threads(call):
+    """call()'s results with ROW_THREADS at 1 and at 2, and the threads that
+    ran nearest_order in each."""
+    results, runners = [], []
+    for threads in (1, 2):
+        ran = set()
+
+        def spied_order(sq_dists, k, ran=ran):
+            ran.add(threading.get_ident())
+            return nearest_order(sq_dists, k)
+
+        with mock.patch.object(regression, "ROW_THREADS", threads), \
+                mock.patch.object(regression, "nearest_order", spied_order):
+            results.append(call())
+        runners.append(ran)
+    return results, runners
+
+
+@pytest.mark.parametrize("n_eval", [ROW_BLOCK + 1, 300, 1999])
+def test_nw_grid_has_the_same_bits_on_any_thread_count(n_eval):
+    # ROW_BLOCK + 1 query rows end in a one-row block, which is not split
+    train_u, train_phi, eval_u = random_problem(41, n=3000, n_targets=6,
+                                                n_eval=n_eval)
+    deltas = default_delta_grid(train_u)
+    (serial, split), _ = on_one_and_two_threads(
+        lambda: nw_predict_grid(train_u, train_phi, eval_u, deltas))
+    for one, two in zip(serial, split):
+        assert one.n_fallback == two.n_fallback
+        assert np.array_equal(one.b_hat, two.b_hat)
+
+
+@pytest.mark.parametrize("design", ["tree", "blocked", "tied"])
+def test_knn_grid_has_the_same_bits_on_any_thread_count(design):
+    d = 20 if design == "blocked" else 3
+    train_u, train_phi, eval_u = random_problem(42, n=3000, d=d, n_targets=5,
+                                                n_eval=600)
+    if design == "tied":
+        # lag rows of a series rounded to 0.1: the tree settles few rows
+        u = lag_rows(np.round(np.random.default_rng(43).normal(size=3603), 1))
+        train_u, eval_u = u[:3000], u[3000:]
+    ks = default_k_grid(train_u.shape[0])
+    (serial, split), (_, runners) = on_one_and_two_threads(
+        lambda: knn_predict_grid(train_u, train_phi, eval_u, ks))
+    for one, two in zip(serial, split):
+        assert np.array_equal(one.b_hat, two.b_hat)
+    if design != "tree":
+        assert len(runners) == 2  # the blocked rows were split
+
+
+def test_nnkcde_fit_has_the_same_bits_on_any_thread_count():
+    rng = np.random.default_rng(44)
+    u = rng.normal(size=(2400, 6))
+    y = u[:, 0] + rng.normal(size=2400)
+    (serial, split), (_, runners) = on_one_and_two_threads(
+        lambda: nnkcde_fit(u[:2000], y[:2000], u[2000:], y[2000:],
+                           lo=y.min(), hi=y.max(), grid_size=201))
+    assert (serial.k, serial.h) == (split.k, split.h)
+    assert np.array_equal(serial.predict_density_batch(u[2000:]),
+                          split.predict_density_batch(u[2000:]))
+    assert len(runners) == 2
+
+
+def test_distances_are_computed_on_the_callers_thread():
+    # perfbench's tracer keeps one span stack, for the caller's thread
+    callers = []
+
+    def spied_dists(a, b, b_norms=None):
+        callers.append(threading.get_ident())
+        return pairwise_sq_dists(a, b, b_norms)
+
+    y = generate("arma_jump", 4000, seed=5)  # 399 validation rows: 2 blocks
+    nw_design = lag_embed(SeriesTable(y), 3)
+    knn_design = lag_embed(SeriesTable(y), TREE_MAX_DIM + 3)  # blocked pass
+    with mock.patch.object(regression, "pairwise_sq_dists", spied_dists):
+        on_one_and_two_threads(lambda: fit(nw_design))
+        _, (_, runners) = on_one_and_two_threads(
+            lambda: fit(knn_design, config=FitConfig(backend="knn")))
+    assert len(runners) == 2  # the knn blocks were split
+    assert len(callers) > 4 and set(callers) == {threading.get_ident()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_blocks_on_threads_of_its_own():
+    # the child's copy of the pool has no running threads to hand ranges to
+    train_u, train_phi, eval_u = random_problem(45, n=500, n_eval=300)
+    with mock.patch.object(regression, "ROW_THREADS", 2):
+        before = nw_predict_grid(train_u, train_phi, eval_u, [0.5, 1.0])
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                after = nw_predict_grid(train_u, train_phi, eval_u, [0.5, 1.0])
+                code = int(not all(np.array_equal(a.b_hat, b.b_hat)
+                                   for a, b in zip(before, after)))
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split block never finished")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_split_rows_covers_the_rows_in_aligned_ranges():
+    with mock.patch.object(regression, "ROW_THREADS", 3):
+        assert regression.split_rows(SLICE_ROWS, lambda lo, hi: (lo, hi)) == [
+            (0, SLICE_ROWS)]
+        assert regression.split_rows(5 * SLICE_ROWS + 1,
+                                     lambda lo, hi: (lo, hi)) == [
+            (0, 2 * SLICE_ROWS), (2 * SLICE_ROWS, 4 * SLICE_ROWS),
+            (4 * SLICE_ROWS, 5 * SLICE_ROWS + 1)]
 
 
 def test_default_k_grid_examples():
