@@ -4,7 +4,12 @@ NNKCDE places a Gaussian kernel density on the responses of the k
 nearest training neighbors of the query covariates, renormalized on the
 evaluation grid: a knn average (``kernel_means``) whose targets are the
 neighbors' Gaussian kernel rows on the grid. Its (k, h) pair is tuned by
-the grid-form density loss on the validation block.
+the grid-form density loss on the validation block. The kernel rows, one
+per training response some query row uses, fill one matrix, and
+``neighbor_means`` averages them into the outputs. Both run on
+``regression``'s row threads in slices of max(1, SLICE_ELEMS // grid size)
+rows (``split_slices``), so the only full-size arrays are that matrix and
+the outputs, and every output keeps its bits for any thread count.
 
 The AR-GARCH model is an AR(p) mean with intercept and GARCH(1, 1)
 innovations fit by Gaussian quasi-maximum-likelihood:
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexts.basis import check_grid_size, fit_scaler
+from flexts.basis import check_grid_size, check_range, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import DensityBatch, renormalize_rows
 from flexts.evaluation import cde_loss_grid
@@ -37,12 +42,14 @@ from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import (
     check_k,
+    check_queries,
     check_training,
     k_candidates,
     knn_order,
     neighbor_means,
     pairwise_sq_dists,
     set_prepared,
+    split_slices,
     sq_norms,
 )
 
@@ -78,6 +85,7 @@ class NnkcdeModel:
         train_u, train_y = check_training(self.train_u, self.train_y, target_ndim=1)
         check_k(self.k, train_u.shape[0])
         check_bandwidths([self.h])
+        check_range(self.lo, self.hi)
         set_prepared(self, train_u=train_u, train_y=train_y,
                      train_norms=sq_norms(train_u))
 
@@ -105,13 +113,25 @@ class NnkcdeModel:
 def kernel_means(train_y, order, ks, grid_y, h):
     """Gaussian KDE on grid_y over each order row's first k, per k in ks.
 
-    The kernel row of each training response in ``order`` is evaluated once.
+    The kernel row of each training response in ``order`` is evaluated
+    once, into one (responses, grid) matrix allocated here and filled in
+    row slices of about SLICE_ELEMS values on the row threads
+    (``split_slices``); ``neighbor_means`` averages its rows.
     """
     used, where = np.unique(order, return_inverse=True)
-    diff = (grid_y[None, :] - train_y[used, None]) / h
-    kern = np.exp(-0.5 * diff * diff)
-    means = neighbor_means(kern, where.reshape(order.shape), ks)
-    return [m / (h * SQRT_2PI) for m in means]
+    centers = train_y[used]
+    kern = np.empty((used.size, grid_y.size))
+
+    def fill(lo, hi):
+        diff = grid_y - centers[lo:hi, None]
+        diff /= h
+        rows = kern[lo:hi]
+        np.multiply(-0.5, diff, out=rows)
+        rows *= diff
+        np.exp(rows, out=rows)
+
+    split_slices(used.size, grid_y.size, fill)
+    return neighbor_means(kern, where.reshape(order.shape), ks, scale=h * SQRT_2PI)
 
 
 def check_bandwidths(h_grid):
@@ -151,13 +171,23 @@ def nnkcde_fit(
     order with k varying fastest.
     """
     train_u = np.asarray(train_u, dtype=float)
-    train_y = np.asarray(train_y, dtype=float)
     check_grid_size(grid_size)
+    check_range(lo, hi)
     val_u = np.asarray(val_u, dtype=float)
     val_y = np.asarray(val_y, dtype=float)
     n_tr = train_u.shape[0]
     if n_tr == 0 or val_u.shape[0] == 0:
         raise DataError("nnkcde needs nonempty training and validation blocks")
+    # every array is checked before the bandwidths and the neighbor search
+    train_u, train_y = check_training(train_u, train_y, target_ndim=1)
+    val_u = check_queries(val_u, train_u.shape[1])
+    if val_y.shape != (val_u.shape[0],):
+        raise DataError(
+            f"val_y must be 1-d with one value per validation row "
+            f"({val_u.shape[0]}), got shape {val_y.shape}"
+        )
+    if not np.all(np.isfinite(val_y)):
+        raise DataError("validation responses contain non-finite values")
     k_grid = k_candidates(k_grid, n_tr)
     if h_grid is None:
         h_grid = default_bandwidth_grid(train_y)
@@ -213,6 +243,10 @@ class GarchModel:
     # the design and split the model was fitted on, which the CLI records
     features: FeatureSpec | None = None
     split: SplitSpec | None = None
+
+    def __post_init__(self):
+        if self.grid_size > 0:  # an old file's grid_size 0 keeps NaN lo and hi
+            check_range(self.lo, self.hi)
 
     @property
     def p(self):

@@ -106,10 +106,7 @@ class Scaler:
     pad: float
 
     def __post_init__(self):
-        if not np.isfinite(self.lo) or not np.isfinite(self.hi):
-            raise ValueError("scaler endpoints must be finite")
-        if self.hi <= self.lo:
-            raise ValueError(f"scaler requires hi > lo, got [{self.lo}, {self.hi}]")
+        check_range(self.lo, self.hi)
 
     @property
     def width(self):
@@ -124,6 +121,14 @@ class Scaler:
         """Map scale units back to response units."""
         z = np.asarray(z, dtype=float)
         return self.lo + z * self.width
+
+
+def check_range(lo, hi):
+    """The response range rule of the scaler and every grid: finite, hi > lo."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"range endpoints must be finite, got [{lo}, {hi}]")
+    if hi <= lo:
+        raise ValueError(f"range requires hi > lo, got [{lo}, {hi}]")
 
 
 def check_grid_size(grid_size):

@@ -61,6 +61,14 @@ count. A block still holds ROW_BLOCK rows' distances, and the threads'
 temporaries together cover no more rows than the block. ``nw_predict``
 runs on the caller's thread alone.
 
+``neighbor_means``, knn's average and NNKCDE's over its kernel rows, runs
+on the same threads in fits and predictions: its outputs are allocated on
+the caller's thread, and ``split_slices`` cuts ``split_rows``' ranges into
+slices of max(1, SLICE_ELEMS // width) rows, about SLICE_ELEMS values
+(256 KB), each summed with a running total of its own that stays in
+cache. A row's means depend on its own neighbors alone, so they too keep
+their bits for any thread count and slice size.
+
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
 hyperparameter and computes the squared training norms once. ``predict``
@@ -86,6 +94,9 @@ ROW_BLOCK = 256
 # pairwise_sq_dists, nw_predict_grid's ring indicator), which stay
 # SLICE_ROWS * n_train values, much smaller than the block's distances
 SLICE_ROWS = 32
+# values per row slice of neighbor_means and NNKCDE's kernel_means (256 KB
+# of floats, which stay in cache): max(1, SLICE_ELEMS // width) rows a slice
+SLICE_ELEMS = 32 * 1024
 # threads that share each block's per-row work: at most one per SLICE_ROWS
 # rows, and no more than the CPUs this process may run on
 ROW_THREADS = min(
@@ -195,6 +206,22 @@ def split_rows(n_rows, work):
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
+
+
+def split_slices(n_rows, width, work):
+    """work(lo, hi) over slices of max(1, SLICE_ELEMS // width) rows.
+
+    The slices cover n_rows rows in order within each of ``split_rows``'
+    ranges, so the same rules hold: ``work`` writes only to its own rows,
+    and each row's result depends on that row alone.
+    """
+    step = max(1, SLICE_ELEMS // width)
+
+    def run(lo, hi):
+        for start in range(lo, hi, step):
+            work(start, min(start + step, hi))
+
+    split_rows(n_rows, run)
 
 
 def check_training(train_u, targets, target_ndim=2):
@@ -573,19 +600,36 @@ def knn_order(train_u, eval_u, k, train_norms=None):
     return order
 
 
-def neighbor_means(train_phi, order, ks):
+def neighbor_means(train_phi, order, ks, scale=1.0):
     """Mean of train_phi's rows over each order row's first k, per k in ks.
 
-    Rows are added one neighbor rank at a time: a sequential sum, over k.
+    Each mean is (total / k) / ``scale``, where a row's total adds its
+    neighbors one rank at a time: a sequential sum, over k. The outputs,
+    one per entry of ks, are allocated here; the rows are summed in slices
+    of about SLICE_ELEMS values (``split_slices``) on the row threads, each
+    slice with a running total of its own.
     """
-    total = train_phi[order[:, 0]]  # fancy indexing copies
-    means = {}
-    for k in range(1, max(ks) + 1):
-        if k > 1:
-            total += train_phi[order[:, k - 1]]
-        if k in ks:
-            means[k] = total / k
-    return [means[k] for k in ks]
+    n_rows, width = order.shape[0], train_phi.shape[1]
+    means = [np.empty((n_rows, width)) for _ in ks]
+
+    def add(lo, hi):
+        total = train_phi[order[lo:hi, 0]]  # fancy indexing copies
+        rank_rows = np.empty_like(total)
+        for k in range(1, max(ks) + 1):
+            if k > 1:
+                # order's indices are in range; mode "raise" (the default)
+                # would gather into a buffer and then copy it to rank_rows
+                train_phi.take(order[lo:hi, k - 1], axis=0, out=rank_rows,
+                               mode="wrap")
+                total += rank_rows
+            for want, out in zip(ks, means):
+                if want == k:
+                    part = out[lo:hi]
+                    np.divide(total, k, out=part)
+                    part /= scale
+
+    split_slices(n_rows, width, add)
+    return means
 
 
 def knn_predict(train_u, train_phi, eval_u, k):

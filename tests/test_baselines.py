@@ -1,10 +1,13 @@
 """Baseline estimators: neighbor-KDE densities and AR-GARCH."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import signal, stats
 
-from flexts import estimator, regression
+from flexts import baselines, estimator, regression
 from flexts.errors import DataError
 from flexts.baselines import (
     PERSISTENCE_CAP,
@@ -162,6 +165,72 @@ def test_nnkcde_rejects_degenerate_inputs():
         estimator.predict_density(model, np.zeros(5))
     with pytest.raises(ValueError, match="k must be an integer"):
         NnkcdeModel(u_tr, y_tr, k=2.5, h=model.h, lo=-3, hi=3)
+
+
+def test_nnkcde_tabulation_peaks_at_its_kernel_matrix_and_outputs():
+    # memory linear in the rows: no full-size temporary beside the kernel
+    # matrix of the used responses and the raw and renormalized densities
+    rng = np.random.default_rng(48)
+    u = rng.normal(size=(4000, 3))
+    y = rng.normal(size=4000)
+    model = NnkcdeModel(u[:3000], y[:3000], k=10, h=0.3, lo=-4.0, hi=4.0,
+                        grid_size=2001)
+    neighbors = model.row_state(u[3000:])
+    grid = model.grid()
+    tracemalloc.start()
+    try:
+        batch = model.density_rows(neighbors, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernel_matrix = np.unique(neighbors).size * grid.size * 8
+    outputs = batch.raw_density.nbytes + batch.density.nbytes
+    # slack: each row thread's two slices of SLICE_ELEMS floats (a running
+    # total and a rank's rows) and 1 MB for the index arrays
+    slack = regression.ROW_THREADS * 2 * regression.SLICE_ELEMS * 8 + 2**20
+    assert peak < kernel_matrix + outputs + slack
+
+
+def test_nnkcde_checks_its_arrays_before_the_search(monkeypatch):
+    y = generate("ar", 200, 3)
+    u_tr, y_tr, u_va, y_va = split_series(y)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran on unchecked arrays")
+
+    monkeypatch.setattr(baselines, "default_bandwidth_grid", no_search)
+    monkeypatch.setattr(baselines, "knn_order", no_search)
+    nan_y_tr, nan_y_va = y_tr.copy(), y_va.copy()
+    nan_y_tr[3] = nan_y_va[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        nnkcde_fit(u_tr, nan_y_tr, u_va, y_va, lo=-3, hi=3)
+    with pytest.raises(ValueError, match="row mismatch"):
+        nnkcde_fit(u_tr, y_tr[1:], u_va, y_va, lo=-3, hi=3)
+    for val_u, val_y, match in [
+        (u_va, nan_y_va, "non-finite"),
+        (u_va, y_va[1:], "one value per validation row"),
+        (u_va, y_va[:, None], "one value per validation row"),
+        (u_va[:, :2], y_va, "3 columns"),
+    ]:
+        with pytest.raises(DataError, match=match):
+            nnkcde_fit(u_tr, y_tr, val_u, val_y, lo=-3, hi=3)
+
+
+def test_nnkcde_and_garch_need_a_finite_increasing_range():
+    y = generate("ar", 200, 3)
+    u_tr, y_tr, u_va, y_va = split_series(y)
+    model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3)
+    garch = garch_fit(generate("ar", 300, 5), p=1)
+    for lo, hi in [(4.0, -4.0), (1.0, 1.0), (-3.0, np.nan), (-np.inf, 3.0)]:
+        with pytest.raises(ValueError, match="range"):
+            NnkcdeModel(u_tr, y_tr, k=model.k, h=model.h, lo=lo, hi=hi)
+        with pytest.raises(ValueError, match="range"):
+            dataclasses.replace(garch, lo=lo, hi=hi)
+        with pytest.raises(ValueError, match="range"):
+            nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=lo, hi=hi)
+    # a model file from before GARCH models kept a grid has none
+    old = dataclasses.replace(garch, lo=np.nan, hi=np.nan, grid_size=0)
+    assert old.grid_size == 0
 
 
 # ---------------------------------------------------------------------------

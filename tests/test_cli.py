@@ -462,6 +462,7 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     nw_doc = json.loads(fit(tmp_path, data, fname="nw.json").read_text())
     v1_doc = json.loads((DATA / "v1" / "nnkcde.json").read_text())
     v3 = v3_doc("nnkcde")
+    garch_doc = v3_doc("garch")
     bad = tmp_path / "bad.json"
 
     def with_nan(rows):
@@ -480,6 +481,11 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("model",), "train_y", with_nan(doc["model"]["train_y"])),
         (doc, ("model",), "h", 0.0),  # every density would be uniform
         (doc, ("model",), "h", -0.5),
+        # the response range: reversed, empty or not finite
+        (doc, ("model",), "lo", doc["model"]["hi"] + 1.0),
+        (doc, ("model",), "hi", doc["model"]["lo"]),  # every density inf
+        (doc, ("model",), "hi", float("nan")),
+        (garch_doc, ("model",), "lo", garch_doc["model"]["hi"] + 1.0),
         (knn_doc, ("model",), "i_selected", knn_doc["model"]["i_max"] + 1),
         (doc, ("model",), "k", "abc"),
         (v1_doc, ("model",), "k", 2.5),  # int() would truncate these two

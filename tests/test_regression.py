@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexts import regression
-from flexts.baselines import nnkcde_fit
+from flexts.baselines import SQRT_2PI, kernel_means, nnkcde_fit
 from flexts.errors import DataError
 from flexts.estimator import FitConfig, fit
 from flexts.features import SeriesTable, lag_embed
@@ -36,6 +36,7 @@ from flexts.regression import (
     nw_predict_grid,
     pairwise_sq_dists,
     soft_threshold,
+    split_rows,
     sq_norms,
 )
 from flexts.scenarios import generate
@@ -579,13 +580,97 @@ def test_nnkcde_fit_has_the_same_bits_on_any_thread_count():
     rng = np.random.default_rng(44)
     u = rng.normal(size=(2400, 6))
     y = u[:, 0] + rng.normal(size=2400)
-    (serial, split), (_, runners) = on_one_and_two_threads(
-        lambda: nnkcde_fit(u[:2000], y[:2000], u[2000:], y[2000:],
-                           lo=y.min(), hi=y.max(), grid_size=201))
+
+    def fit_and_tabulate():
+        model = nnkcde_fit(u[:2000], y[:2000], u[2000:], y[2000:],
+                           lo=y.min(), hi=y.max(), grid_size=201)
+        return model, model.density_rows(model.row_state(u[2000:]), model.grid())
+
+    ((serial, serial_rows), (split, split_rows)), (_, runners) = (
+        on_one_and_two_threads(fit_and_tabulate))
     assert (serial.k, serial.h) == (split.k, split.h)
-    assert np.array_equal(serial.predict_density_batch(u[2000:]),
-                          split.predict_density_batch(u[2000:]))
+    assert np.array_equal(serial_rows.density, split_rows.density)
     assert len(runners) == 2
+
+
+def sliced_on_one_and_two_threads(call):
+    """call()'s results with ROW_THREADS at 1 and at 2, and the threads that
+    ran split_rows' work in each."""
+    results, runners = [], []
+    for threads in (1, 2):
+        ran = set()
+
+        def spied_split(n_rows, work, ran=ran):
+            def spied_work(lo, hi):
+                ran.add(threading.get_ident())
+                return work(lo, hi)
+            return split_rows(n_rows, spied_work)
+
+        with mock.patch.object(regression, "ROW_THREADS", threads), \
+                mock.patch.object(regression, "split_rows", spied_split):
+            results.append(call())
+        runners.append(ran)
+    return results, runners
+
+
+def dense_neighbor_means(train_phi, order, ks):
+    """neighbor_means as one gathered (rows, width) block per rank."""
+    total = train_phi[order[:, 0]]
+    means = {}
+    for k in range(1, max(ks) + 1):
+        if k > 1:
+            total += train_phi[order[:, k - 1]]
+        if k in ks:
+            means[k] = total / k
+    return [means[k] for k in ks]
+
+
+def dense_kernel_means(train_y, order, ks, grid_y, h):
+    """kernel_means with one np.exp over every used response's row."""
+    used, where = np.unique(order, return_inverse=True)
+    diff = (grid_y[None, :] - train_y[used, None]) / h
+    kern = np.exp(-0.5 * diff * diff)
+    means = dense_neighbor_means(kern, where.reshape(order.shape), ks)
+    return [m / (h * SQRT_2PI) for m in means]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width, n_rows", [(31, 2500), (1001, 333)])
+def test_neighbor_means_has_the_same_bits_on_any_thread_count(width, n_rows):
+    # 2500 rows of width 31 split into ranges of 1280 and 1220 rows, each
+    # a 1057-row slice and a short tail; 333 rows of width 1001 into 192
+    # and 141 rows, 32-row slices with a 13-row tail
+    rng = np.random.default_rng(46)
+    train_phi = rng.normal(size=(900, width))
+    order = rng.integers(0, 900, size=(n_rows, 12))
+    ks = [12, 1, 5, 5]  # unsorted, and a repeated k gets an array of its own
+    (serial, split), (one, two) = sliced_on_one_and_two_threads(
+        lambda: regression.neighbor_means(train_phi, order, ks))
+    assert_same_bits(serial, dense_neighbor_means(train_phi, order, ks))
+    assert_same_bits(split, serial)
+    assert serial[2] is not serial[3]
+    assert one == {threading.get_ident()} and len(two) == 2
+
+
+def test_kernel_means_has_the_same_bits_on_any_thread_count():
+    # 333 used responses on a 2001-point grid: 16-row slices, split into
+    # 192 and 141 rows, the second ending in a 13-row tail
+    rng = np.random.default_rng(47)
+    train_y = rng.normal(size=333)
+    order = rng.integers(0, 333, size=(333, 7))
+    order[:, 0] = np.arange(333)  # every response is used
+    grid_y = np.linspace(-4.0, 4.0, 2001)
+    ks = [1, 3, 7]
+    (serial, split), (one, two) = sliced_on_one_and_two_threads(
+        lambda: kernel_means(train_y, order, ks, grid_y, 0.3))
+    assert_same_bits(serial, dense_kernel_means(train_y, order, ks, grid_y, 0.3))
+    assert_same_bits(split, serial)
+    assert one == {threading.get_ident()} and len(two) == 2
 
 
 def test_distances_are_computed_on_the_callers_thread():
