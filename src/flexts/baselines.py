@@ -66,8 +66,8 @@ LOG_2PI = np.log(2.0 * np.pi)
 class NnkcdeModel:
     """k nearest neighbors + Gaussian KDE over their responses.
 
-    The training arrays, k and h are checked, and the squared training
-    norms computed, once when the model is built.
+    The grid size, training arrays, k, h and the range are checked, and
+    the squared training norms computed, once when the model is built.
     """
 
     train_u: np.ndarray
@@ -82,6 +82,7 @@ class NnkcdeModel:
     split: SplitSpec | None = None
 
     def __post_init__(self):
+        check_grid_size(self.grid_size)
         train_u, train_y = check_training(self.train_u, self.train_y, target_ndim=1)
         check_k(self.k, train_u.shape[0])
         check_bandwidths([self.h])
@@ -226,8 +227,8 @@ class GarchModel:
     ``s2_init`` seeds the variance recursion (the OLS residual variance
     at fit time) so filtering a series reproduces the fit exactly.
     ``lo``, ``hi`` and ``grid_size`` give the response grid, the padded
-    range of the fitted responses; a model saved before GARCH models
-    kept a grid loads with grid_size 0.
+    range of the fitted responses. The grid and the parameters are
+    checked when the model is built.
     """
 
     c: float
@@ -236,17 +237,25 @@ class GarchModel:
     alpha: float
     beta: float
     s2_init: float
+    lo: float
+    hi: float
+    grid_size: int
     loglik: float = float("nan")
-    lo: float = float("nan")
-    hi: float = float("nan")
-    grid_size: int = 0
     # the design and split the model was fitted on, which the CLI records
     features: FeatureSpec | None = None
     split: SplitSpec | None = None
 
     def __post_init__(self):
-        if self.grid_size > 0:  # an old file's grid_size 0 keeps NaN lo and hi
-            check_range(self.lo, self.hi)
+        check_grid_size(self.grid_size)
+        check_range(self.lo, self.hi)
+        ar = np.asarray(self.ar, dtype=float)
+        if ar.ndim != 1 or not np.all(np.isfinite(ar)):
+            raise ValueError(f"ar must be a 1-d array of finite floats, got {self.ar!r}")
+        params = [self.c, self.omega, self.alpha, self.beta, self.s2_init]
+        if not np.all(np.isfinite(params)):
+            raise ValueError(
+                f"c, omega, alpha, beta and s2_init must be finite, got {params}")
+        set_prepared(self, ar=ar)
 
     @property
     def p(self):

@@ -161,8 +161,8 @@ def _default_seed(value):
 def _read_design(features, path):
     """The series at ``path`` and its design, built as ``features`` says.
 
-    ``features`` is a fitted model's spec, which a model file whose
-    metadata lacks the target or the lag count does not record.
+    ``features`` is a fitted model's spec, which a model fitted on a
+    hand-built design, or by the library's NNKCDE or GARCH fit, lacks.
     """
     if features is None:
         raise DataError("the model records no feature spec (target column and lags)")
@@ -271,25 +271,6 @@ def _fit(method, table, design, split, pad, grid_size, grids=None, **config):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _with_fit_grid(model, meta, design):
-    """``model``, or a version-1 or 2 GARCH model given the grid its fit had.
-
-    Such a file keeps no grid (grid_size 0). Its fit's grid spanned the
-    training responses of ``design``, widened by the ``pad`` the file's
-    metadata records, at its ``grid_size`` (0.05 and 1001 when absent).
-    """
-    if not (isinstance(model, baselines.GarchModel) and not model.grid_size):
-        return model
-    try:
-        fit = persistence.decode(estimator.FitConfig, {
-            key: meta[key] for key in ("pad", "grid_size") if key in meta})
-    except ValueError as exc:
-        raise DataError(f"model metadata: {exc}") from None
-    tr, _, _ = temporal_split(design.n_rows, model.split)
-    scaler = fit_scaler(design.y[tr.start : tr.stop], pad=fit.pad)
-    return replace(model, lo=scaler.lo, hi=scaler.hi, grid_size=fit.grid_size)
-
-
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -355,12 +336,11 @@ def cmd_evaluate(args):
         header += [f"log_pinball_{tau:g}" for tau in taus]
     out_rows = []
     for path in args.model:
-        method, model, meta = persistence.load_model(path)
+        method, model, _ = persistence.load_model(path)
         table, design = _read_design(model.features, args.input)
         _, _, te = temporal_split(design.n_rows, model.split)
         rows = slice(te.start, te.stop)
         y_te = design.y[rows]
-        model = _with_fit_grid(model, meta, design)
         state = model.row_state(design.u[rows], table.response, rows)
         grid_y = model.grid()
         dens = model.density_rows(state, grid_y).density
@@ -404,7 +384,7 @@ def _resolve_row(design, row):
 
 
 def cmd_predict(args):
-    _, model, meta = persistence.load_model(args.model)
+    _, model, _ = persistence.load_model(args.model)
     taus = _parse_taus(args.taus) if args.taus else None
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
@@ -415,7 +395,7 @@ def cmd_predict(args):
         label = "explicit covariates"
     else:
         table, design = _read_design(model.features, args.input)
-        series, model = table.response, _with_fit_grid(model, meta, design)
+        series = table.response
         if args.row is None:
             spec = model.features
             u = next_step_covariates(table, spec.n_lags, spec.rolling,

@@ -87,11 +87,12 @@ class CoefficientModel:
     # train_phi is their basis, which a model file leaves out and load rebuilds
     train_z: np.ndarray | None = None
     # how the design's rows were built and split; a hand-built design has
-    # no feature spec, and an older model file may record neither
+    # no feature spec
     features: FeatureSpec | None = None
     split: SplitSpec | None = None
 
     def __post_init__(self):
+        check_grid_size(self.grid_size)  # before the grid is allocated
         # the backend predicts coefficients 0..i_max; the expansion is cut inside them
         if not 0 <= self.i_selected <= self.i_max:
             raise ValueError(f"i_selected={self.i_selected} is outside [0, {self.i_max}]")

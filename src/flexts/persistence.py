@@ -29,16 +29,11 @@ its own, the way the fit did, so a loaded model reproduces the saved
 model's predictions bit for bit on the numpy build that saved it; on
 another build ``cos`` and ``sin`` may round differently.
 
-Older versions still load. Versions 1 to 3 kept the feature spec and the
-split as metadata keys the CLI wrote (``target``, ``n_lags``,
-``rolling``, ``exog``, ``exog_contemporaneous``, ``split``); load reads
-them into the model's fields through the same constructors, so malformed
-ones are a data error, and a file whose metadata lacks ``target`` or
-``n_lags`` loads with neither field. Version-2 files store ``train_phi``
-itself, and version-1 files also wrote floats as 17-digit decimal strings
-and kept a flexcode backend's kind and hyperparameter inside the backend
-object; saved again, such a model keeps its ``train_phi``, having no
-responses to rebuild it from.
+Versions 1 to 3, which kept the feature spec and the split in the
+metadata, no longer load: flexts at commit e3707ce reads them, and saved
+again there such a model becomes a version-4 file. A version-4 file
+written that way may hold a flexcode backend's ``train_phi`` in place of
+``train_z``; it loads like any other.
 """
 
 import dataclasses
@@ -48,10 +43,9 @@ import typing
 import numpy as np
 
 from flexts.baselines import GarchModel, NnkcdeModel
-from flexts.basis import basis_matrix, check_grid_size
+from flexts.basis import basis_matrix
 from flexts.errors import DataError
 from flexts.estimator import CoefficientModel
-from flexts.features import SplitSpec
 from flexts.regression import BACKENDS
 
 FORMAT_VERSION = 4
@@ -64,7 +58,7 @@ def _jsonable(obj):
 
     A flexcode model writes its training responses in place of its
     backend's basis rows, which they determine, and nothing when it has
-    none (a lasso backend, or a model read from a version-1 or 2 file).
+    none (a lasso backend, or a model read from a file that kept the rows).
     """
     if dataclasses.is_dataclass(obj):
         doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -101,10 +95,12 @@ def _read_value(kind, value, name):
     """``value`` as annotation ``kind``, or a ValueError naming field ``name``.
 
     A dataclass decodes from its object and a list[T] converts each entry.
-    A number may be a decimal string, as version 1 wrote floats, and an int
-    must be integral; a bool, str, list or dict must have that type already.
+    A number must be a JSON number, integral for an int; a bool, str, list
+    or dict must have that type already.
     """
     if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValueError(f"{name!r} must be an object, got {value!r}")
         return decode(kind, value)
     (item,) = typing.get_args(kind) or (None,)
     try:
@@ -114,9 +110,9 @@ def _read_value(kind, value, name):
             return [_read_value(item, v, name) for v in value]
         if isinstance(value, bool) != (kind is bool):
             raise TypeError  # only JSON true and false are bools
-        if kind in (int, float):
+        if kind in (int, float) and isinstance(value, (int, float)):
             number = kind(value)
-            if kind is int and not isinstance(value, str) and number != value:
+            if kind is int and number != value:
                 raise ValueError  # int() would truncate 2.5
             return number
         if not isinstance(value, kind):
@@ -146,43 +142,17 @@ def decode(cls, doc):
             (kind,) = set(typing.get_args(kind)) - {type(None)}
         if kind is object:
             # a flexcode backend: the class its backend_kind names, whose
-            # basis rows a version-3 file rebuilds from the training responses
+            # basis rows a file rebuilds from the training responses
             kind = BACKENDS[doc["backend_kind"]]
             if doc.get("train_z") is not None:
                 value = {**value, "train_phi": basis_matrix(
                     kwargs["basis"], doc["train_z"], kwargs["i_max"])}
         if kind is np.ndarray:
             value = np.asarray(value)
-            if value.dtype.kind == "U":  # version 1's decimal strings
-                value = value.astype(float)
         else:
             value = _read_value(kind, value, f.name)
         kwargs[f.name] = value
     return cls(**kwargs)
-
-
-def _flexcode_from_v1(body):
-    """Move a version-1 backend's kind and hyper to the fields that hold them now."""
-    backend = body["backend"]
-    kind = body["backend_kind"] = backend.pop("kind")
-    body["hyper"] = backend[BACKENDS[kind].hyper_name] = backend.pop("hyper")
-    for name in ("candidate_hypers", "candidate_losses"):
-        body[name] = [float(v) for v in body[name]]
-
-
-def _fields_from_metadata(body, metadata):
-    """Give a version 1-3 model the feature spec and split its file's metadata records.
-
-    The CLI wrote the spec's fields as metadata keys, its rolling
-    statistics as [stat, window] pairs and the split as a list of three
-    fractions, which a file without ``split`` took as the default.
-    """
-    if "target" in metadata and "n_lags" in metadata:
-        rolling = [{"stat": stat, "window": window}
-                   for stat, window in metadata.get("rolling", [])]
-        body["features"] = {**metadata, "rolling": rolling}
-        body["split"] = (dataclasses.asdict(SplitSpec.from_list(metadata["split"]))
-                         if "split" in metadata else {})
 
 
 def load_model(path):
@@ -197,29 +167,20 @@ def load_model(path):
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise DataError(f"model file {path} lacks a format_version field")
     version = doc["format_version"]
-    if version not in range(1, FORMAT_VERSION + 1):
-        raise DataError(
-            f"model file {path} has format_version {version}; "
-            f"this build reads versions 1 to {FORMAT_VERSION}"
-        )
+    if version != FORMAT_VERSION:
+        resave = ("; load the file and save it again with flexts at commit "
+                  "e3707ce, which writes version 4" if version in (1, 2, 3) else "")
+        raise DataError(f"model file {path} has format_version {version}; "
+                        f"this build reads version {FORMAT_VERSION} only{resave}")
     method = doc.get("method")
     if method not in METHODS:
         raise DataError(f"model file {path} has unknown method {method!r}")
-    body = doc.get("model", {})
-    metadata = doc.get("metadata", {})
     try:
-        if version == 1 and method == "flexcode":
-            _flexcode_from_v1(body)
-        if version < 4:
-            _fields_from_metadata(body, metadata)
-        # the constructors check training arrays, k, the radius, the basis,
-        # the feature spec and the split
-        model = decode(METHODS[method], body)
-        # a GARCH file's grid_size 0 means: rebuild the grid from the metadata
-        if not (method == "garch" and model.grid_size == 0):
-            check_grid_size(model.grid_size)
+        # the constructors check every field: the training arrays, k, the
+        # radius, the basis, the grid, the feature spec and the split
+        model = decode(METHODS[method], doc.get("model", {}))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataError(
             f"model file {path} has a missing or malformed field: {exc!r}"
         ) from exc
-    return method, model, metadata
+    return method, model, doc.get("metadata", {})

@@ -716,6 +716,20 @@ class LassoModel:
     hyper_name = "lam"
     scores_from_coefficients = True
 
+    def __post_init__(self):
+        check_penalty(self.lam)
+        if np.ndim(self.coef) != 2:
+            raise ValueError(f"coef must be 2-d, got shape {np.shape(self.coef)}")
+        d, n_targets = np.shape(self.coef)
+        for name, shape in (("intercept", (n_targets,)), ("coef", (d, n_targets)),
+                            ("coef_std", (d, n_targets)), ("feature_mean", (d,)),
+                            ("feature_scale", (d,))):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape or not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite floats of shape {shape}, "
+                                 f"got shape {value.shape}")
+            set_prepared(self, **{name: value})
+
     def predict(self, eval_u):
         eval_u = np.asarray(eval_u, dtype=float)
         return CoefficientPredictions(b_hat=eval_u @ self.coef + self.intercept)
@@ -781,10 +795,10 @@ def _cd_solve(gram, cov, lam, beta0, max_iter, tol):
 
 
 def check_penalty(lam):
-    """A lasso penalty as a float, nonnegative (NaN is not)."""
+    """A lasso penalty as a float, nonnegative and finite."""
     lam = float(lam)
-    if not lam >= 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     return lam
 
 

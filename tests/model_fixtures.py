@@ -1,14 +1,13 @@
-"""Model files of older format versions for the persistence tests, and the fits behind them.
+"""Committed model files for the persistence tests, and the fits behind them.
 
 ``fit_models`` fits one small model per method and per flexcode backend.
-The files in ``tests/data/v<N>/`` hold those fits as a format-version-N
-build of flexts saved them; the tests load them with the current code
-and compare against a fresh ``fit_models``. This script writes the
-directory of the format version of the flexts it imports, so to write
-the files of version N, run it with a version-N checkout's sources first
-on the path:
+The files in ``tests/data/v<N>/`` hold those fits as saved in format
+version N; the tests load them and compare against a fresh
+``fit_models``, so a change that moves a fit's bits, or the bytes a fit
+saves to, shows up there. This script writes the directory of the format
+version of the flexts it imports:
 
-    PYTHONPATH=<version-N checkout>/src python tests/model_fixtures.py
+    PYTHONPATH=src python tests/model_fixtures.py
 """
 
 import os

@@ -228,9 +228,6 @@ def test_nnkcde_and_garch_need_a_finite_increasing_range():
             dataclasses.replace(garch, lo=lo, hi=hi)
         with pytest.raises(ValueError, match="range"):
             nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=lo, hi=hi)
-    # a model file from before GARCH models kept a grid has none
-    old = dataclasses.replace(garch, lo=np.nan, hi=np.nan, grid_size=0)
-    assert old.grid_size == 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +238,7 @@ def test_nnkcde_and_garch_need_a_finite_increasing_range():
 def test_degenerate_garch_has_constant_variance():
     model = GarchModel(
         c=0.0, ar=np.empty(0), omega=0.5, alpha=0.0, beta=0.0,
-        s2_init=0.5, loglik=0.0,
+        s2_init=0.5, lo=-3.0, hi=3.0, grid_size=101, loglik=0.0,
     )
     y = np.linspace(-1, 1, 50)
     means, s2 = garch_filter(model, y)
@@ -254,7 +251,7 @@ def test_degenerate_garch_has_constant_variance():
 def test_variance_recursion_matches_direct_loop():
     model = GarchModel(
         c=0.1, ar=np.array([0.4]), omega=0.2, alpha=0.15, beta=0.7,
-        s2_init=0.9, loglik=0.0,
+        s2_init=0.9, lo=-3.0, hi=3.0, grid_size=101, loglik=0.0,
     )
     rng = np.random.default_rng(4)
     y = rng.normal(size=40)

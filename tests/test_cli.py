@@ -25,19 +25,6 @@ from flexts.features import (
 from flexts.persistence import load_model
 from flexts.scenarios import generate
 
-DATA = Path(__file__).parent / "data"
-# the metadata a format-3 fit wrote; versions 1 to 3 kept the feature spec here
-V3_METADATA = {"target": "y", "n_lags": 3, "rolling": [], "exog": [],
-               "exog_contemporaneous": False, "split": [0.7, 0.1, 0.2],
-               "method": "nnkcde", "pad": 0.05, "grid_size": 1001}
-
-
-def v3_doc(name):
-    """A committed format-3 model file's document, with a format-3 fit's metadata."""
-    doc = json.loads((DATA / "v3" / f"{name}.json").read_text())
-    return {**doc, "metadata": dict(V3_METADATA)}
-
-
 def run(argv, capsys=None):
     code = cli.main([str(a) for a in argv])
     if capsys is None:
@@ -357,23 +344,18 @@ def test_evaluate_custom_quantiles(tmp_path, fitted_trio):
     assert header[-1] == "pinball_0.5"
 
 
-def test_model_files_without_feature_metadata_are_data_errors(tmp_path,
-                                                              fitted_trio, capsys):
-    data, _ = fitted_trio
-    doc = v3_doc("flexcode_nw")
+def test_a_model_without_a_feature_spec_reads_no_series(tmp_path, fitted_trio,
+                                                         capsys):
+    data, models = fitted_trio
+    doc = json.loads(models["nnkcde"].read_text())
+    doc["model"]["features"] = None  # as the library's nnkcde_fit leaves it
     path = tmp_path / "model.json"
-    for key in (None, "target", "n_lags"):
-        edited = copy.deepcopy(doc)
-        if key is not None:
-            del edited["metadata"][key]
-        path.write_text(json.dumps(edited))
-        assert (load_model(path)[1].features is None) == (key is not None)
-        for argv in (["evaluate", "--model", path, "-o", tmp_path / "e.csv"],
-                     ["predict", "--model", path, "-o", tmp_path / "p.csv"]):
-            code, _, err = run([*argv, "--input", data], capsys)
-            assert code == (0 if key is None else 3), (key, argv[0])
-            if key is not None:
-                assert "no feature spec" in err
+    path.write_text(json.dumps(doc))
+    for argv in (["evaluate", "--model", path, "-o", tmp_path / "e.csv"],
+                 ["predict", "--model", path, "-o", tmp_path / "p.csv"]):
+        code, _, err = run([*argv, "--input", data], capsys)
+        assert code == 3, argv[0]
+        assert "no feature spec" in err
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +429,19 @@ def test_predict_argument_errors(tmp_path, fitted_trio):
                 "--row", 3, "-o", out]) == 2
 
 
+def test_retired_format_versions_are_data_errors(tmp_path, capsys):
+    path = tmp_path / "old.json"
+    for version in (1, 2, 3):
+        path.write_text(json.dumps({"format_version": version, "method": "flexcode",
+                                    "metadata": {}, "model": {}}))
+        code, _, err = run(["predict", "--model", path, "--u", "0,0,0",
+                            "-o", tmp_path / "p.csv"], capsys)
+        assert code == 3, version
+        assert (f"format_version {version}; this build reads version 4 only; "
+                "load the file and save it again with flexts at commit e3707ce"
+                ) in err
+
+
 def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     data = simulate(tmp_path, n=300)
     model = fit(tmp_path, data, method="nnkcde")
@@ -460,9 +455,9 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
     knn_doc = json.loads(knn.read_text())
     n_knn = len(knn_doc["model"]["backend"]["train_u"])
     nw_doc = json.loads(fit(tmp_path, data, fname="nw.json").read_text())
-    v1_doc = json.loads((DATA / "v1" / "nnkcde.json").read_text())
-    v3 = v3_doc("nnkcde")
-    garch_doc = v3_doc("garch")
+    lasso = fit(tmp_path, data, fname="lasso.json", extra=("--backend", "lasso"))
+    lasso_doc = json.loads(lasso.read_text())
+    garch_doc = json.loads(fit(tmp_path, data, method="garch").read_text())
     bad = tmp_path / "bad.json"
 
     def with_nan(rows):
@@ -488,8 +483,8 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (garch_doc, ("model",), "lo", garch_doc["model"]["hi"] + 1.0),
         (knn_doc, ("model",), "i_selected", knn_doc["model"]["i_max"] + 1),
         (doc, ("model",), "k", "abc"),
-        (v1_doc, ("model",), "k", 2.5),  # int() would truncate these two
-        (v1_doc, ("model",), "grid_size", 201.9),
+        (doc, ("model",), "k", 2.5),  # int() would truncate these two
+        (doc, ("model",), "grid_size", 201.9),
         (doc, ("model",), "k", 0),
         (knn_doc, ("model", "backend"), "k", n_knn + 1),
         (nw_doc, ("model", "backend"), "delta", -1.0),
@@ -504,18 +499,29 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("model",), "grid_size", 3),
         (knn_doc, ("model",), "basis", None),  # not the string "None"
         (knn_doc, ("model",), "basis", "sine"),
-        # a format-3 file's feature spec and split, read from its metadata
-        (v3, ("metadata",), "n_lags", "x"),
-        (v3, ("metadata",), "split", [0.5]),
-        (v3, ("metadata",), "split", [0.7]),  # not padded to (0.7, 0.1, 0.2)
-        (v3, ("metadata",), "split", [0.5, 0.5, float("nan")]),
-        (v3, ("metadata",), "n_lags", 0),
-        (v3, ("metadata",), "rolling", [["mean", 3, 4]]),
-        (v3, ("metadata",), "rolling", [["median", 3]]),
-        (v3, ("metadata",), "rolling", [["mean", 0]]),
-        (v3, ("metadata",), "rolling", [["mean", 2.5]]),
-        (v3, ("metadata",), "exog", "x"),
-        (v3, ("metadata",), "exog_contemporaneous", "false"),
+        # the feature spec and the split
+        (doc, ("model", "features"), "n_lags", "x"),
+        (doc, ("model",), "split", [0.5]),  # not taken as the default split
+        (doc, ("model", "split"), "train_frac", 0.5),  # fractions sum to 0.8
+        (doc, ("model", "split"), "test_frac", float("nan")),
+        (doc, ("model", "features"), "n_lags", 0),
+        (doc, ("model", "features"), "rolling", [["mean", 3]]),
+        (doc, ("model", "features"), "rolling", [{"stat": "median", "window": 3}]),
+        (doc, ("model", "features"), "rolling", [{"stat": "mean", "window": 0}]),
+        (doc, ("model", "features"), "rolling", [{"stat": "mean", "window": 2.5}]),
+        (doc, ("model", "features"), "exog", "x"),
+        (doc, ("model", "features"), "exog_contemporaneous", "false"),
+        # a lasso backend's arrays and penalty
+        (lasso_doc, ("model", "backend"), "intercept", None),
+        (lasso_doc, ("model", "backend"), "coef", None),
+        (lasso_doc, ("model", "backend"), "coef",
+         with_nan(lasso_doc["model"]["backend"]["coef"])),
+        (lasso_doc, ("model", "backend"), "lam", float("inf")),
+        # a GARCH model's parameters
+        (garch_doc, ("model",), "ar", 0.5),
+        (garch_doc, ("model",), "ar", [None]),
+        (garch_doc, ("model",), "ar", [float("nan")]),
+        (garch_doc, ("model",), "omega", float("nan")),
     ]:
         edited = copy.deepcopy(base)
         target = edited
@@ -608,47 +614,10 @@ def test_every_method_tabulates_one_density_batch(tmp_path, fitted_trio):
             assert [float(r[j]) for r in written[1:]] == column.tolist(), method
 
 
-def test_garch_files_without_a_grid_score_as_before(tmp_path, monkeypatch):
-    data = simulate(tmp_path, n=500)
-    model = fit(tmp_path, data, method="garch",
-                extra=("--pad", "0.3", "--grid-size", "501"))
-    doc = json.loads(model.read_text())
-    assert doc["model"]["grid_size"] == 501
-    # a version-2 file: no grid, and the fit's settings in the CLI's metadata
-    for key in ("lo", "hi", "grid_size", "features", "split"):
-        del doc["model"][key]
-    doc["format_version"] = 2
-    doc["metadata"] = {**V3_METADATA, "method": "garch", "pad": 0.3, "grid_size": 501}
-    bad_pad = tmp_path / "bad_pad.json"
-    bad_pad.write_text(json.dumps({**doc, "metadata": {**doc["metadata"], "pad": "x"}}))
-    assert run(["evaluate", "--input", data, "--model", bad_pad,
-                "-o", tmp_path / "bad.csv"]) == 3
-    outputs = {}
-    for name, text in (("kept", model.read_text()), ("rebuilt", json.dumps(doc))):
-        # same relative model path, so evaluate's model column matches
-        work = tmp_path / name
-        work.mkdir()
-        (work / "garch.json").write_text(text)
-        monkeypatch.chdir(work)
-        commands = {
-            "eval": ["evaluate", "--input", data, "--model", "garch.json",
-                     "--oracle-scenario", "ar", "--log-pinball"],
-            "row": ["predict", "--model", "garch.json", "--input", data,
-                    "--row", -1],
-            "taus": ["predict", "--model", "garch.json", "--input", data,
-                     "--row", 5, "--taus", "0.1,0.5,0.9"],
-        }
-        for kind, argv in commands.items():
-            assert run([*argv, "-o", f"{kind}.csv"]) == 0, (name, kind)
-        outputs[name] = {kind: (work / f"{kind}.csv").read_bytes()
-                         for kind in commands}
-    assert outputs["kept"] == outputs["rebuilt"]
-    assert len(read_rows(tmp_path / "kept" / "row.csv")) == 502
-
-
 # usage errors of one method's fit: a NaN penalty, a grid flag it does not read
 FIT_USAGE_ERRORS = {
     "flexcode": [(("--backend", "lasso", "--lam", "nan"), "lam must be nonnegative"),
+                 (("--backend", "lasso", "--lam", "inf"), "lam must be nonnegative"),
                  (("--backend", "knn", "--delta", 0.5), "--delta is not a grid"),
                  (("--select-postprocessed",), "unrecognized arguments")],
     "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)")],

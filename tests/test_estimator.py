@@ -533,7 +533,7 @@ def model_states(draw, grid_y):
         neighbors = arrays(np.intp, (n, k), elements=st.integers(0, n_train - 1))
         return model, draw(neighbors)
     model = GarchModel(c=0.0, ar=np.zeros(0), omega=1.0, alpha=0.1, beta=0.1,
-                       s2_init=1.0)
+                       s2_init=1.0, lo=lo, hi=hi, grid_size=1001)
     means = draw(arrays(float, n, elements=finite(-20.0, 20.0)))
     return model, (means, draw(arrays(float, n, elements=finite(1e-4, 100.0))))
 

@@ -49,7 +49,7 @@ def test_seventeen_digit_floats_round_trip_exactly():
         [rng.normal(size=50), [0.1, 1 / 3, 1e-308, 1e308, -0.0, np.pi]]
     )
     for x in samples:
-        # version-1 files' decimal strings, and version 2's json floats
+        # 17 significant digits name every double, and json writes repr's
         assert float(format(float(x), ".17g")) == float(x)
         assert json.loads(json.dumps(float(x))) == float(x)
 
@@ -232,14 +232,14 @@ def test_load_rejects_bad_files(tmp_path):
         load_model(future)
 
     unknown = tmp_path / "uk.json"
-    unknown.write_text(json.dumps({"format_version": 1, "method": "forest",
-                                   "model": {}}))
-    with pytest.raises(DataError):
+    unknown.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                   "method": "forest", "model": {}}))
+    with pytest.raises(DataError, match="unknown method 'forest'"):
         load_model(unknown)
 
 
 def test_decode_reads_each_field_by_its_annotation():
-    cfg = decode(BenchConfig, {"sizes": [300.0, "400"], "pad": 1, "oracle": False,
+    cfg = decode(BenchConfig, {"sizes": [300.0, 400], "pad": 1, "oracle": False,
                                "backend": "knn", "not_a_field": None})
     assert (cfg.sizes, cfg.pad, cfg.oracle, cfg.backend) == ([300, 400], 1.0,
                                                               False, "knn")
@@ -248,6 +248,8 @@ def test_decode_reads_each_field_by_its_annotation():
     for doc, message in [
         ({"sizes": [True]}, "'sizes' must be a list of int"),
         ({"sizes": [300.5]}, "'sizes' must be a list of int"),
+        ({"sizes": ["400"]}, "'sizes' must be a list of int"),  # a string, no number
+        ({"pad": "0.1"}, "'pad' must be float"),
         ({"pad": True}, "'pad' must be float"),
         ({"oracle": 1}, "'oracle' must be bool"),
         ({"backend": None}, "'backend' must be str"),  # a str field, not a model
@@ -404,72 +406,31 @@ def predictions(method, model, rows):
         batch.density, batch.raw_density, one.density, one.raw_density))
 
 
-@pytest.mark.parametrize("name", ["flexcode_lasso", "nnkcde", "garch"])
-def test_files_without_basis_rows_change_only_their_version(tmp_path, fresh_fits,
-                                                            name):
-    method, model, _ = fresh_fits[name]
-    path = tmp_path / "m.json"
-    save_model(path, method, model, {"fixture": name})
-    with open(os.path.join(data_dir(2), f"{name}.json")) as fh:
-        old = json.load(fh)
-    new = json.loads(path.read_text())
-    # besides the version, format 4 holds the feature spec and the split,
-    # in place of a flexcode model's lag count
-    specs = {key: new["model"].pop(key) for key in ("features", "split")}
-    old["model"].pop("n_lags", None)
-    assert new == {**old, "format_version": FORMAT_VERSION}
-    if method == "flexcode":  # fitted on 3 lags of "y" with the default split
-        assert specs == {
-            "features": {"target": "y", "n_lags": 3, "rolling": [], "exog": [],
-                         "exog_contemporaneous": False},
-            "split": {"train_frac": 0.7, "val_frac": 0.1, "test_frac": 0.2},
-        }
-    else:  # fitted by the library, which records neither
-        assert specs == {"features": None, "split": None}
-
-
-# the version-1 cases keep their ids; the others are suffixed with their version
-@pytest.mark.parametrize("version,name", [
-    pytest.param(version, name, id=name if version == 1 else f"{name}-v{version}")
-    for version in (1, 2, 3) for name in NAMES
-])
-def test_version_1_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, version,
-                                                  name):
-    path = os.path.join(data_dir(version), f"{name}.json")
-    assert os.path.getsize(path) < 40_000
-    with open(path) as fh:
-        assert json.load(fh)["format_version"] == version
+@pytest.mark.parametrize("name", NAMES)
+def test_committed_files_predict_like_a_fresh_fit(tmp_path, fresh_fits, name):
+    path = os.path.join(data_dir(FORMAT_VERSION), f"{name}.json")
     method, loaded, meta = load_model(path)
     fresh_method, fresh, rows = fresh_fits[name]
     assert (method, meta) == (fresh_method, {"fixture": name})
-    # the fixtures' metadata records no feature spec or split
-    assert (loaded.features, loaded.split) == (None, None)
     assert predictions(method, loaded, rows) == predictions(method, fresh, rows)
-    if method == "flexcode":
-        assert (loaded.backend_kind, loaded.hyper, loaded.i_selected) == (
-            fresh.backend_kind, fresh.hyper, fresh.i_selected)
-        assert loaded.candidate_hypers == fresh.candidate_hypers
-        if loaded.backend_kind == "nw":
-            # the fit's ring sweep adds each radius's neighbors in another
-            # order than the version-1 build did; predictions stay bitwise
-            np.testing.assert_allclose(loaded.candidate_losses,
-                                       fresh.candidate_losses, rtol=1e-12)
-            np.testing.assert_allclose(loaded.val_losses, fresh.val_losses,
-                                       rtol=1e-12)
-        else:
-            assert loaded.candidate_losses == fresh.candidate_losses
-            assert loaded.val_losses.tobytes() == fresh.val_losses.tobytes()
-        if version < 3:  # the basis rows, not the responses behind them
-            assert loaded.train_z is None
-        else:
-            assert np.array_equal(loaded.train_z, fresh.train_z)
-        if hasattr(fresh.backend, "train_phi"):
-            assert (loaded.backend.train_phi.tobytes()
-                    == fresh.backend.train_phi.tobytes())
-    # saved again, an older model becomes a file of the current version
     again = tmp_path / "again.json"
-    save_model(again, method, loaded)
-    with open(again) as fh:
-        assert json.load(fh)["format_version"] == FORMAT_VERSION
-    reloaded = load_model(again)[1]
-    assert predictions(method, reloaded, rows) == predictions(method, fresh, rows)
+    save_model(again, method, loaded, meta)
+    with open(path, "rb") as fh:
+        assert again.read_bytes() == fh.read()
+
+
+def test_files_that_keep_basis_rows_load_like_any_other(tmp_path, fresh_fits):
+    # a model without its training responses saves its backend's basis rows
+    _, fresh, rows = fresh_fits["flexcode_nw"]
+    model = dataclasses.replace(fresh, train_z=None)
+    path = tmp_path / "m.json"
+    save_model(path, "flexcode", model)
+    assert "train_phi" in json.loads(path.read_text())["model"]["backend"]
+    loaded = round_trip(path, "flexcode", model)
+    assert predictions("flexcode", loaded, rows) == predictions("flexcode", fresh, rows)
+
+
+def test_every_model_checks_its_grid_size(fresh_fits):
+    for _, model, _ in fresh_fits.values():
+        with pytest.raises(ValueError, match="grid_size must be odd and >= 101"):
+            dataclasses.replace(model, grid_size=100)
