@@ -228,7 +228,9 @@ class GarchModel:
     at fit time) so filtering a series reproduces the fit exactly.
     ``lo``, ``hi`` and ``grid_size`` give the response grid, the padded
     range of the fitted responses. The grid and the parameters are
-    checked when the model is built.
+    checked when the model is built, and so is the feature spec, if any:
+    ``row_state`` lines the filter up with the rows of a design of p lags
+    alone, so the spec must be that design's.
     """
 
     c: float
@@ -255,6 +257,10 @@ class GarchModel:
         if not np.all(np.isfinite(params)):
             raise ValueError(
                 f"c, omega, alpha, beta and s2_init must be finite, got {params}")
+        spec = self.features
+        if spec is not None and (spec.n_lags != ar.size or spec.rolling or spec.exog):
+            raise ValueError(f"garch of ar order {ar.size} reads {ar.size} lags alone, "
+                             f"not the features {spec}")
         set_prepared(self, ar=ar)
 
     @property

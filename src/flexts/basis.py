@@ -21,6 +21,14 @@ SQRT2 = float(np.sqrt(2.0))
 
 BASIS_KINDS = ("cosine", "fourier")
 
+# Ceilings on the response grid's points and the basis cutoff i_max, so that
+# no fit or model file asks for unbounded memory: a model's grid and its basis
+# there take at most MAX_GRID_SIZE * (MAX_I_MAX + 1) floats (400 MB), and an
+# nw or knn model's basis rows n_train * (MAX_I_MAX + 1). Both are more than
+# ten times the largest values the tests and benchmarks use (2001, 60).
+MAX_GRID_SIZE = 50_001
+MAX_I_MAX = 1_000
+
 
 def _check_kind(kind):
     if kind not in BASIS_KINDS:
@@ -64,11 +72,12 @@ def basis_matrix(kind, z, i_max):
     """Matrix Phi with Phi[t, i] = phi_i(z[t]) for i = 0..i_max.
 
     ``z`` must already live on [0, 1]; values outside raise ValueError
-    because the basis expansion is undefined there.
+    because the basis expansion is undefined there. ``i_max`` is at most
+    MAX_I_MAX, checked before the matrix is allocated.
     """
     _check_kind(kind)
-    if i_max < 0:
-        raise ValueError(f"i_max must be nonnegative, got {i_max}")
+    if not 0 <= i_max <= MAX_I_MAX:
+        raise ValueError(f"i_max must be in [0, {MAX_I_MAX}], got {i_max}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.ndim != 1:
         raise ValueError(f"z must be one-dimensional, got shape {z.shape}")
@@ -132,9 +141,10 @@ def check_range(lo, hi):
 
 
 def check_grid_size(grid_size):
-    """The response grid rule of every method's fit: odd, at least 101 points."""
-    if grid_size < 101 or grid_size % 2 == 0:
-        raise ValueError(f"grid_size must be odd and >= 101, got {grid_size}")
+    """The response grid rule of every method's fit: odd, 101 to MAX_GRID_SIZE points."""
+    if not 101 <= grid_size <= MAX_GRID_SIZE or grid_size % 2 == 0:
+        raise ValueError(f"grid_size must be odd and >= 101, at most {MAX_GRID_SIZE}, "
+                         f"got {grid_size}")
 
 
 def check_pad(pad):

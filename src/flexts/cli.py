@@ -38,7 +38,6 @@ from flexts.features import (
     SeriesTable,
     SplitSpec,
     lag_embed,
-    next_step_covariates,
     temporal_split,
 )
 from flexts.regression import BACKEND_KINDS, BACKENDS, HYPER_NAMES
@@ -397,9 +396,12 @@ def cmd_predict(args):
         table, design = _read_design(model.features, args.input)
         series = table.response
         if args.row is None:
-            spec = model.features
-            u = next_step_covariates(table, spec.n_lags, spec.rolling,
-                                     spec.exog_contemporaneous)
+            u = design.next_u
+            if u is None:
+                raise DataError(
+                    "contemporaneous exogenous covariates are unobserved at the "
+                    "forecast step; refit with lagged timing to forecast"
+                )
             label = "one step past the series end"
         else:
             row = _resolve_row(design, args.row)

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flexts.basis import BASIS_KINDS, Scaler, basis_matrix, check_grid_size, fit_scaler
+from flexts.basis import (
+    BASIS_KINDS,
+    MAX_I_MAX,
+    Scaler,
+    basis_matrix,
+    check_grid_size,
+    fit_scaler,
+)
 from flexts.errors import DataError, NumericError
 from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs
 from flexts.features import FeatureSpec, SplitSpec, temporal_split
@@ -51,8 +58,8 @@ class FitConfig:
             raise ValueError(f"unknown basis {self.basis!r}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.i_max < 1:
-            raise ValueError(f"i_max must be >= 1, got {self.i_max}")
+        if not 1 <= self.i_max <= MAX_I_MAX:
+            raise ValueError(f"i_max must be >= 1, at most {MAX_I_MAX}, got {self.i_max}")
         if self.hyper_grid is not None and len(self.hyper_grid) == 0:
             raise ValueError("hyper_grid is empty; pass None for the defaults")
         check_grid_size(self.grid_size)
@@ -62,7 +69,9 @@ class FitConfig:
 class CoefficientModel:
     """A fitted conditional density estimator.
 
-    Built (by ``fit`` or a model-file load), the model prepares its own
+    Built (by ``fit`` or a model-file load), the model checks that its
+    backend maps ``len(feature_names)`` covariates to coefficients
+    0..i_max, then prepares its own
     response grid, read-only, and the basis functions 0..i_selected on it
     once; densities on any other grid tabulate the basis afresh. The
     model is frozen, so neither can go stale: ``dataclasses.replace``
@@ -96,6 +105,14 @@ class CoefficientModel:
         # the backend predicts coefficients 0..i_max; the expansion is cut inside them
         if not 0 <= self.i_selected <= self.i_max:
             raise ValueError(f"i_selected={self.i_selected} is outside [0, {self.i_max}]")
+        backend = self.backend
+        widths = ((backend.train_u.shape[1], backend.train_phi.shape[1])
+                  if hasattr(backend, "train_phi") else backend.coef.shape)
+        if widths != (len(self.feature_names), self.i_max + 1):
+            raise ValueError(
+                f"the {self.backend_kind} backend maps {widths[0]} covariates to "
+                f"{widths[1]} coefficients, not {len(self.feature_names)} "
+                f"feature_names to i_max + 1 = {self.i_max + 1}")
         grid = np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
         grid.flags.writeable = False
         phi_grid = basis_matrix(self.basis, self.scaler.transform(grid), self.i_selected)

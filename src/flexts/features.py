@@ -103,8 +103,10 @@ class FeatureSpec:
 class DesignMatrix:
     """Covariates, responses, and bookkeeping for one modeling problem.
 
-    ``features`` is the spec ``lag_embed`` built the design by; a design
-    built by hand has none.
+    ``features`` is the spec ``lag_embed`` built the design by, and
+    ``next_u`` the covariate row one step past the series end, which a
+    forecast reads; a design built by hand has neither, and ``next_u`` is
+    None too under contemporaneous exogenous timing.
     """
 
     u: np.ndarray
@@ -112,6 +114,7 @@ class DesignMatrix:
     feature_names: list[str]
     origin_index: np.ndarray
     features: FeatureSpec | None = None
+    next_u: np.ndarray | None = None
 
     @property
     def n_rows(self):
@@ -156,6 +159,9 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
         One row per usable time index t; ``origin_index[r]`` is the
         position of that row's response in the original series, and
         ``features`` records the arguments and the table's column names.
+        ``next_u`` is the row for t = len(series), one step past the end,
+        which reads only observed values; it is None with contemporaneous
+        exogenous columns, whose values at that step are not yet observed.
     """
     exog = table.exog_names if table.exogenous is not None else []
     spec = FeatureSpec(table.response_name, n_lags, list(rolling), list(exog),
@@ -174,9 +180,11 @@ def lag_embed(table, n_lags, rolling=(), exog_contemporaneous=False):
         raise DataError(f"series of length {n} too short for {n_lags} lags")
     start = n_lags + (max_window - 1 if rolling else 0)
     t = np.arange(start, n)
-    u, names = _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous)
-    return DesignMatrix(u=u, y=y[t], feature_names=names, origin_index=t,
-                        features=spec)
+    ahead = not (exog and exog_contemporaneous)
+    u, names = _covariate_rows(table, np.arange(start, n + ahead), n_lags, rolling,
+                               exog_contemporaneous)
+    return DesignMatrix(u=u[: t.size], y=y[t], feature_names=names, origin_index=t,
+                        features=spec, next_u=u[-1] if ahead else None)
 
 
 def _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous):
@@ -203,33 +211,6 @@ def _covariate_rows(table, t, n_lags, rolling, exog_contemporaneous):
         cols.append(col[t - spec.window])
         names.append(spec.name)
     return np.column_stack(cols), names
-
-
-def next_step_covariates(table, n_lags, rolling=(), exog_contemporaneous=False):
-    """Covariate row for forecasting one step past the observed series.
-
-    Uses the same construction as lag_embed for a hypothetical response
-    at index len(series). Contemporaneous exogenous timing is rejected
-    because those covariates are not observed before the forecast.
-    """
-    if n_lags < 1:
-        raise ValueError(f"n_lags must be >= 1, got {n_lags}")
-    rolling = tuple(rolling)
-    y = table.response
-    n = y.shape[0]
-    max_window = max((s.window for s in rolling), default=0)
-    if n < n_lags or n < max_window:
-        raise DataError(
-            f"series of length {n} too short to forecast with {n_lags} lags "
-            f"and window {max_window}"
-        )
-    if table.exogenous is not None and exog_contemporaneous:
-        raise DataError(
-            "contemporaneous exogenous covariates are unobserved at the "
-            "forecast step; refit with lagged timing to forecast"
-        )
-    u, _ = _covariate_rows(table, np.array([n]), n_lags, rolling, exog_contemporaneous)
-    return u[0]
 
 
 @dataclass(frozen=True)

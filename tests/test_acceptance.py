@@ -11,6 +11,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from flexts import baselines, estimator, scenarios
@@ -19,6 +20,9 @@ from flexts.cli import BenchCell, main as cli_main, run_bench_cell
 from flexts.evaluation import cde_loss_from_coeffs
 from flexts.features import SeriesTable, lag_embed
 from flexts.persistence import load_model, save_model
+
+# minutes of fits in all: `pytest -m "not slow"` leaves these out of a quick run
+pytestmark = pytest.mark.slow
 
 SEEDS = range(10)
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flexts.basis import SQRT2, Scaler, basis_function, basis_matrix, fit_scaler
+from flexts.basis import (
+    MAX_I_MAX,
+    SQRT2,
+    Scaler,
+    basis_function,
+    basis_matrix,
+    fit_scaler,
+)
 from flexts.errors import DataError
 
 
@@ -49,6 +56,9 @@ def test_basis_domain_errors():
         basis_function("hermite", 1, 0.5)
     with pytest.raises(ValueError):
         basis_matrix("cosine", [0.5, 1.5], 3)
+    assert basis_matrix("cosine", [0.5], MAX_I_MAX).shape == (1, MAX_I_MAX + 1)
+    with pytest.raises(ValueError, match=f"i_max must be in \\[0, {MAX_I_MAX}\\]"):
+        basis_matrix("cosine", [0.5], MAX_I_MAX + 1)
 
 
 @pytest.mark.parametrize("kind", ["cosine", "fourier"])

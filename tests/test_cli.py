@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from flexts import baselines, cli, estimator, regression
+from flexts.basis import MAX_GRID_SIZE, MAX_I_MAX
 from flexts.features import (
     FeatureSpec,
     RollingSpec,
@@ -250,6 +251,24 @@ def test_fit_rolling_and_exog_features(tmp_path):
     assert [float(r[1]) for r in read_rows(pred)[1:]] == want.tolist()
     assert run(["predict", "--model", out, "--input", data,
                 "-o", tmp_path / "next.csv"]) == 0
+
+
+def test_a_contemporaneous_exog_model_does_not_forecast(tmp_path, capsys):
+    data = tmp_path / "exog.csv"
+    x = np.random.default_rng(1).normal(size=300)
+    cli.write_csv(data, ["y", "x"], list(zip(generate("ar", 300, 2), x)))
+    model = fit(tmp_path, data, extra=("--exog", "x", "--exog-contemporaneous"))
+    out = tmp_path / "next.csv"
+    # the next step's covariates would hold x at that step, not yet observed
+    code, _, err = run(["predict", "--model", model, "--input", data, "-o", out],
+                       capsys)
+    assert code == 3
+    assert err == ("flexts: error: data: contemporaneous exogenous covariates are "
+                   "unobserved at the forecast step; refit with lagged timing to "
+                   "forecast\n")
+    assert not out.exists()
+    assert run(["predict", "--model", model, "--input", data, "--row", -1,
+                "-o", out]) == 0
 
 
 def test_fit_rejects_the_target_as_an_exogenous_column(tmp_path, capsys):
@@ -522,6 +541,17 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (garch_doc, ("model",), "ar", [None]),
         (garch_doc, ("model",), "ar", [float("nan")]),
         (garch_doc, ("model",), "omega", float("nan")),
+        # the backend's widths: covariates and coefficients 0..i_max
+        (lasso_doc, ("model",), "i_max", lasso_doc["model"]["i_max"] + 10),
+        (lasso_doc, ("model",), "feature_names", ["lag1", "lag2"]),
+        (knn_doc, ("model", "backend"), "train_u",
+         [row[:2] for row in knn_doc["model"]["backend"]["train_u"]]),
+        # a GARCH model filters the rows of a design of its AR order's lags alone
+        (garch_doc, ("model", "features"), "n_lags", 5),
+        (garch_doc, ("model", "features"), "rolling", [{"stat": "mean", "window": 4}]),
+        # the size ceilings
+        (doc, ("model",), "grid_size", MAX_GRID_SIZE + 2),
+        (nw_doc, ("model",), "i_max", MAX_I_MAX + 1),
     ]:
         edited = copy.deepcopy(base)
         target = edited
@@ -533,6 +563,68 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
                            capsys)
         assert code == 3, (name, value)
         assert "malformed" in err
+
+
+def test_a_model_file_must_agree_with_its_backend_and_feature_spec(tmp_path, capsys):
+    data = simulate(tmp_path, n=300)
+    lasso = json.loads(fit(tmp_path, data, extra=("--backend", "lasso")).read_text())
+    garch = json.loads(fit(tmp_path, data, method="garch").read_text())
+    spec = garch["model"]["features"]  # 3 lags, an AR(3) mean
+    bad, out = tmp_path / "bad.json", tmp_path / "out.csv"
+    evaluate = ["evaluate", "--input", data]
+    forecast_row = ["predict", "--input", data, "--row", -1]
+    for base, edits, command in [
+        # 31 lasso coefficients of 3 covariates: not i_max=40, nor 2 features
+        (lasso, {"i_max": 40, "i_selected": 35}, ["predict", "--u", "0,0,0"]),
+        (lasso, {"feature_names": ["lag1", "lag2"]}, ["predict", "--u", "0,0"]),
+        (garch, {"features": {**spec, "n_lags": 5}}, evaluate),
+        (garch, {"features": {**spec, "n_lags": 5}}, forecast_row),
+        (garch, {"features": {**spec, "rolling": [{"stat": "mean", "window": 4}]}},
+         evaluate),
+        (garch, {"features": {**spec, "rolling": [{"stat": "mean", "window": 4}]}},
+         forecast_row),
+    ]:
+        bad.write_text(json.dumps({**base, "model": {**base["model"], **edits}}))
+        code, _, err = run([command[0], "--model", bad, *command[1:], "-o", out],
+                           capsys)
+        assert code == 3, (edits, command[0])
+        assert "malformed" in err
+    assert not out.exists()
+
+
+# runs the CLI once per argument list given as JSON, in 3 GB of address space,
+# and prints the exit codes to stderr; an allocation it misses is a MemoryError
+LIMITED_CLI = (
+    "import json, resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+    "from flexts import cli\n"
+    "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "print(json.dumps(codes), file=sys.stderr)\n"
+)
+
+
+def test_sizes_beyond_the_ceilings_fail_before_any_allocation(tmp_path):
+    data = simulate(tmp_path, n=300)
+    huge_grid, huge_i_max = 1_000_000_001, 10**9  # 7.45 GiB and 3.05 TiB
+    argvs = []
+    for backend, name, value in [("lasso", "grid_size", huge_grid),
+                                 ("nw", "i_max", huge_i_max)]:
+        path = fit(tmp_path, data, extra=("--backend", backend))
+        doc = json.loads(path.read_text())
+        doc["model"][name] = value
+        path.write_text(json.dumps(doc))
+        argvs.append(["predict", "--model", path, "--u", "0,0,0",
+                      "-o", tmp_path / "p.csv"])
+    argvs += [["fit", "--input", data, flag, value, "-o", tmp_path / "m.json"]
+              for flag, value in (("--grid-size", huge_grid), ("--i-max", huge_i_max))]
+    for name, value in (("grid_size", huge_grid), ("i_max", huge_i_max)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"sizes": [300], name: value}))
+        argvs.append(["bench", "--config", cfg, "-o", tmp_path / "b.csv"])
+    done = run_python(LIMITED_CLI, json.dumps([[str(a) for a in argv]
+                                               for argv in argvs]))
+    # two malformed model files, then four usage errors
+    assert json.loads(done.stderr.splitlines()[-1]) == [3, 3, 2, 2, 2, 2]
 
 
 def test_predict_rejects_quantile_levels_outside_unit_interval(tmp_path,
@@ -631,6 +723,8 @@ def test_fit_checks_the_response_grid(tmp_path, capsys, method):
     out = tmp_path / "model.json"
     for flags, message in [(("--grid-size", 4), "grid_size must be odd and >= 101"),
                            (("--grid-size", 1000), "grid_size must be odd"),
+                           (("--grid-size", MAX_GRID_SIZE + 2),
+                            f"at most {MAX_GRID_SIZE}"),
                            (("--pad", -0.5), "pad must be nonnegative"),
                            (("--pad", "nan"), "pad must be nonnegative"),
                            (("--split", "0.5,0.5,nan"), "must all be positive"),
@@ -835,6 +929,8 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "pad": -1}, "pad must be nonnegative"),
         ({**base, "grid_size": 4}, "grid_size must be odd and >= 101"),
         ({**base, "i_max": 0}, "i_max must be >= 1"),
+        ({**base, "grid_size": MAX_GRID_SIZE + 2}, f"at most {MAX_GRID_SIZE}"),
+        ({**base, "i_max": MAX_I_MAX + 1}, f"at most {MAX_I_MAX}"),
         (5, "bench config must be a JSON object"),
         (None, "bench config must be a JSON object"),
     ]:

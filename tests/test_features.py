@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flexts.errors import DataError
 from flexts.features import (
+    ROLLING_STATS,
     FeatureSpec,
     RollingSpec,
     SeriesTable,
     SplitSpec,
     lag_embed,
-    next_step_covariates,
     temporal_split,
 )
 
@@ -122,32 +125,35 @@ def test_rolling_spec_validation():
         RollingSpec("mean", 0)
 
 
-def test_next_step_covariates_matches_embedding_convention():
-    rng = np.random.default_rng(9)
-    y = rng.normal(size=40)
-    x = rng.normal(size=(40, 1))
-    rolling = [RollingSpec("mean", 5)]
-    row = next_step_covariates(table(y, x, ["a"]), n_lags=2, rolling=rolling)
-    expected = [y[-1], y[-2], x[-1, 0], y[-5:].mean()]
-    np.testing.assert_allclose(row, expected, rtol=1e-14)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_lags=st.integers(1, 4),
+       rolling=st.lists(st.builds(RollingSpec, st.sampled_from(ROLLING_STATS),
+                                  st.integers(1, 6)), max_size=2),
+       n_exog=st.integers(0, 2), contemporaneous=st.booleans())
+def test_next_u_is_the_embedding_row_one_step_on(data, n_lags, rolling, n_exog,
+                                                 contemporaneous):
+    max_window = max((s.window for s in rolling), default=0)
+    n = data.draw(st.integers(n_lags + max_window + 1, 40), label="n")
+    values = st.floats(-1e6, 1e6)
+    # the series and one more value and exogenous row, which the design never reads
+    y = data.draw(arrays(float, n + 1, elements=values), label="y")
+    x = data.draw(arrays(float, (n + 1, n_exog), elements=values), label="x")
+    names = ["a", "b"][:n_exog]
 
+    def embed(rows):
+        exog = x[:rows] if n_exog else None
+        return lag_embed(table(y[:rows], exog, names), n_lags, rolling, contemporaneous)
 
-def test_next_step_row_is_the_embedding_row_one_step_on():
-    rng = np.random.default_rng(11)
-    y = rng.normal(size=60)
-    x = rng.normal(size=(60, 2))
-    rolling = [RollingSpec("mean", 4), RollingSpec("variance", 6),
-               RollingSpec("max", 3)]
-    row = next_step_covariates(table(y, x, ["a", "b"]), n_lags=3, rolling=rolling)
-    # the last embedding row reads neither the appended value nor its exog row
-    longer = table(np.append(y, 99.0), np.vstack([x, [[7.0, -7.0]]]), ["a", "b"])
-    assert np.array_equal(row, lag_embed(longer, 3, rolling=rolling).u[-1])
-
-
-def test_next_step_covariates_rejects_contemporaneous_exog():
-    t = table([1.0, 2.0, 3.0], exog=[[1.0], [2.0], [3.0]], names=["a"])
-    with pytest.raises(DataError):
-        next_step_covariates(t, n_lags=1, exog_contemporaneous=True)
+    design, longer = embed(n), embed(n + 1)
+    rows = design.n_rows
+    assert design.u.flags.c_contiguous
+    assert design.u.tobytes() == longer.u[:rows].tobytes()
+    assert design.y.tobytes() == longer.y[:rows].tobytes()
+    assert np.array_equal(design.origin_index, longer.origin_index[:rows])
+    if contemporaneous and n_exog:  # the next row would read x at the forecast step
+        assert design.next_u is None
+    else:
+        assert design.next_u.tobytes() == longer.u[-1].tobytes()
 
 
 def test_temporal_split_n10():
