@@ -156,6 +156,28 @@ def test_next_u_is_the_embedding_row_one_step_on(data, n_lags, rolling, n_exog,
         assert design.next_u.tobytes() == longer.u[-1].tobytes()
 
 
+def test_next_step_covariates_matches_embedding_convention():
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=40)
+    x = rng.normal(size=(40, 1))
+    rolling = [RollingSpec("mean", 5)]
+    row = lag_embed(table(y, x, ["a"]), n_lags=2, rolling=rolling).next_u
+    expected = [y[-1], y[-2], x[-1, 0], y[-5:].mean()]
+    np.testing.assert_allclose(row, expected, rtol=1e-14)
+
+
+def test_next_step_row_is_the_embedding_row_one_step_on():
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=60)
+    x = rng.normal(size=(60, 2))
+    rolling = [RollingSpec("mean", 4), RollingSpec("variance", 6),
+               RollingSpec("max", 3)]
+    row = lag_embed(table(y, x, ["a", "b"]), n_lags=3, rolling=rolling).next_u
+    # the last embedding row reads neither the appended value nor its exog row
+    longer = table(np.append(y, 99.0), np.vstack([x, [[7.0, -7.0]]]), ["a", "b"])
+    assert np.array_equal(row, lag_embed(longer, 3, rolling=rolling).u[-1])
+
+
 def test_temporal_split_n10():
     tr, va, te = temporal_split(10)
     assert (list(tr), list(va), list(te)) == (
