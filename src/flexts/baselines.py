@@ -6,10 +6,10 @@ evaluation grid: a knn average (``kernel_means``) whose targets are the
 neighbors' Gaussian kernel rows on the grid. Its (k, h) pair is tuned by
 the grid-form density loss on the validation block. The kernel rows, one
 per training response some query row uses, fill one matrix, and
-``neighbor_means`` averages them into the outputs. Both run on
-``regression``'s row threads in slices of max(1, SLICE_ELEMS // grid size)
-rows (``split_slices``), so the only full-size arrays are that matrix and
-the outputs, and every output keeps its bits for any thread count.
+``neighbor_means`` averages them into the outputs. Both run in slices of
+max(1, SLICE_ELEMS // grid size) rows on ``regression``'s row threads
+(``split_rows``), so the only full-size arrays are that matrix and the
+outputs, and every output keeps its bits for any thread count.
 
 The AR-GARCH model is an AR(p) mean with intercept and GARCH(1, 1)
 innovations fit by Gaussian quasi-maximum-likelihood:
@@ -41,6 +41,7 @@ from flexts.evaluation import cde_loss_grid
 from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import (
+    SLICE_ELEMS,
     check_k,
     check_queries,
     check_training,
@@ -49,7 +50,7 @@ from flexts.regression import (
     neighbor_means,
     pairwise_sq_dists,
     set_prepared,
-    split_slices,
+    split_rows,
     sq_norms,
 )
 
@@ -66,8 +67,9 @@ LOG_2PI = np.log(2.0 * np.pi)
 class NnkcdeModel:
     """k nearest neighbors + Gaussian KDE over their responses.
 
-    The grid size, training arrays, k, h and the range are checked, and
-    the squared training norms computed, once when the model is built.
+    The grid size, training arrays, k, h, the range and the width of the
+    feature spec, if any, are checked, and the squared training norms
+    computed, once when the model is built.
     """
 
     train_u: np.ndarray
@@ -87,6 +89,10 @@ class NnkcdeModel:
         check_k(self.k, train_u.shape[0])
         check_bandwidths([self.h])
         check_range(self.lo, self.hi)
+        spec = self.features
+        if spec is not None and spec.n_columns != train_u.shape[1]:
+            raise ValueError(f"the features {spec} build {spec.n_columns} covariates, "
+                             f"not the {train_u.shape[1]} columns of train_u")
         set_prepared(self, train_u=train_u, train_y=train_y,
                      train_norms=sq_norms(train_u))
 
@@ -117,7 +123,7 @@ def kernel_means(train_y, order, ks, grid_y, h):
     The kernel row of each training response in ``order`` is evaluated
     once, into one (responses, grid) matrix allocated here and filled in
     row slices of about SLICE_ELEMS values on the row threads
-    (``split_slices``); ``neighbor_means`` averages its rows.
+    (``split_rows``); ``neighbor_means`` averages its rows.
     """
     used, where = np.unique(order, return_inverse=True)
     centers = train_y[used]
@@ -131,7 +137,7 @@ def kernel_means(train_y, order, ks, grid_y, h):
         rows *= diff
         np.exp(rows, out=rows)
 
-    split_slices(used.size, grid_y.size, fill)
+    split_rows(used.size, max(1, SLICE_ELEMS // grid_y.size), fill)
     return neighbor_means(kern, where.reshape(order.shape), ks, scale=h * SQRT_2PI)
 
 
@@ -227,8 +233,10 @@ class GarchModel:
     ``s2_init`` seeds the variance recursion (the OLS residual variance
     at fit time) so filtering a series reproduces the fit exactly.
     ``lo``, ``hi`` and ``grid_size`` give the response grid, the padded
-    range of the fitted responses. The grid and the parameters are
-    checked when the model is built, and so is the feature spec, if any:
+    range of the fitted responses. The grid and the parameters, finite and
+    in the fit's domain (omega > 0, alpha and beta >= 0 with alpha + beta
+    < 1, s2_init > 0), are checked when the model is built, and so is the
+    feature spec, if any:
     ``row_state`` lines the filter up with the rows of a design of p lags
     alone, so the spec must be that design's.
     """
@@ -257,6 +265,13 @@ class GarchModel:
         if not np.all(np.isfinite(params)):
             raise ValueError(
                 f"c, omega, alpha, beta and s2_init must be finite, got {params}")
+        # the fit's domain, where every conditional variance is positive
+        if not (self.omega > 0 and self.alpha >= 0 and self.beta >= 0
+                and self.alpha + self.beta < 1 and self.s2_init > 0):
+            raise ValueError(
+                "garch needs omega > 0, alpha >= 0, beta >= 0, alpha + beta < 1 "
+                f"and s2_init > 0, got omega={self.omega}, alpha={self.alpha}, "
+                f"beta={self.beta}, s2_init={self.s2_init}")
         spec = self.features
         if spec is not None and (spec.n_lags != ar.size or spec.rolling or spec.exog):
             raise ValueError(f"garch of ar order {ar.size} reads {ar.size} lags alone, "

@@ -148,9 +148,9 @@ def check_grid_size(grid_size):
 
 
 def check_pad(pad):
-    """The scaler's padding rule: nonnegative (NaN is not)."""
-    if not pad >= 0:
-        raise ValueError(f"pad must be nonnegative, got {pad}")
+    """The scaler's padding rule: nonnegative and finite (NaN is not)."""
+    if not 0 <= pad < np.inf:
+        raise ValueError(f"pad must be nonnegative and finite, got {pad}")
 
 
 def fit_scaler(y_train, pad=0.05):

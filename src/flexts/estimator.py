@@ -71,7 +71,8 @@ class CoefficientModel:
 
     Built (by ``fit`` or a model-file load), the model checks that its
     backend maps ``len(feature_names)`` covariates to coefficients
-    0..i_max, then prepares its own
+    0..i_max, and that its feature spec, if any, builds that many
+    covariates, then prepares its own
     response grid, read-only, and the basis functions 0..i_selected on it
     once; densities on any other grid tabulate the basis afresh. The
     model is frozen, so neither can go stale: ``dataclasses.replace``
@@ -113,6 +114,10 @@ class CoefficientModel:
                 f"the {self.backend_kind} backend maps {widths[0]} covariates to "
                 f"{widths[1]} coefficients, not {len(self.feature_names)} "
                 f"feature_names to i_max + 1 = {self.i_max + 1}")
+        spec = self.features
+        if spec is not None and spec.n_columns != len(self.feature_names):
+            raise ValueError(f"the features {spec} build {spec.n_columns} covariates, "
+                             f"not the {len(self.feature_names)} feature_names")
         grid = np.linspace(self.scaler.lo, self.scaler.hi, self.grid_size)
         grid.flags.writeable = False
         phi_grid = basis_matrix(self.basis, self.scaler.transform(grid), self.i_selected)

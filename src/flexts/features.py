@@ -98,6 +98,11 @@ class FeatureSpec:
         if len(set(self.exog)) != len(self.exog):
             raise ValueError(f"exogenous columns repeat a name: {self.exog}")
 
+    @property
+    def n_columns(self):
+        """The covariate columns ``lag_embed`` builds by this spec."""
+        return self.n_lags + len(self.exog) + len(self.rolling)
+
 
 @dataclass
 class DesignMatrix:
@@ -119,10 +124,6 @@ class DesignMatrix:
     @property
     def n_rows(self):
         return self.y.shape[0]
-
-    @property
-    def n_features(self):
-        return self.u.shape[1]
 
 
 def _rolling_column(y, spec):

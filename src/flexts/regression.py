@@ -50,24 +50,19 @@ every output bit, is the blocked pass's either way.
 
 Each block's distances are computed on the caller's thread. The per-row
 work after them, ``nw_predict_grid``'s rings and ``knn_order``'s
-``nearest_order``, is split by ``split_rows`` into contiguous
-SLICE_ROWS-aligned row ranges over ROW_THREADS threads, the CPUs the
-process may run on (the k-d tree query uses as many). The caller's
-thread runs the first range and a pool the others; the pool's threads
-start with the first split block, idle ones block rather than spin, and
-BLAS thread settings do not govern them. A row's result depends on its
-own distances alone, so every output has the same bits for any thread
-count. A block still holds ROW_BLOCK rows' distances, and the threads'
-temporaries together cover no more rows than the block. ``nw_predict``
-runs on the caller's thread alone.
-
-``neighbor_means``, knn's average and NNKCDE's over its kernel rows, runs
-on the same threads in fits and predictions: its outputs are allocated on
-the caller's thread, and ``split_slices`` cuts ``split_rows``' ranges into
-slices of max(1, SLICE_ELEMS // width) rows, about SLICE_ELEMS values
-(256 KB), each summed with a running total of its own that stays in
-cache. A row's means depend on its own neighbors alone, so they too keep
-their bits for any thread count and slice size.
+``nearest_order`` in slices of SLICE_ROWS rows, and ``neighbor_means``,
+knn's average and NNKCDE's over its kernel rows, in slices of
+max(1, SLICE_ELEMS // width) rows (about SLICE_ELEMS values, 256 KB, that
+stay in cache), go through ``split_rows``: it hands contiguous runs of
+slices to at most ROW_THREADS threads, the CPUs the process may run on
+(the k-d tree query uses as many). The caller's thread runs the first
+run; the others start for that call and are joined before it returns,
+and BLAS thread settings do not govern them. Each slice writes its own
+rows in place, and a row's result depends on that row alone, so every
+output has the same bits for any thread count and slice size. A block
+still holds ROW_BLOCK rows' distances, and the threads' temporaries
+together cover no more rows than the block. ``nw_predict`` runs on the
+caller's thread alone.
 
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
@@ -77,8 +72,8 @@ depends on the query rows, and every output keeps its bits.
 """
 
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -97,29 +92,9 @@ SLICE_ROWS = 32
 # values per row slice of neighbor_means and NNKCDE's kernel_means (256 KB
 # of floats, which stay in cache): max(1, SLICE_ELEMS // width) rows a slice
 SLICE_ELEMS = 32 * 1024
-# threads that share each block's per-row work: at most one per SLICE_ROWS
-# rows, and no more than the CPUs this process may run on
-ROW_THREADS = min(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1,
-    ROW_BLOCK // SLICE_ROWS,
-)
-
-
-def _new_row_pool():
-    """Make split_rows' pool, one thread per range but the caller's.
-
-    No thread starts before the first block it splits. A forked child
-    makes its own: the copy of its parent's pool has no running threads.
-    """
-    global _ROW_POOL
-    _ROW_POOL = ThreadPoolExecutor(ROW_BLOCK // SLICE_ROWS - 1,
-                                   thread_name_prefix="flexts-rows")
-
-
-_new_row_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_row_pool)
+# threads that share split_rows' slices: the CPUs this process may run on
+ROW_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 # Most covariate columns for which knn_order queries a k-d tree. Tree
 # against blocked knn_order (arma_jump lag designs, 1 BLAS thread; the
@@ -184,44 +159,37 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
             yield start + keep, sq[keep]
 
 
-def split_rows(n_rows, work):
-    """[work(lo, hi)] over contiguous row ranges covering n_rows rows.
+def split_rows(n_rows, step, work):
+    """work(lo, hi) on slices of ``step`` rows covering n_rows rows.
 
-    The ranges start at multiples of SLICE_ROWS, at most ROW_THREADS of
-    them. The caller's thread runs the first, a pool of threads the
-    others, so ``work`` must write only to its own rows and each row's
-    result must depend on that row alone: then the results are the same
-    bits for any ROW_THREADS. Rows of one slice or fewer run on the
-    caller's thread without the pool.
+    Contiguous runs of slices, at most ROW_THREADS of them, go to threads
+    started for this call and joined before it returns; the caller's
+    thread runs the first run, so one slice starts no thread. ``work``
+    must write only to its own rows and each row's result must depend on
+    that row alone: then the results are the same bits for any ROW_THREADS
+    and any step. An exception in any run is raised here once all are done.
     """
-    n_slices = -(-n_rows // SLICE_ROWS)
-    n_parts = min(ROW_THREADS, n_slices)
-    if n_parts < 2:
-        return [work(0, n_rows)]
-    step = SLICE_ROWS * -(-n_slices // n_parts)
-    ranges = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-    futures = [_ROW_POOL.submit(work, lo, hi) for lo, hi in ranges[1:]]
-    try:
-        first = work(*ranges[0])
-    finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+    starts = range(0, n_rows, step)
+    per_run = max(1, -(-len(starts) // ROW_THREADS))
+    runs = [starts[i : i + per_run] for i in range(0, len(starts), per_run)]
+    errors = []
 
+    def run(firsts):
+        try:
+            for lo in firsts:
+                work(lo, min(lo + step, n_rows))
+        except BaseException as exc:
+            errors.append(exc)
 
-def split_slices(n_rows, width, work):
-    """work(lo, hi) over slices of max(1, SLICE_ELEMS // width) rows.
-
-    The slices cover n_rows rows in order within each of ``split_rows``'
-    ranges, so the same rules hold: ``work`` writes only to its own rows,
-    and each row's result depends on that row alone.
-    """
-    step = max(1, SLICE_ELEMS // width)
-
-    def run(lo, hi):
-        for start in range(lo, hi, step):
-            work(start, min(start + step, hi))
-
-    split_rows(n_rows, run)
+    threads = [threading.Thread(target=run, args=(firsts,)) for firsts in runs[1:]]
+    for thread in threads:
+        thread.start()
+    if runs:
+        run(runs[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def check_training(train_u, targets, target_ndim=2):
@@ -389,31 +357,30 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
 
     def add_rings(sq, first, lo, hi):
         """Ring sums of block rows lo..hi, which are query rows first + lo.."""
-        for start in range(lo, hi, SLICE_ROWS):
-            part = sq[start : start + SLICE_ROWS]
-            n_rows = part.shape[0]
-            n_keys = n_rings * n_rows
-            flat = np.flatnonzero(part <= thresholds[-1])
-            vals = part.ravel()[flat]
-            row = flat // n_train
-            col = flat - row * n_train
-            # key = ring * n_rows + row; see the docstring for the ring count
-            key = np.zeros(flat.size, dtype=np.intp)
-            for t in thresholds[:-1]:
-                key += vals > t
-            key *= n_rows
-            key += row
-            indicator = sparse.csr_matrix(
-                (np.ones(key.size), (key, col)), shape=(n_keys, n_train)
-            )
-            ring_sums = (indicator @ train_phi).reshape(n_rings, n_rows, -1)
-            ring_counts = np.bincount(key, minlength=n_keys).reshape(n_rings, n_rows)
-            out = slice(first + start, first + start + n_rows)
-            sums[:, out] = np.cumsum(ring_sums, axis=0)[ring_of]
-            counts[:, out] = np.cumsum(ring_counts, axis=0)[ring_of]
+        part = sq[lo:hi]
+        n_rows = part.shape[0]
+        n_keys = n_rings * n_rows
+        flat = np.flatnonzero(part <= thresholds[-1])
+        vals = part.ravel()[flat]
+        row = flat // n_train
+        col = flat - row * n_train
+        # key = ring * n_rows + row; see the docstring for the ring count
+        key = np.zeros(flat.size, dtype=np.intp)
+        for t in thresholds[:-1]:
+            key += vals > t
+        key *= n_rows
+        key += row
+        indicator = sparse.csr_matrix(
+            (np.ones(key.size), (key, col)), shape=(n_keys, n_train)
+        )
+        ring_sums = (indicator @ train_phi).reshape(n_rings, n_rows, -1)
+        ring_counts = np.bincount(key, minlength=n_keys).reshape(n_rings, n_rows)
+        out = slice(first + lo, first + hi)
+        sums[:, out] = np.cumsum(ring_sums, axis=0)[ring_of]
+        counts[:, out] = np.cumsum(ring_counts, axis=0)[ring_of]
 
     for rows, sq in distance_blocks(train_u, eval_u):
-        split_rows(sq.shape[0], partial(add_rings, sq, rows.start))
+        split_rows(sq.shape[0], SLICE_ROWS, partial(add_rings, sq, rows.start))
     return [_local_means(s, c, train_phi) for s, c in zip(sums, counts)]
 
 
@@ -594,9 +561,13 @@ def knn_order(train_u, eval_u, k, train_norms=None):
     else:
         order = np.empty((eval_u.shape[0], k), dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u, settled, train_norms):
-        order[rows] = np.concatenate(
-            split_rows(sq.shape[0], lambda lo, hi, sq=sq: nearest_order(sq[lo:hi], k))
-        )
+        block = np.empty((sq.shape[0], k), dtype=np.intp)
+
+        def sort(lo, hi, sq=sq, block=block):
+            block[lo:hi] = nearest_order(sq[lo:hi], k)
+
+        split_rows(sq.shape[0], SLICE_ROWS, sort)
+        order[rows] = block
     return order
 
 
@@ -606,7 +577,7 @@ def neighbor_means(train_phi, order, ks, scale=1.0):
     Each mean is (total / k) / ``scale``, where a row's total adds its
     neighbors one rank at a time: a sequential sum, over k. The outputs,
     one per entry of ks, are allocated here; the rows are summed in slices
-    of about SLICE_ELEMS values (``split_slices``) on the row threads, each
+    of about SLICE_ELEMS values on the row threads (``split_rows``), each
     slice with a running total of its own.
     """
     n_rows, width = order.shape[0], train_phi.shape[1]
@@ -628,7 +599,7 @@ def neighbor_means(train_phi, order, ks, scale=1.0):
                     np.divide(total, k, out=part)
                     part /= scale
 
-    split_slices(n_rows, width, add)
+    split_rows(n_rows, max(1, SLICE_ELEMS // width), add)
     return means
 
 

@@ -265,6 +265,7 @@ def test_variance_recursion_matches_direct_loop():
     assert np.all(s2 > 0.0)
 
 
+@pytest.mark.slow  # a statistical recovery check, like the acceptance criteria
 def test_garch_recovers_iid_variance():
     # moment identity: unconditional variance = omega / (1 - alpha - beta)
     sigma2 = 1.69
@@ -277,6 +278,7 @@ def test_garch_recovers_iid_variance():
     assert abs(np.median(ratios) - 1.0) <= 0.15
 
 
+@pytest.mark.slow  # a statistical recovery check, like the acceptance criteria
 def test_garch_recovers_ar1_coefficient():
     phis = []
     for seed in range(10):

@@ -530,6 +530,9 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (doc, ("model", "features"), "rolling", [{"stat": "mean", "window": 2.5}]),
         (doc, ("model", "features"), "exog", "x"),
         (doc, ("model", "features"), "exog_contemporaneous", "false"),
+        # a spec that builds another number of covariates than the model reads
+        (doc, ("model", "features"), "n_lags", 2),
+        (nw_doc, ("model", "features"), "n_lags", 2),
         # a lasso backend's arrays and penalty
         (lasso_doc, ("model", "backend"), "intercept", None),
         (lasso_doc, ("model", "backend"), "coef", None),
@@ -541,6 +544,13 @@ def test_missing_or_malformed_model_files_are_data_errors(tmp_path, capsys):
         (garch_doc, ("model",), "ar", [None]),
         (garch_doc, ("model",), "ar", [float("nan")]),
         (garch_doc, ("model",), "omega", float("nan")),
+        # ... and the fit's domain, where every conditional variance is positive
+        (garch_doc, ("model",), "omega", -1.0),
+        (garch_doc, ("model",), "alpha", -0.5),
+        (garch_doc, ("model",), "beta", 1.5),
+        (garch_doc, ("model",), "s2_init", -1.0),
+        ({**garch_doc, "model": {**garch_doc["model"], "beta": 0.6}}, ("model",),
+         "alpha", 0.6),
         # the backend's widths: covariates and coefficients 0..i_max
         (lasso_doc, ("model",), "i_max", lasso_doc["model"]["i_max"] + 10),
         (lasso_doc, ("model",), "feature_names", ["lag1", "lag2"]),
@@ -927,6 +937,8 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "methods": ["flexcode", "arima"]}, "'methods' holds unknown value"),
         ({**base, "sigma_nm": -1}, "sigma_nm must be positive and finite"),
         ({**base, "pad": -1}, "pad must be nonnegative"),
+        ({**base, "pad": float("inf"), "methods": ["garch"]},
+         "pad must be nonnegative and finite"),
         ({**base, "grid_size": 4}, "grid_size must be odd and >= 101"),
         ({**base, "i_max": 0}, "i_max must be >= 1"),
         ({**base, "grid_size": MAX_GRID_SIZE + 2}, f"at most {MAX_GRID_SIZE}"),

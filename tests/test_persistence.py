@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flexts.baselines import garch_density_rows, garch_filter, garch_fit, nnkcde_fit
@@ -21,6 +21,7 @@ from flexts.estimator import (
     predict_density,
     predict_density_batch,
     predict_quantiles,
+    quantiles_from_grid_density,
 )
 from flexts.features import (
     ROLLING_STATS,
@@ -434,3 +435,80 @@ def test_every_model_checks_its_grid_size(fresh_fits):
     for _, model, _ in fresh_fits.values():
         with pytest.raises(ValueError, match="grid_size must be odd and >= 101"):
             dataclasses.replace(model, grid_size=100)
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every field of every committed model file, one at a time
+# ---------------------------------------------------------------------------
+
+
+def field_paths(doc, owner=()):
+    """The key path of every field in ``doc``, nested objects and their fields."""
+    for key, value in doc.items():
+        yield owner + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, owner + (key,))
+
+
+def committed_doc(name):
+    with open(os.path.join(data_dir(FORMAT_VERSION), f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+FUZZ_CASES = [(name, path) for name in NAMES
+              for path in field_paths(committed_doc(name)["model"])]
+ADVERSARIAL = (float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, True, "x",
+               None, [], {})
+FUZZ_SERIES = generate("ar", 160, 5)
+
+
+def fuzzed_densities(method, model):
+    """The densities a loaded model gives on FUZZ_SERIES: every design row and
+    the forecast one step past its end."""
+    if method == "garch":
+        return [model.density_rows(model.row_state(None, FUZZ_SERIES, rows),
+                                   model.grid())
+                for rows in (slice(None), None)]
+    width = len(model.feature_names) if method == "flexcode" else model.train_u.shape[1]
+    spec = model.features or FeatureSpec("y", width)
+    exog = np.random.default_rng(6).normal(size=(FUZZ_SERIES.size, len(spec.exog)))
+    table = SeriesTable(FUZZ_SERIES, exog if spec.exog else None, list(spec.exog),
+                        spec.target)
+    design = lag_embed(table, spec.n_lags, spec.rolling, spec.exog_contemporaneous)
+    rows = [design.u] if design.next_u is None else [design.u, design.next_u]
+    return [predict_density_batch(model, u) for u in rows]
+
+
+def with_every_adversarial_value(test):
+    for case in FUZZ_CASES:
+        for value in ADVERSARIAL:
+            test = example(case=case, value=value)(test)
+    return test
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@with_every_adversarial_value
+@given(case=st.sampled_from(FUZZ_CASES),
+       value=st.sampled_from(ADVERSARIAL) | st.floats() | st.integers())
+def test_a_model_file_with_any_field_changed_loads_sound_or_is_a_data_error(
+        tmp_path, case, value):
+    name, path = case
+    doc = committed_doc(name)
+    owner = doc["model"]
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    file = tmp_path / "fuzzed.json"
+    file.write_text(json.dumps(doc))
+    try:
+        method, model, _ = load_model(file)
+    except DataError:
+        return
+    for batch in fuzzed_densities(method, model):
+        density = batch.density
+        assert np.all(np.isfinite(density)) and np.all(density >= 0), (case, value)
+        np.testing.assert_allclose(np.trapezoid(density, batch.grid_y, axis=1), 1.0,
+                                   atol=1e-8)
+        quantiles = quantiles_from_grid_density(batch.grid_y, density, TAUS)
+        assert np.all(np.diff(quantiles, axis=1) >= 0), (case, value)

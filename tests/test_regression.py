@@ -13,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flexts import regression
+from flexts import baselines, regression
 from flexts.baselines import SQRT_2PI, kernel_means, nnkcde_fit
 from flexts.errors import DataError
 from flexts.estimator import FitConfig, fit
 from flexts.features import SeriesTable, lag_embed
 from flexts.regression import (
     ROW_BLOCK,
-    SLICE_ROWS,
     TREE_MAX_DIM,
     default_delta_grid,
     default_k_grid,
@@ -527,6 +526,34 @@ def test_bad_queries_are_rejected(n_eval):
 # ---------------------------------------------------------------------------
 
 
+def checked_split(ran):
+    """split_rows that adds the threads running its work to ``ran`` and
+    checks that each call ran it on the caller's thread and at most
+    ROW_THREADS - 1 others."""
+    def spied_split(n_rows, step, work):
+        mine = set()
+
+        def spied_work(lo, hi):
+            mine.add(threading.get_ident())
+            return work(lo, hi)
+
+        split_rows(n_rows, step, spied_work)
+        assert len(mine) <= regression.ROW_THREADS
+        assert not mine or threading.get_ident() in mine
+        ran.update(mine)
+    return spied_split
+
+
+@contextlib.contextmanager
+def on_row_threads(threads, ran):
+    """ROW_THREADS at ``threads``, and split_rows checked by checked_split(ran)."""
+    split = checked_split(ran)
+    with mock.patch.object(regression, "ROW_THREADS", threads), \
+            mock.patch.object(regression, "split_rows", split), \
+            mock.patch.object(baselines, "split_rows", split):
+        yield
+
+
 def on_one_and_two_threads(call):
     """call()'s results with ROW_THREADS at 1 and at 2, and the threads that
     ran nearest_order in each."""
@@ -538,11 +565,28 @@ def on_one_and_two_threads(call):
             ran.add(threading.get_ident())
             return nearest_order(sq_dists, k)
 
-        with mock.patch.object(regression, "ROW_THREADS", threads), \
+        with on_row_threads(threads, set()), \
                 mock.patch.object(regression, "nearest_order", spied_order):
             results.append(call())
         runners.append(ran)
     return results, runners
+
+
+def sliced_on_one_and_two_threads(call):
+    """call()'s results with ROW_THREADS at 1 and at 2, and the threads that
+    ran split_rows' work in each."""
+    results, runners = [], []
+    for threads in (1, 2):
+        ran = set()
+        with on_row_threads(threads, ran):
+            results.append(call())
+        runners.append(ran)
+    return results, runners
+
+
+def split_over_threads(ran):
+    """The caller's thread and at least one other ran the work."""
+    return threading.get_ident() in ran and len(ran) >= 2
 
 
 @pytest.mark.parametrize("n_eval", [ROW_BLOCK + 1, 300, 1999])
@@ -573,7 +617,7 @@ def test_knn_grid_has_the_same_bits_on_any_thread_count(design):
     for one, two in zip(serial, split):
         assert np.array_equal(one.b_hat, two.b_hat)
     if design != "tree":
-        assert len(runners) == 2  # the blocked rows were split
+        assert split_over_threads(runners)  # the blocked rows were split
 
 
 def test_nnkcde_fit_has_the_same_bits_on_any_thread_count():
@@ -590,27 +634,7 @@ def test_nnkcde_fit_has_the_same_bits_on_any_thread_count():
         on_one_and_two_threads(fit_and_tabulate))
     assert (serial.k, serial.h) == (split.k, split.h)
     assert np.array_equal(serial_rows.density, split_rows.density)
-    assert len(runners) == 2
-
-
-def sliced_on_one_and_two_threads(call):
-    """call()'s results with ROW_THREADS at 1 and at 2, and the threads that
-    ran split_rows' work in each."""
-    results, runners = [], []
-    for threads in (1, 2):
-        ran = set()
-
-        def spied_split(n_rows, work, ran=ran):
-            def spied_work(lo, hi):
-                ran.add(threading.get_ident())
-                return work(lo, hi)
-            return split_rows(n_rows, spied_work)
-
-        with mock.patch.object(regression, "ROW_THREADS", threads), \
-                mock.patch.object(regression, "split_rows", spied_split):
-            results.append(call())
-        runners.append(ran)
-    return results, runners
+    assert split_over_threads(runners)
 
 
 def dense_neighbor_means(train_phi, order, ks):
@@ -642,9 +666,9 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("width, n_rows", [(31, 2500), (1001, 333)])
 def test_neighbor_means_has_the_same_bits_on_any_thread_count(width, n_rows):
-    # 2500 rows of width 31 split into ranges of 1280 and 1220 rows, each
-    # a 1057-row slice and a short tail; 333 rows of width 1001 into 192
-    # and 141 rows, 32-row slices with a 13-row tail
+    # 2500 rows of width 31: 1057-row slices, runs of 2114 rows and of a
+    # 386-row tail; 333 rows of width 1001: 32-row slices, runs of 192 and
+    # 141 rows, the second ending in a 13-row tail
     rng = np.random.default_rng(46)
     train_phi = rng.normal(size=(900, width))
     order = rng.integers(0, 900, size=(n_rows, 12))
@@ -654,12 +678,12 @@ def test_neighbor_means_has_the_same_bits_on_any_thread_count(width, n_rows):
     assert_same_bits(serial, dense_neighbor_means(train_phi, order, ks))
     assert_same_bits(split, serial)
     assert serial[2] is not serial[3]
-    assert one == {threading.get_ident()} and len(two) == 2
+    assert one == {threading.get_ident()} and split_over_threads(two)
 
 
 def test_kernel_means_has_the_same_bits_on_any_thread_count():
-    # 333 used responses on a 2001-point grid: 16-row slices, split into
-    # 192 and 141 rows, the second ending in a 13-row tail
+    # 333 used responses on a 2001-point grid: 16-row slices, runs of 176
+    # and 157 rows, the second ending in a 13-row tail
     rng = np.random.default_rng(47)
     train_y = rng.normal(size=333)
     order = rng.integers(0, 333, size=(333, 7))
@@ -670,7 +694,7 @@ def test_kernel_means_has_the_same_bits_on_any_thread_count():
         lambda: kernel_means(train_y, order, ks, grid_y, 0.3))
     assert_same_bits(serial, dense_kernel_means(train_y, order, ks, grid_y, 0.3))
     assert_same_bits(split, serial)
-    assert one == {threading.get_ident()} and len(two) == 2
+    assert one == {threading.get_ident()} and split_over_threads(two)
 
 
 def test_distances_are_computed_on_the_callers_thread():
@@ -688,13 +712,13 @@ def test_distances_are_computed_on_the_callers_thread():
         on_one_and_two_threads(lambda: fit(nw_design))
         _, (_, runners) = on_one_and_two_threads(
             lambda: fit(knn_design, config=FitConfig(backend="knn")))
-    assert len(runners) == 2  # the knn blocks were split
+    assert split_over_threads(runners)  # the knn blocks were split
     assert len(callers) > 4 and set(callers) == {threading.get_ident()}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_blocks_on_threads_of_its_own():
-    # the child's copy of the pool has no running threads to hand ranges to
+    # the parent's threads are not copied into the child, which starts its own
     train_u, train_phi, eval_u = random_problem(45, n=500, n_eval=300)
     with mock.patch.object(regression, "ROW_THREADS", 2):
         before = nw_predict_grid(train_u, train_phi, eval_u, [0.5, 1.0])
@@ -717,14 +741,47 @@ def test_a_forked_child_splits_blocks_on_threads_of_its_own():
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def test_split_rows_covers_the_rows_in_aligned_ranges():
-    with mock.patch.object(regression, "ROW_THREADS", 3):
-        assert regression.split_rows(SLICE_ROWS, lambda lo, hi: (lo, hi)) == [
-            (0, SLICE_ROWS)]
-        assert regression.split_rows(5 * SLICE_ROWS + 1,
-                                     lambda lo, hi: (lo, hi)) == [
-            (0, 2 * SLICE_ROWS), (2 * SLICE_ROWS, 4 * SLICE_ROWS),
-            (4 * SLICE_ROWS, 5 * SLICE_ROWS + 1)]
+@settings(max_examples=200, deadline=None)
+@given(n_rows=st.integers(0, 2000), step=st.integers(1, 600),
+       threads=st.integers(1, 4))
+@example(n_rows=0, step=1, threads=2)
+def test_split_rows_hands_contiguous_runs_of_slices_to_its_threads(n_rows, step,
+                                                                    threads):
+    calls, started = [], []  # (thread, lo, hi) per work call; threads started
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    with mock.patch.object(regression, "ROW_THREADS", threads), \
+            mock.patch.object(threading.Thread, "start", counted_start):
+        split_rows(n_rows, step, lambda lo, hi: calls.append(
+            (threading.current_thread(), lo, hi)))
+    slices = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+    assert sorted(call[1:] for call in calls) == slices  # each row in one call
+    runs = {}  # by thread object: a finished thread's ident may recur
+    for thread, lo, hi in calls:
+        runs.setdefault(thread, []).append((lo, hi))
+    for run in runs.values():
+        assert all(a[1] == b[0] for a, b in zip(run, run[1:]))
+    if slices:
+        caller_run = runs[threading.current_thread()]
+        assert caller_run == slices[: len(caller_run)]
+        assert set(runs) == {threading.current_thread(), *started}
+    assert len(started) <= threads - 1
+    if len(slices) <= 1:
+        assert started == []
+
+
+def test_split_rows_raises_what_a_thread_raised():
+    def work(lo, hi):
+        if lo > 0:
+            raise ZeroDivisionError(lo)
+
+    with mock.patch.object(regression, "ROW_THREADS", 2):
+        with pytest.raises(ZeroDivisionError, match="^5$"):
+            split_rows(10, 5, work)
 
 
 def test_default_k_grid_examples():
