@@ -4,7 +4,8 @@ NNKCDE places a Gaussian kernel density on the responses of the k
 nearest training neighbors of the query covariates, renormalized on the
 evaluation grid: a knn average (``kernel_means``) whose targets are the
 neighbors' Gaussian kernel rows on the grid. Its (k, h) pair is tuned by
-the grid-form density loss on the validation block. The kernel rows, one
+the grid-form density loss on the validation block, each candidate's rows
+scored by ``estimator.score_rows`` in slices. The kernel rows, one
 per training response some query row uses, fill one matrix, and
 ``neighbor_means`` averages them into the outputs. Both run in slices of
 max(1, SLICE_ELEMS // grid size) rows on ``regression``'s row threads
@@ -36,8 +37,7 @@ import numpy as np
 
 from flexts.basis import check_grid_size, check_range, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.estimator import DensityBatch, renormalize_rows
-from flexts.evaluation import cde_loss_grid
+from flexts.estimator import DensityBatch, score_rows
 from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import (
@@ -106,11 +106,13 @@ class NnkcdeModel:
         """
         return knn_order(self.train_u, np.atleast_2d(eval_u), self.k, self.train_norms)
 
+    def raw_rows(self, neighbors, grid_y):
+        """The Gaussian KDE over each row's neighbor responses on grid_y."""
+        return kernel_means(self.train_y, neighbors, [self.k], grid_y, self.h)[0]
+
     def density_rows(self, neighbors, grid_y):
-        """Renormalized Gaussian KDE over each row's neighbor responses."""
-        raw = kernel_means(self.train_y, neighbors, [self.k], grid_y, self.h)[0]
-        density, degenerate = renormalize_rows(raw, grid_y)
-        return DensityBatch(grid_y, density, raw, degenerate)
+        """The DensityBatch of the KDE rows (renormalized; they are >= 0)."""
+        return DensityBatch.from_raw(grid_y, self.raw_rows(neighbors, grid_y))
 
     def predict_density_batch(self, eval_u):
         """Densities on the model's grid; perfbench's nnkcde_predict probe wraps it."""
@@ -205,7 +207,7 @@ def nnkcde_fit(
     order = knn_order(train_u, val_u, max(k_grid))
 
     keys = (  # (loss, h index, k index)
-        (cde_loss_grid(grid_y, renormalize_rows(raw, grid_y)[0], val_y).loss, ih, ik)
+        (score_rows(grid_y, raw, val_y).cde.loss, ih, ik)
         for ih, h in enumerate(h_grid)
         for ik, raw in enumerate(kernel_means(train_y, order, k_grid, grid_y, h))
     )
@@ -302,6 +304,9 @@ class GarchModel:
             return np.array([mean]), np.array([var])
         means, s2 = garch_filter(self, series)
         return means[rows], s2[rows]
+
+    def raw_rows(self, state, grid_y):
+        return garch_raw_rows(*state, grid_y)
 
     def density_rows(self, state, grid_y):
         return garch_density_rows(*state, grid_y)
@@ -499,14 +504,17 @@ def garch_forecast(model, y):
     return float(next_mean), float(next_s2)
 
 
-def garch_density_rows(means, s2, grid_y):
-    """Renormalized Gaussian predictive densities on a common grid, a DensityBatch."""
+def garch_raw_rows(means, s2, grid_y):
+    """Gaussian predictive densities on a common grid, before renormalization."""
     means = np.asarray(means, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     if np.any(s2 <= 0):
         raise NumericError("nonpositive conditional variance in garch filter")
     sd = np.sqrt(s2)
     zz = (grid_y[None, :] - means[:, None]) / sd[:, None]
-    raw = np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
-    density, degenerate = renormalize_rows(raw, grid_y)
-    return DensityBatch(grid_y, density, raw, degenerate)
+    return np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
+
+
+def garch_density_rows(means, s2, grid_y):
+    """Renormalized Gaussian predictive densities on a common grid, a DensityBatch."""
+    return DensityBatch.from_raw(grid_y, garch_raw_rows(means, s2, grid_y))

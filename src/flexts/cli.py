@@ -12,10 +12,12 @@ fitted model records its feature spec (``model.features``: the target
 and exogenous columns, lags, rolling statistics) and its ``model.split``,
 which ``evaluate``, ``predict`` and ``importance`` rebuild the design and
 its blocks from. Each model tabulates itself: ``row_state`` computes
-some rows' state once, ``density_rows`` gives their ``DensityBatch`` on
-any response grid, and ``grid()`` is the fit-time grid (the padded
-training range at ``grid_size`` points) each method is scored on. So
-``evaluate``, ``predict`` and ``bench`` take one path for every method.
+some rows' state once, ``raw_rows`` and ``density_rows`` give their raw
+densities and their ``DensityBatch`` on any response grid, and ``grid()``
+is the fit-time grid (the padded training range at ``grid_size`` points)
+each method is scored on. So ``evaluate``, ``predict`` and ``bench`` take
+one path for every method; ``evaluate`` and ``bench`` score the raw rows
+with ``estimator.score_rows``, a slice at a time.
 """
 
 import argparse
@@ -31,7 +33,7 @@ import numpy as np
 from flexts import baselines, estimator, persistence, scenarios
 from flexts.basis import BASIS_KINDS, check_pad, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.evaluation import cde_loss_grid, oracle_cde_loss, pinball_loss
+from flexts.evaluation import pinball_loss
 from flexts.features import (
     FeatureSpec,
     RollingSpec,
@@ -321,6 +323,11 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 
 
+def _truth(scenario, u_rows, grid_y, sigma_nm):
+    """The scenario's true densities of rows lo..hi of u_rows, for score_rows."""
+    return lambda lo, hi: scenarios.true_rows(scenario, u_rows[lo:hi], grid_y, sigma_nm)
+
+
 DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 
@@ -339,26 +346,24 @@ def cmd_evaluate(args):
         table, design = _read_design(model.features, args.input)
         _, _, te = temporal_split(design.n_rows, model.split)
         rows = slice(te.start, te.stop)
-        y_te = design.y[rows]
-        state = model.row_state(design.u[rows], table.response, rows)
+        u_te, y_te = design.u[rows], design.y[rows]
+        state = model.row_state(u_te, table.response, rows)
         grid_y = model.grid()
-        dens = model.density_rows(state, grid_y).density
-        rep = cde_loss_grid(grid_y, dens, y_te)
-        row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
-
+        truth = None
         if args.oracle_scenario:
             if model.features.n_lags < scenarios.ORDER:
                 raise ValueError(
                     f"oracle loss needs at least {scenarios.ORDER} lagged "
                     "covariates in the design"
                 )
-            truth = scenarios.density_rows(
-                args.oracle_scenario, design.u[rows], grid_y, sigma_nm=args.sigma_nm
-            )
-            orep = oracle_cde_loss(truth, dens, grid_y)
-            row += [orep.loss, orep.std_error]
-
-        qmat = estimator.quantiles_from_grid_density(grid_y, dens, taus)
+            truth = _truth(args.oracle_scenario, u_te, grid_y, args.sigma_nm)
+        scores = estimator.score_rows(grid_y, model.raw_rows(state, grid_y), y_te,
+                                      truth, taus)
+        rep = scores.cde
+        row = [path, method, rep.n_eval, rep.n_outside, rep.loss, rep.std_error]
+        if truth is not None:
+            row += [scores.oracle.loss, scores.oracle.std_error]
+        qmat = scores.quantiles
         pinballs = [pinball_loss(qmat[:, j], y_te, tau)
                     for j, tau in enumerate(taus)]
         row += pinballs
@@ -464,7 +469,9 @@ class BenchConfig:
     """Bench settings: the keys a --config JSON object may hold, typed, with defaults.
 
     Building one checks the split, the names and the numeric settings by
-    the fit's rules, so a bad value fails before any cell runs.
+    the rules of what reads them, so a bad value fails before any cell
+    runs: each size, seed, the burn-in and sigma_nm as a ScenarioSpec,
+    each lag count as a FeatureSpec, i_max and grid_size as a FitConfig.
     """
 
     scenarios: list[str] = field(default_factory=lambda: ["ar"])
@@ -485,7 +492,14 @@ class BenchConfig:
 
     def __post_init__(self):
         SplitSpec.from_list(self.split)
-        scenarios.check_sigma_nm(self.sigma_nm)
+        # burn_in and sigma_nm, then each size and seed, by a cell's series rules
+        spec = scenarios.ScenarioSpec("ar", 100, 0, self.burn_in, self.sigma_nm)
+        for n in self.sizes:
+            replace(spec, n=n)
+        for seed in self.seeds:
+            replace(spec, seed=seed)
+        for n_lags in self.lags:
+            FeatureSpec("y", n_lags)
         check_pad(self.pad)
         # i_max and grid_size by the fit's own rules
         estimator.FitConfig(i_max=self.i_max, grid_size=self.grid_size)
@@ -531,10 +545,11 @@ def run_bench_cell(cell, **settings):
     )
     _, _, te = temporal_split(design.n_rows, model.split)
     rows = slice(te.start, te.stop)
-    state = model.row_state(design.u[rows], y, rows)
+    u_te = design.u[rows]
+    state = model.row_state(u_te, y, rows)
     grid_y = model.grid()
-    rep = cde_loss_grid(grid_y, model.density_rows(state, grid_y).density,
-                        design.y[rows])
+    rep = estimator.score_rows(grid_y, model.raw_rows(state, grid_y),
+                               design.y[rows]).cde
     result = {
         **asdict(cell),
         "status": "ok",
@@ -549,11 +564,9 @@ def run_bench_cell(cell, **settings):
     if cfg.oracle and cell.lags >= scenarios.ORDER:
         # every method's grid spans the training scaler's range exactly
         fine_grid = np.linspace(grid_y[0], grid_y[-1], ORACLE_GRID_SIZE)
-        truth = scenarios.density_rows(
-            cell.scenario, design.u[rows], fine_grid, sigma_nm=cfg.sigma_nm
-        )
-        orep = oracle_cde_loss(truth, model.density_rows(state, fine_grid).density,
-                               fine_grid)
+        orep = estimator.score_rows(
+            fine_grid, model.raw_rows(state, fine_grid),
+            truth=_truth(cell.scenario, u_te, fine_grid, cfg.sigma_nm)).oracle
         result["oracle_cde_loss"] = orep.loss
         result["oracle_cde_loss_se"] = orep.std_error
     return result

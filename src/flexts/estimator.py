@@ -9,9 +9,12 @@ block. Predicted densities are post-processed (negative part clipped,
 mass renormalized) before consumption.
 
 Every fitted model, this one and the ``baselines``, tabulates through
-``grid()``, ``row_state`` and ``density_rows`` (a ``DensityBatch``);
-``predict_density_batch``, ``predict_density`` and ``predict_quantiles``
-are that call on the model's grid, for any model whose state needs only u.
+``grid()``, ``row_state``, ``raw_rows`` (the method's density rows before
+post-processing) and ``density_rows`` (a ``DensityBatch`` of them, post-
+processed by ``renormalize_rows``); ``predict_density_batch``,
+``predict_density`` and ``predict_quantiles`` are that call on the model's
+grid, for any model whose state needs only u. ``score_rows`` scores raw
+rows against held-out responses in slices on the row threads.
 """
 
 import warnings
@@ -28,10 +31,25 @@ from flexts.basis import (
     fit_scaler,
 )
 from flexts.errors import DataError, NumericError
-from flexts.evaluation import cde_loss_curve, cde_loss_from_coeffs
+from flexts.evaluation import (
+    CdeLossReport,
+    cde_loss_curve,
+    cde_loss_from_coeffs,
+    check_tabulated,
+    grid_loss_terms,
+    oracle_loss_terms,
+    summarize,
+)
 from flexts.features import FeatureSpec, SplitSpec, temporal_split
 # nw_predict_grid is unused here; perfbench/test_perfbench.py reads the binding
-from flexts.regression import BACKENDS, check_queries, nw_predict_grid, set_prepared
+from flexts.regression import (
+    BACKENDS,
+    SLICE_ELEMS,
+    check_queries,
+    nw_predict_grid,
+    set_prepared,
+    split_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -133,8 +151,8 @@ class CoefficientModel:
         u = check_queries(np.atleast_2d(u), len(self.feature_names))
         return self.backend.predict(u)
 
-    def density_rows(self, state, grid_y):
-        """Densities of row_state's rows on any response grid, cut at the selected I.
+    def raw_rows(self, state, grid_y):
+        """row_state's expansions on any response grid, cut at the selected I.
 
         On the model's own grid the basis is the one it prepared when built.
         """
@@ -143,9 +161,11 @@ class CoefficientModel:
             phi_grid = basis_matrix(
                 self.basis, self.scaler.transform(grid_y), self.i_selected
             )
-        raw = (state.b_hat[:, : self.i_selected + 1] @ phi_grid.T) / self.scaler.width
-        density, degenerate = renormalize_rows(np.maximum(raw, 0.0), grid_y)
-        return DensityBatch(grid_y, density, raw, degenerate)
+        return (state.b_hat[:, : self.i_selected + 1] @ phi_grid.T) / self.scaler.width
+
+    def density_rows(self, state, grid_y):
+        """The DensityBatch of row_state's rows on any response grid."""
+        return DensityBatch.from_raw(grid_y, self.raw_rows(state, grid_y))
 
 
 @dataclass
@@ -161,6 +181,12 @@ class DensityBatch:
     raw_density: np.ndarray
     degenerate: np.ndarray
 
+    @classmethod
+    def from_raw(cls, grid_y, raw):
+        """The batch of a method's raw density rows on grid_y (renormalize_rows)."""
+        density, degenerate = renormalize_rows(raw, grid_y)
+        return cls(grid_y, density, raw, degenerate)
+
 
 @dataclass
 class DensityEstimate:
@@ -172,21 +198,22 @@ class DensityEstimate:
     degenerate: bool
 
 
-def renormalize_rows(density, grid_y):
-    """Scale nonnegative density rows to unit trapezoid mass on grid_y.
+def renormalize_rows(raw, grid_y):
+    """Clip density rows at zero and scale each to unit trapezoid mass on grid_y.
 
-    Rows without a finite mass of at least the smallest normal float
-    become uniform over the grid: a subnormal mass carries too few
-    significant bits to normalize by. Returns (density, degenerate), the
-    second flagging those rows.
+    Every method's densities take this one post-processing step. Rows
+    without a finite mass of at least the smallest normal float become
+    uniform over the grid: a subnormal mass carries too few significant
+    bits to normalize by. Returns (density, degenerate), the second
+    flagging those rows.
     """
+    density = np.maximum(raw, 0.0)
     mass = np.trapezoid(density, grid_y, axis=1)
     degenerate = ~(mass >= np.finfo(float).tiny) | ~np.isfinite(mass)
-    safe = np.where(degenerate, 1.0, mass)
-    out = density / safe[:, None]
+    density /= np.where(degenerate, 1.0, mass)[:, None]
     if degenerate.any():
-        out[degenerate] = 1.0 / (grid_y[-1] - grid_y[0])
-    return out, degenerate
+        density[degenerate] = 1.0 / (grid_y[-1] - grid_y[0])
+    return density, degenerate
 
 
 def fit(design, split=SplitSpec(), config=FitConfig()):
@@ -308,7 +335,12 @@ def quantiles_from_grid_density(grid_y, density, taus):
     ``density`` is one row on ``grid_y`` or a 2-D array of rows; the
     result has one quantile per tau, per row for 2-D input.
     """
-    rows = np.atleast_2d(density)
+    out = cdf_quantiles(grid_y, np.atleast_2d(density), taus)
+    return out[0] if np.ndim(density) == 1 else out
+
+
+def cdf_quantiles(grid_y, rows, taus):
+    """quantiles_from_grid_density of 2-D density rows: (rows, taus)."""
     steps = np.diff(grid_y)
     cdf = np.zeros((rows.shape[0], grid_y.size))
     cdf[:, 1:] = np.cumsum(0.5 * (rows[:, 1:] + rows[:, :-1]) * steps, axis=1)
@@ -316,8 +348,62 @@ def quantiles_from_grid_density(grid_y, density, taus):
     if not np.all((total > 0) & np.isfinite(total)):
         raise NumericError("density has no positive mass; quantiles undefined")
     cdf /= total
-    out = np.array([np.interp(taus, row, grid_y) for row in cdf])
-    return out[0] if np.ndim(density) == 1 else out
+    return np.array([np.interp(taus, row, grid_y) for row in cdf])
+
+
+@dataclass
+class RowScores:
+    """What ``score_rows`` was asked for: loss reports and quantiles, else None."""
+
+    cde: CdeLossReport | None = None
+    oracle: CdeLossReport | None = None
+    quantiles: np.ndarray | None = None
+
+
+def score_rows(grid_y, raw, eval_y=None, truth=None, taus=None):
+    """Score raw density rows on grid_y one cache-sized slice at a time.
+
+    ``raw`` holds a method's density rows before post-processing (its
+    ``raw_rows``). Each slice of max(1, SLICE_ELEMS // grid size) rows is
+    clipped and renormalized as ``density_rows`` does, then scored: the
+    grid-form loss against the responses ``eval_y``, the oracle loss
+    against ``truth(lo, hi)`` (the true density of rows lo..hi on grid_y)
+    and the quantiles at ``taus``, each when given. The slices run on the
+    row threads (``split_rows``) and write only their own rows'
+    contributions, so the reports and quantiles equal ``cde_loss_grid``,
+    ``oracle_cde_loss`` and ``quantiles_from_grid_density`` of the whole
+    post-processed density bit for bit, while no array the size of
+    ``raw`` is allocated. ``truth`` runs on the row threads too.
+    """
+    if eval_y is not None:
+        eval_y = np.asarray(eval_y, dtype=float)
+    n_rows = np.shape(raw)[0] if eval_y is None else eval_y.shape[0]
+    grid_y, raw = check_tabulated(grid_y, raw, n_rows)
+    contrib = inside = oracle = quantiles = None
+    if eval_y is not None:
+        contrib, inside = np.empty(n_rows), np.empty(n_rows, dtype=bool)
+    if truth is not None:
+        oracle = np.empty(n_rows)
+    if taus is not None:
+        taus = check_taus(taus)
+        quantiles = np.empty((n_rows, taus.size))
+
+    def score(lo, hi):
+        density, _ = renormalize_rows(raw[lo:hi], grid_y)
+        if contrib is not None:
+            contrib[lo:hi], inside[lo:hi] = grid_loss_terms(grid_y, density,
+                                                            eval_y[lo:hi])
+        if oracle is not None:
+            oracle[lo:hi] = oracle_loss_terms(truth(lo, hi), density, grid_y)
+        if quantiles is not None:
+            quantiles[lo:hi] = cdf_quantiles(grid_y, density, taus)
+
+    split_rows(n_rows, max(1, SLICE_ELEMS // grid_y.size), score)
+    return RowScores(
+        cde=None if contrib is None else summarize(contrib, int((~inside).sum())),
+        oracle=None if oracle is None else summarize(oracle),
+        quantiles=quantiles,
+    )
 
 
 def check_taus(taus):

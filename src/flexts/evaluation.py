@@ -29,7 +29,8 @@ class CdeLossReport:
     n_outside: int = 0
 
 
-def _summarize(contrib, n_outside=0):
+def summarize(contrib, n_outside=0):
+    """The report of per-row contributions: their mean and its standard error."""
     n = contrib.shape[0]
     loss = float(contrib.mean())
     se = 0.0 if n < 2 else float(contrib.std(ddof=1) / np.sqrt(n))
@@ -66,7 +67,7 @@ def cde_loss_from_coeffs(b_hat, eval_z, i_cut, kind="cosine"):
         phi = basis_matrix(kind, eval_z[inside], i_cut)
         cross[inside] = (coeffs[inside] * phi).sum(axis=1)
     contrib = sq_term - 2.0 * cross
-    return _summarize(contrib, n_outside=int((~inside).sum()))
+    return summarize(contrib, n_outside=int((~inside).sum()))
 
 
 def cde_loss_curve(b_hat, eval_z, kind="cosine"):
@@ -123,6 +124,32 @@ def interp_rows(grid, densities, points):
     return vals, inside
 
 
+def check_tabulated(grid_y, densities, n_rows):
+    """The grid and density rows as float arrays, or a ValueError.
+
+    ``grid_y`` must be 1-d with at least two points and ``densities``
+    hold ``n_rows`` rows of that length.
+    """
+    grid_y = np.asarray(grid_y, dtype=float)
+    densities = np.asarray(densities, dtype=float)
+    if grid_y.ndim != 1 or grid_y.size < 2:
+        raise ValueError("grid_y must be 1-d with at least two points")
+    if densities.ndim != 2 or densities.shape[1] != grid_y.size:
+        raise ValueError(
+            f"densities must be (n_rows, {grid_y.size}), got {densities.shape}"
+        )
+    if densities.shape[0] != n_rows:
+        raise ValueError("eval_y length must match density rows")
+    return grid_y, densities
+
+
+def grid_loss_terms(grid_y, densities, eval_y):
+    """Each row's grid-form loss term, and whether its response is on the grid."""
+    sq_term = np.trapezoid(densities * densities, grid_y, axis=1)
+    cross, inside = interp_rows(grid_y, densities, eval_y)
+    return sq_term - 2.0 * cross, inside
+
+
 def cde_loss_grid(grid_y, densities, eval_y):
     """Grid-form loss for tabulated conditional densities.
 
@@ -132,21 +159,10 @@ def cde_loss_grid(grid_y, densities, eval_y):
     realized response is linearly interpolated; responses outside the
     grid contribute zero density and are counted.
     """
-    grid_y = np.asarray(grid_y, dtype=float)
-    densities = np.asarray(densities, dtype=float)
     eval_y = np.asarray(eval_y, dtype=float)
-    if grid_y.ndim != 1 or grid_y.size < 2:
-        raise ValueError("grid_y must be 1-d with at least two points")
-    if densities.ndim != 2 or densities.shape[1] != grid_y.size:
-        raise ValueError(
-            f"densities must be (n_rows, {grid_y.size}), got {densities.shape}"
-        )
-    if eval_y.shape[0] != densities.shape[0]:
-        raise ValueError("eval_y length must match density rows")
-    sq_term = np.trapezoid(densities * densities, grid_y, axis=1)
-    cross, inside = interp_rows(grid_y, densities, eval_y)
-    contrib = sq_term - 2.0 * cross
-    return _summarize(contrib, n_outside=int((~inside).sum()))
+    grid_y, densities = check_tabulated(grid_y, densities, eval_y.shape[0])
+    contrib, inside = grid_loss_terms(grid_y, densities, eval_y)
+    return summarize(contrib, n_outside=int((~inside).sum()))
 
 
 def pinball_loss(quantiles, eval_y, tau):
@@ -166,6 +182,12 @@ def pinball_loss(quantiles, eval_y, tau):
     return float(np.mean(np.where(diff >= 0.0, tau * diff, (tau - 1.0) * diff)))
 
 
+def oracle_loss_terms(truth, est, grid_y):
+    """Each row's integrated squared error of ``est`` against ``truth`` on grid_y."""
+    diff = est - truth
+    return np.trapezoid(diff * diff, grid_y, axis=1)
+
+
 def oracle_cde_loss(true_density_rows, est_density_rows, grid_y):
     """Mean integrated squared error against a known conditional density.
 
@@ -180,6 +202,4 @@ def oracle_cde_loss(true_density_rows, est_density_rows, grid_y):
         raise ValueError(f"shape mismatch: {truth.shape} vs {est.shape}")
     if truth.ndim != 2 or truth.shape[1] != grid_y.size:
         raise ValueError("density rows must match the grid length")
-    diff = est - truth
-    contrib = np.trapezoid(diff * diff, grid_y, axis=1)
-    return _summarize(contrib)
+    return summarize(oracle_loss_terms(truth, est, grid_y))

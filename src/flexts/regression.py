@@ -49,8 +49,9 @@ and every other query set go through the blocked pass, so the order, and
 every output bit, is the blocked pass's either way.
 
 Each block's distances are computed on the caller's thread. The per-row
-work after them, ``nw_predict_grid``'s rings and ``knn_order``'s
-``nearest_order`` in slices of SLICE_ROWS rows, and ``neighbor_means``,
+work after them, ``nw_predict_grid``'s rings, ``knn_order``'s
+``nearest_order`` and ``nw_predict``'s neighbor masks and counts in
+slices of SLICE_ROWS rows, and ``neighbor_means``,
 knn's average and NNKCDE's over its kernel rows, in slices of
 max(1, SLICE_ELEMS // width) rows (about SLICE_ELEMS values, 256 KB, that
 stay in cache), go through ``split_rows``: it hands contiguous runs of
@@ -61,8 +62,12 @@ and BLAS thread settings do not govern them. Each slice writes its own
 rows in place, and a row's result depends on that row alone, so every
 output has the same bits for any thread count and slice size. A block
 still holds ROW_BLOCK rows' distances, and the threads' temporaries
-together cover no more rows than the block. ``nw_predict`` runs on the
-caller's thread alone.
+together cover no more rows than the block. ``nw_predict`` writes each
+slice's 0/1 mask over its distances in place, then multiplies the whole
+block by train_phi on the caller's thread: that product, like the
+distance product, rounds by the block's row count, so it stays one call
+per block. A block of one slice (every single-row forecast) starts no
+thread.
 
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
@@ -322,10 +327,22 @@ def nw_predict(train_u, train_phi, eval_u, delta, train_norms=None):
     sums = np.empty((eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(eval_u.shape[0], dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u, train_norms=train_norms):
-        mask = sq <= delta * delta
-        counts[rows] = mask.sum(axis=1)
-        sums[rows] = mask.astype(float) @ train_phi
+        if sq.shape[0] <= SLICE_ROWS:  # every single-row forecast
+            _mask_in_place(sq, delta, counts[rows], 0, sq.shape[0])
+        else:
+            split_rows(sq.shape[0], SLICE_ROWS,
+                       partial(_mask_in_place, sq, delta, counts[rows]))
+        # whole-block product: its bits depend on the block's row count
+        sums[rows] = sq @ train_phi
     return _local_means(sums, counts, train_phi)
+
+
+def _mask_in_place(sq, delta, counts, lo, hi):
+    """Rows lo..hi of squared distances become 1.0 within delta, else 0.0,
+    and counts[lo:hi] their sums, exact in floats, the neighbor counts."""
+    part = sq[lo:hi]
+    np.less_equal(part, delta * delta, out=part)
+    counts[lo:hi] = part.sum(axis=1)
 
 
 def nw_predict_grid(train_u, train_phi, eval_u, deltas):

@@ -78,6 +78,11 @@ class ScenarioSpec:
         if self.burn_in < 100:
             raise ValueError(f"burn-in must be >= 100, got {self.burn_in}")
         check_sigma_nm(self.sigma_nm)
+        try:  # the seeds simulate's default_rng takes
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"seed must be a nonnegative integer, got {self.seed!r}") from None
 
 
 @dataclass
@@ -182,6 +187,15 @@ def density_rows(name, u_rows, grid_y, sigma_nm=0.5):
     u_rows = np.asarray(u_rows, dtype=float)
     if u_rows.ndim != 2:
         raise ValueError(f"u_rows must be 2-d, got shape {u_rows.shape}")
-    return np.vstack(
-        [true_density(name, row, grid_y, sigma_nm=sigma_nm) for row in u_rows]
-    )
+    return true_rows(name, u_rows, grid_y, sigma_nm)
+
+
+def true_rows(name, u_rows, grid_y, sigma_nm=0.5):
+    """density_rows of a 2-d float array of rows, at least one, unchecked.
+
+    ``estimator.score_rows``' slices call this on the row threads; the
+    traced benchmark run wraps ``density_rows``, and its tracer is not
+    thread-safe.
+    """
+    return np.vstack([true_density(name, row, grid_y, sigma_nm=sigma_nm)
+                      for row in u_rows])

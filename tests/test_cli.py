@@ -8,10 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from flexts import baselines, cli, estimator, regression
 from flexts.basis import MAX_GRID_SIZE, MAX_I_MAX
@@ -943,6 +947,14 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         ({**base, "i_max": 0}, "i_max must be >= 1"),
         ({**base, "grid_size": MAX_GRID_SIZE + 2}, f"at most {MAX_GRID_SIZE}"),
         ({**base, "i_max": MAX_I_MAX + 1}, f"at most {MAX_I_MAX}"),
+        # the integers each cell's series and design read, by their own rules
+        ({**base, "burn_in": 0}, "burn-in must be >= 100"),
+        ({**base, "burn_in": -1}, "burn-in must be >= 100"),
+        ({**base, "sizes": [10]}, "scenario length must be >= 100"),
+        ({**base, "sizes": [-1]}, "scenario length must be >= 100"),
+        ({**base, "seeds": [-1]}, "seed must be a nonnegative integer"),
+        ({**base, "lags": [0]}, "n_lags must be >= 1"),
+        ({**base, "lags": [-1]}, "n_lags must be >= 1"),
         (5, "bench config must be a JSON object"),
         (None, "bench config must be a JSON object"),
     ]:
@@ -951,7 +963,50 @@ def test_bench_config_values_must_have_the_defaults_types(tmp_path, monkeypatch,
         assert code == 2, doc
         assert message in err
         assert stdout == ""  # no cell ran
+    for flag, value, message in [("--sizes", "10", "scenario length must be >= 100"),
+                                 ("--lags", "0", "n_lags must be >= 1")]:
+        code, stdout, err = run(["bench", flag, value], capsys)
+        assert (code, stdout) == (2, "")
+        assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+BENCH_KEYS = [f.name for f in dataclasses.fields(cli.BenchConfig)]
+BENCH_LIST_KEYS = [f.name for f in dataclasses.fields(cli.BenchConfig)
+                   if typing.get_origin(f.type) is list]
+BENCH_ADVERSARIAL = (float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, True,
+                     "x", None, [], {})
+# each key set to each value, and each list key to a one-element list of it
+BENCH_FUZZ_CASES = (
+    [(key, value) for key in BENCH_KEYS for value in BENCH_ADVERSARIAL]
+    + [(key, [value]) for key in BENCH_LIST_KEYS for value in BENCH_ADVERSARIAL])
+
+
+def with_every_bench_case(test):
+    for key, value in BENCH_FUZZ_CASES:
+        test = example(key=key, value=value)(test)
+    return test
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@with_every_bench_case
+@given(key=st.sampled_from(BENCH_KEYS), value=st.sampled_from(BENCH_ADVERSARIAL))
+def test_a_bench_config_with_any_key_changed_fails_first_or_runs_ok(
+        tmp_path, monkeypatch, capsys, key, value):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(work)  # an output name of "x" lands here
+    doc = {"scenarios": ["ar"], "sizes": [300], "methods": ["flexcode"],
+           "seeds": [0], "lags": [3], "output": "bench.csv", key: value}
+    (work / "cfg.json").write_text(json.dumps(doc))
+    code, stdout, _ = run(["bench", "--config", work / "cfg.json"], capsys)
+    if code == 2:
+        assert stdout == "", (key, value)  # no cell ran
+        return
+    assert code == 0, (key, value)
+    rows = read_rows(work / doc["output"])
+    status = cli.BENCH_COLUMNS.index("status")
+    assert all(row[status] == "ok" for row in rows[1:]), (key, value)
 
 
 def test_bench_config_of_every_default_matches_no_config(tmp_path, monkeypatch):

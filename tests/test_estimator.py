@@ -1,6 +1,9 @@
 """Fitting, selection, prediction, and importance for the density estimator."""
 
+import threading
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flexts import estimator, evaluation
+from flexts import estimator, evaluation, regression, scenarios
 from flexts.baselines import GarchModel, NnkcdeModel, nnkcde_fit
 from flexts.basis import Scaler, fit_scaler
 from flexts.errors import DataError, NumericError
@@ -556,3 +559,94 @@ def test_quantiles_are_nondecreasing_in_tau(grid_y, data):
                                     elements=finite(0.001, 0.999))))
     q = quantiles_from_grid_density(grid_y, dens, taus)
     assert np.all(np.diff(q, axis=1) >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# score_rows: held-out rows scored in slices on the row threads
+# ---------------------------------------------------------------------------
+
+
+def whole_array_scores(grid, raw, eval_y, truth, taus):
+    """What score_rows reports, from the whole post-processed density."""
+    density, _ = renormalize_rows(raw, grid)
+    return (evaluation.cde_loss_grid(grid, density, eval_y),
+            evaluation.oracle_cde_loss(truth, density, grid),
+            quantiles_from_grid_density(grid, density, taus))
+
+
+@st.composite
+def scoring_problems(draw):
+    """Raw rows of 1, step - 1, step, step + 1 or 3 step + 1 rows on a grid of
+    101-2001 points (step a slice's rows), with rows of no and of subnormal
+    mass, responses outside the grid, and positive true density rows."""
+    size = draw(st.integers(101, 2001))
+    step = max(1, regression.SLICE_ELEMS // size)
+    n_rows = draw(st.sampled_from([1, step - 1, step, step + 1, 3 * step + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.linspace(-3.0, 3.0, size)
+    raw = rng.normal(0.2, 1.0, size=(n_rows, size))  # clipped where negative
+    n_special = draw(st.integers(0, min(n_rows, 3)))
+    specials = rng.choice(n_rows, n_special, replace=False)
+    for row, kind in zip(specials, draw(st.lists(
+            st.sampled_from(["zero", "negative", "subnormal"]),
+            min_size=n_special, max_size=n_special))):
+        raw[row] = {"zero": 0.0, "negative": -1.0, "subnormal": 1e-320}[kind]
+    eval_y = rng.uniform(-4.0, 4.0, size=n_rows)  # a quarter off the grid
+    truth = np.exp(-0.5 * (grid - rng.normal(size=(n_rows, 1))) ** 2)
+    return grid, raw, eval_y, truth
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=scoring_problems())
+def test_score_rows_reports_the_whole_array_scores_bit_for_bit(problem):
+    grid, raw, eval_y, truth = problem
+    taus = np.round(np.arange(1, 20) * 0.05, 2)
+    want_cde, want_oracle, want_q = whole_array_scores(grid, raw, eval_y, truth, taus)
+    n_slices = -(-len(raw) // max(1, regression.SLICE_ELEMS // grid.size))
+    for threads in (1, 2):
+        ran = set()
+
+        def truth_rows(lo, hi):
+            ran.add(threading.get_ident())
+            return truth[lo:hi]
+
+        with mock.patch.object(regression, "ROW_THREADS", threads):
+            got = estimator.score_rows(grid, raw, eval_y, truth_rows, taus)
+        assert len(ran) == min(threads, n_slices)
+        assert got.cde == want_cde
+        assert got.oracle == want_oracle
+        assert got.quantiles.tobytes() == want_q.tobytes()
+    # each part alone, as a bench cell asks for the oracle on its own grid
+    assert estimator.score_rows(grid, raw, eval_y) == estimator.RowScores(cde=want_cde)
+    only_oracle = estimator.score_rows(grid, raw, truth=lambda lo, hi: truth[lo:hi])
+    assert only_oracle == estimator.RowScores(oracle=want_oracle)
+
+
+def test_score_rows_holds_the_raw_rows_and_its_slices_only():
+    # 4,000 held-out rows on a 1,001-point grid, scored as flexts evaluate
+    # scores them: loss, oracle loss against a scenario's truth, 19 quantiles
+    rng = np.random.default_rng(50)
+    grid = np.linspace(-4.0, 4.0, 1001)
+    u = rng.normal(size=(4000, 3))
+    eval_y = rng.normal(size=4000)
+    taus = np.round(np.arange(1, 20) * 0.05, 2)
+    full = u.shape[0] * grid.size * 8  # bytes of one (rows x grid) array
+
+    def traced_peak(score):
+        tracemalloc.start()
+        try:
+            raw = np.empty((u.shape[0], grid.size))
+            raw[:] = rng.normal(0.1, 0.2, size=grid.size)
+            score(raw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sliced = traced_peak(lambda raw: estimator.score_rows(
+        grid, raw, eval_y,
+        lambda lo, hi: scenarios.true_rows("ar", u[lo:hi], grid), taus))
+    whole = traced_peak(lambda raw: whole_array_scores(
+        grid, raw, eval_y, scenarios.density_rows("ar", u, grid), taus))
+    # measured: sliced 35.9 MB, whole-array 224.2 MB, one array 32.0 MB
+    report = f"sliced {sliced / 1e6:.1f} MB, whole-array {whole / 1e6:.1f} MB"
+    assert sliced < 2 * full < whole, report

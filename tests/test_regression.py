@@ -20,6 +20,7 @@ from flexts.estimator import FitConfig, fit
 from flexts.features import SeriesTable, lag_embed
 from flexts.regression import (
     ROW_BLOCK,
+    SLICE_ROWS,
     TREE_MAX_DIM,
     default_delta_grid,
     default_k_grid,
@@ -782,6 +783,49 @@ def test_split_rows_raises_what_a_thread_raised():
     with mock.patch.object(regression, "ROW_THREADS", 2):
         with pytest.raises(ZeroDivisionError, match="^5$"):
             split_rows(10, 5, work)
+
+
+def boolean_mask_nw_predict(train_u, train_phi, eval_u, delta):
+    """nw_predict with a boolean mask and its float copy of every block,
+    the mask's product with train_phi one call per block."""
+    sums = np.empty((eval_u.shape[0], train_phi.shape[1]))
+    counts = np.empty(eval_u.shape[0], dtype=np.intp)
+    for rows, sq in distance_blocks(train_u, eval_u):
+        mask = sq <= delta * delta
+        counts[rows] = mask.sum(axis=1)
+        sums[rows] = mask.astype(float) @ train_phi
+    inside = counts > 0
+    sums[inside] /= counts[inside, None]
+    sums[~inside] = train_phi.mean(axis=0)
+    return sums, int((~inside).sum())
+
+
+NW_SHARED = random_problem(49, n=2000, n_targets=6, n_eval=3 * ROW_BLOCK + 33)
+# a training point at exactly each radius from the first query row: inside
+NW_SHARED[2][0] = 0.0
+NW_SHARED[0][:3] = np.diag([0.02, 0.3, 1.0])
+
+
+@settings(max_examples=12, deadline=None)
+@example(blocks=0, slices=0, delta=0.3)  # one row: a forecast's gemv
+@example(blocks=1, slices=0, delta=0.3)  # ROW_BLOCK + 1: a one-row tail block
+@example(blocks=2, slices=7, delta=0.02)  # most rows fall back
+@given(blocks=st.integers(0, 3), slices=st.integers(0, ROW_BLOCK // SLICE_ROWS - 1),
+       delta=st.sampled_from([0.02, 0.3, 1.0]))
+def test_nw_predict_keeps_its_bits_on_any_thread_count(blocks, slices, delta):
+    # n_eval % SLICE_ROWS == 1, and n_eval % ROW_BLOCK == 1 when slices == 0:
+    # every block ends in a one-row slice, the last block in a one-row gemv
+    n_eval = blocks * ROW_BLOCK + slices * SLICE_ROWS + 1
+    train_u, train_phi, eval_u = NW_SHARED
+    eval_u = eval_u[:n_eval]
+    want, n_fallback = boolean_mask_nw_predict(train_u, train_phi, eval_u, delta)
+    got, runners = sliced_on_one_and_two_threads(
+        lambda: nw_predict(train_u, train_phi, eval_u, delta))
+    for pred in got:
+        assert pred.b_hat.tobytes() == want.tobytes()
+        assert pred.n_fallback == n_fallback
+    if n_eval > ROW_BLOCK:  # a whole block of eight slices went to two threads
+        assert split_over_threads(runners[1])
 
 
 def test_default_k_grid_examples():
