@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexts.basis import check_grid_size, check_range, fit_scaler
+from flexts.basis import check_grid_size, check_range, check_scale, fit_scaler
 from flexts.errors import DataError, NumericError
 from flexts.estimator import DensityBatch, score_rows
 from flexts.features import FeatureSpec, SplitSpec
@@ -427,6 +427,8 @@ def garch_fit(y, p, pad=0.05, grid_size=1001):
         )
     if not np.all(np.isfinite(y)):
         raise DataError("series contains non-finite values")
+    if y.min() < y.max():  # a constant series fails the variance check
+        check_scale(y.min(), y.max())
     if float(np.var(y)) == 0.0:
         raise DataError("constant series; garch variance is unidentified")
     check_grid_size(grid_size)

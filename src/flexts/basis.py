@@ -133,11 +133,26 @@ class Scaler:
 
 
 def check_range(lo, hi):
-    """The response range rule of the scaler and every grid: finite, hi > lo."""
+    """The response range rule of the scaler and every grid: finite, hi > lo,
+    and a width ``check_scale`` accepts."""
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"range endpoints must be finite, got [{lo}, {hi}]")
     if hi <= lo:
         raise ValueError(f"range requires hi > lo, got [{lo}, {hi}]")
+    check_scale(lo, hi)
+
+
+def check_scale(lo, hi):
+    """The response scale rule: the width hi - lo, squared and reciprocal
+    squared, stays a finite nonzero float, as densities over the range and
+    their squared losses need. Every fit checks it on its responses' range
+    before any other work, and every model's range at load."""
+    width = float(hi) - float(lo)
+    square = width * width
+    if not (0.0 < square < np.inf and 0.0 < 1.0 / square < np.inf):
+        raise DataError(f"response range [{lo}, {hi}] has width {width}, whose "
+                        "square or reciprocal square is not a finite nonzero "
+                        "float; rescale the series")
 
 
 def check_grid_size(grid_size):
@@ -172,4 +187,5 @@ def fit_scaler(y_train, pad=0.05):
     rng = y_max - y_min
     if rng == 0.0:
         raise DataError("training responses are constant; scaler range is empty")
+    check_scale(y_min, y_max)
     return Scaler(lo=y_min - pad * rng, hi=y_max + pad * rng, pad=pad)

@@ -122,6 +122,13 @@ def _parse_rolling(specs):
     return out
 
 
+def _listed(flag, text):
+    """The text of a comma list flag; a list of no values is a usage error."""
+    if not text.replace(",", "").strip():
+        raise ValueError(f"{flag} lists no values")
+    return text
+
+
 def _parse_taus(text):
     taus = [float(p) for p in text.split(",") if p]
     estimator.check_taus(taus)
@@ -299,12 +306,13 @@ def cmd_fit(args):
                              flexcode.get("backend", estimator.FitConfig.backend))
     grids = {}
     for name in ("delta", "k", "lam", "h"):
-        if not getattr(args, name):
+        if getattr(args, name) is None:
             continue
         if name not in grid_types:
             takes = ", ".join(f"--{n}" for n in grid_types) or "none"
             raise ValueError(f"--{name} is not a grid of this fit (its grids: {takes})")
-        grids[name] = tuple(grid_types[name](v) for v in getattr(args, name).split(","))
+        text = _listed(f"--{name}", getattr(args, name))
+        grids[name] = tuple(grid_types[name](v) for v in text.split(","))
     features = FeatureSpec(args.target, args.lags, _parse_rolling(args.rolling),
                            args.exog or [], args.exog_contemporaneous)
     split = SplitSpec.from_list([float(p) for p in args.split.split(",")])
@@ -332,7 +340,8 @@ DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 
 def cmd_evaluate(args):
-    taus = _parse_taus(args.quantiles) if args.quantiles else list(DEFAULT_TAUS)
+    taus = (list(DEFAULT_TAUS) if args.quantiles is None
+            else _parse_taus(_listed("--quantiles", args.quantiles)))
     header = ["model", "method", "n_test", "n_outside_grid", "cde_loss",
               "cde_loss_se"]
     if args.oracle_scenario:
@@ -389,7 +398,7 @@ def _resolve_row(design, row):
 
 def cmd_predict(args):
     _, model, _ = persistence.load_model(args.model)
-    taus = _parse_taus(args.taus) if args.taus else None
+    taus = None if args.taus is None else _parse_taus(_listed("--taus", args.taus))
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
 
@@ -599,12 +608,17 @@ def cmd_bench(args):
         unknown = set(settings) - {f.name for f in fields(BenchConfig)}
         if unknown:
             raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
+
+    def listed(key, parse=lambda text: text.split(",")):
+        text = getattr(args, key)
+        return None if text is None else parse(_listed(f"--{key}", text))
+
     flags = {
-        "scenarios": args.scenarios and args.scenarios.split(","),
-        "sizes": args.sizes and _parse_int_list(args.sizes),
-        "methods": args.methods and args.methods.split(","),
-        "seeds": args.seeds and _parse_int_list(args.seeds),
-        "lags": args.lags and _parse_int_list(args.lags),
+        "scenarios": listed("scenarios"),
+        "sizes": listed("sizes", _parse_int_list),
+        "methods": listed("methods"),
+        "seeds": listed("seeds", _parse_int_list),
+        "lags": listed("lags", _parse_int_list),
         "backend": args.backend,
         "output": args.output,
     }

@@ -74,6 +74,10 @@ when a fit or a model-file load builds it, checks its training arrays and
 hyperparameter and computes the squared training norms once. ``predict``
 hands those norms to the distance code, so a call computes only what
 depends on the query rows, and every output keeps its bits.
+
+scipy loads on first use: ``nw_predict_grid`` imports ``scipy.sparse`` and
+``_tree_order`` ``scipy.spatial``, so an nw prediction, a lasso fit or a
+knn query that makes no tree query starts on numpy alone.
 """
 
 import os
@@ -83,8 +87,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from flexts.errors import DataError
 
@@ -363,6 +365,9 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
     differs from nw_predict's dense product, so the means agree to
     rounding, not bit for bit; an empty ring adds exactly 0.
     """
+    # deferred: scipy.sparse only for nw's validation sweep
+    from scipy import sparse
+
     train_u, train_phi = check_training(train_u, train_phi)
     eval_u = check_queries(eval_u, train_u.shape[1])
     radii = check_radii(deltas)
@@ -541,6 +546,10 @@ def _tree_order(train_u, eval_u, k, train_norms):
     ties and non-finite distances fail the check; ``train_u`` must be
     finite, as ``cKDTree`` requires.
     """
+    # deferred: scipy.spatial (and the sparse, linalg and special it loads)
+    # only for a tree query
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(train_u)
     q, order = tree.query(eval_u, k + 1, workers=ROW_THREADS)
     np.square(q, out=q)

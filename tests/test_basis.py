@@ -12,6 +12,8 @@ from flexts.basis import (
     Scaler,
     basis_function,
     basis_matrix,
+    check_range,
+    check_scale,
     fit_scaler,
 )
 from flexts.errors import DataError
@@ -94,6 +96,25 @@ def test_fit_scaler_constant_series_errors():
         fit_scaler([5.0, 5.0, 5.0], pad=0.05)
     with pytest.raises(DataError):
         fit_scaler([5.0, 5.0, 5.0], pad=0.0)
+
+
+SCALE_RULE = "square or reciprocal square is not a finite nonzero float"
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e200, 1e200), (0.0, 1e155), (-1e308, 1e308),
+                                    (0.0, 1e-300), (0.0, 1e-160), (-1e-170, 0.0)])
+def test_a_range_whose_square_leaves_the_floats_is_a_data_error(lo, hi):
+    with pytest.raises(DataError, match=SCALE_RULE):
+        fit_scaler([lo, hi], pad=0.0)
+    with pytest.raises(DataError, match=SCALE_RULE):
+        check_range(lo, hi)
+
+
+def test_the_scale_rule_keeps_ranges_whose_square_is_a_float():
+    for lo, hi in [(0.0, 1e154), (-5e153, 5e153), (0.0, 1e-154), (0.0, 1.0)]:
+        check_scale(lo, hi)
+        scaler = fit_scaler([lo, hi], pad=0.0)
+        assert (scaler.lo, scaler.hi) == (lo, hi)
 
 
 def test_fit_scaler_rejects_bad_inputs():

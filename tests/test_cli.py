@@ -358,6 +358,22 @@ def test_evaluate_quantile_levels_validated(tmp_path, fitted_trio):
     assert code == 2
 
 
+def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, fitted_trio):
+    data, models = fitted_trio
+    out = tmp_path / "out.csv"
+    argvs = {"--quantiles": ["evaluate", "--input", data, "--model",
+                             models["flexcode"]],
+             "--taus": ["predict", "--input", data, "--model", models["nnkcde"]]}
+    argvs.update((flag, ["bench"]) for flag in ("--scenarios", "--sizes",
+                                                 "--methods", "--seeds", "--lags"))
+    for flag, argv in argvs.items():
+        for value in ("", ","):
+            code, _, err = run([*argv, flag, value, "-o", out], capsys)
+            assert code == 2, (flag, value)
+            assert f"{flag} lists no values" in err
+    assert not out.exists()
+
+
 def test_evaluate_custom_quantiles(tmp_path, fitted_trio):
     data, models = fitted_trio
     out = tmp_path / "e.csv"
@@ -725,9 +741,15 @@ FIT_USAGE_ERRORS = {
     "flexcode": [(("--backend", "lasso", "--lam", "nan"), "lam must be nonnegative"),
                  (("--backend", "lasso", "--lam", "inf"), "lam must be nonnegative"),
                  (("--backend", "knn", "--delta", 0.5), "--delta is not a grid"),
-                 (("--select-postprocessed",), "unrecognized arguments")],
-    "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)")],
-    "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)")],
+                 (("--select-postprocessed",), "unrecognized arguments"),
+                 (("--delta", ""), "--delta lists no values"),
+                 (("--backend", "knn", "--k", ""), "--k lists no values"),
+                 (("--backend", "lasso", "--lam", ","), "--lam lists no values")],
+    "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)"),
+               (("--k", ""), "--k lists no values"),
+               (("--h", ""), "--h lists no values")],
+    "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)"),
+              (("--h", ""), "--h is not a grid of this fit (its grids: none)")],
 }
 
 
@@ -748,6 +770,25 @@ def test_fit_checks_the_response_grid(tmp_path, capsys, method):
                             "-o", out], capsys)
         assert code == 2, flags
         assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+@pytest.mark.parametrize("method", ["nw", "knn", "lasso", "nnkcde", "garch"])
+def test_a_series_at_an_extreme_scale_is_a_data_error(tmp_path, capsys, method,
+                                                      scale):
+    rows = read_rows(simulate(tmp_path, name="nonlinear_variance", n=2000, seed=0))
+    col = rows[0].index("y")
+    for row in rows[1:]:
+        row[col] = repr(float(row[col]) * scale)
+    data = tmp_path / "scaled.csv"
+    cli.write_csv(data, rows[0], rows[1:])
+    flags = (("--backend", method) if method in regression.BACKENDS
+             else ("--method", method))
+    out = tmp_path / "model.json"
+    code, _, err = run(["fit", "--input", data, *flags, "-o", out], capsys)
+    assert code == 3, err
+    assert "square or reciprocal square is not a finite nonzero float" in err
     assert not out.exists()
 
 
@@ -1049,17 +1090,20 @@ def test_console_script_exit_codes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cold start: only GARCH loads scipy.optimize and scipy.signal
+# cold start: each command loads only the scipy packages its methods use
 # ---------------------------------------------------------------------------
 
 GARCH_ONLY_MODULES = ("scipy.optimize", "scipy.signal", "scipy.stats")
 # imports the CLI and runs it on its arguments, if any, then prints the exit
-# code and which of GARCH_ONLY_MODULES the process loaded to stderr
+# code and every public scipy package the process loaded (scipy itself and
+# each scipy.<name> with a name not starting with "_") to stderr
 LOADED_PROBE = (
     "import json, sys\n"
     "from flexts import cli\n"
     "code = cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
-    f"loaded = [m for m in {GARCH_ONLY_MODULES!r} if m in sys.modules]\n"
+    "parts = [m.split('.')[:2] for m in sys.modules]\n"
+    "loaded = sorted({'.'.join(p) for p in parts\n"
+    "                 if p[0] == 'scipy' and not p[-1].startswith('_')})\n"
     "print(json.dumps([code, loaded]), file=sys.stderr)\n"
 )
 
@@ -1077,13 +1121,13 @@ def run_python(code, *argv):
 
 
 def run_fresh(argv=()):
-    """(exit code, GARCH-only modules loaded) of the CLI in a fresh process."""
+    """(exit code, public scipy packages loaded) of the CLI in a fresh process."""
     done = run_python(LOADED_PROBE, *argv)
     code, loaded = json.loads(done.stderr.splitlines()[-1])
     return code, loaded
 
 
-def test_importing_the_cli_loads_no_garch_scipy():
+def test_importing_the_cli_loads_no_scipy():
     assert run_fresh() == (None, [])
 
 
@@ -1095,13 +1139,31 @@ def test_importing_the_cli_starts_no_thread():
     assert done.stdout.split() == ["1"]
 
 
-def test_nw_predict_loads_no_garch_scipy(tmp_path):
+def test_nw_predict_and_evaluate_load_no_scipy(tmp_path):
     data = simulate(tmp_path, n=400)
     model = fit(tmp_path, data, extra=("--backend", "nw"))
     out = tmp_path / "dens.csv"
     assert run_fresh(["predict", "--model", model, "--u", "0.1,0.2,0.0",
                       "-o", out]) == (0, [])
     assert read_rows(out)[0] == ["y", "density", "raw_density"]
+    assert run_fresh(["evaluate", "--input", data, "--model", model,
+                      "-o", tmp_path / "e.csv"]) == (0, [])
+
+
+def test_each_fit_loads_only_its_backends_scipy(tmp_path):
+    assert run_fresh(["--help"]) == (0, [])
+    # 300 validation rows: at least ROW_BLOCK, so knn queries its k-d tree
+    data = tmp_path / "series.csv"
+    assert run_fresh(["simulate", "--scenario", "ar", "--n", 3000, "--seed", 7,
+                      "-o", data]) == (0, [])
+    out = tmp_path / "model.json"
+    argv = ["fit", "--input", data, "-o", out]
+    assert run_fresh([*argv, "--backend", "lasso"]) == (0, [])
+    code, loaded = run_fresh([*argv, "--backend", "nw"])
+    assert code == 0 and "scipy.sparse" in loaded and "scipy.spatial" not in loaded
+    code, loaded = run_fresh([*argv, "--backend", "knn"])
+    assert code == 0 and "scipy.spatial" in loaded
+    assert not set(GARCH_ONLY_MODULES) & set(loaded)
     # the probe does see a GARCH fit load them
-    assert run_fresh(["fit", "--input", data, "--method", "garch",
-                      "-o", tmp_path / "garch.json"]) == (0, list(GARCH_ONLY_MODULES))
+    code, loaded = run_fresh([*argv, "--method", "garch"])
+    assert code == 0 and set(GARCH_ONLY_MODULES) <= set(loaded)

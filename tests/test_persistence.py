@@ -512,3 +512,16 @@ def test_a_model_file_with_any_field_changed_loads_sound_or_is_a_data_error(
                                    atol=1e-8)
         quantiles = quantiles_from_grid_density(batch.grid_y, density, TAUS)
         assert np.all(np.diff(quantiles, axis=1) >= 0), (case, value)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_model_range_whose_square_leaves_the_floats_is_a_data_error(tmp_path,
+                                                                     name):
+    for lo, hi in ((-1e200, 1e200), (0.0, 1e-300)):
+        doc = committed_doc(name)
+        owner = doc["model"]["scaler"] if name.startswith("flexcode") else doc["model"]
+        owner.update(lo=lo, hi=hi)
+        file = tmp_path / "ranged.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="reciprocal square is not a finite"):
+            load_model(file)
