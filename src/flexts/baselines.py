@@ -427,8 +427,9 @@ def garch_fit(y, p, pad=0.05, grid_size=1001):
         )
     if not np.all(np.isfinite(y)):
         raise DataError("series contains non-finite values")
-    if y.min() < y.max():  # a constant series fails the variance check
-        check_scale(y.min(), y.max())
+    lo, hi = float(y.min()), float(y.max())
+    if lo < hi:  # a constant series fails the variance check
+        check_scale(lo, hi)
     if float(np.var(y)) == 0.0:
         raise DataError("constant series; garch variance is unidentified")
     check_grid_size(grid_size)
