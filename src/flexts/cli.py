@@ -61,11 +61,14 @@ def _fmt_cell(v):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt_cell(v) for v in row])
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def read_series_csv(path, target, exog_names=()):
@@ -315,7 +318,8 @@ def cmd_fit(args):
         grids[name] = tuple(grid_types[name](v) for v in text.split(","))
     features = FeatureSpec(args.target, args.lags, _parse_rolling(args.rolling),
                            args.exog or [], args.exog_contemporaneous)
-    split = SplitSpec.from_list([float(p) for p in args.split.split(",")])
+    split = SplitSpec.from_list(
+        [float(p) for p in _listed("--split", args.split).split(",")])
     table, design = _read_design(features, args.input)
     model, _, _, report = _fit(args.method, table, design, split, args.pad,
                                args.grid_size, grids, **flexcode)
@@ -404,7 +408,7 @@ def cmd_predict(args):
 
     series = rows = None
     if args.u is not None:
-        u = np.array([float(v) for v in args.u.split(",")])
+        u = np.array([float(v) for v in _listed("--u", args.u).split(",")])
         label = "explicit covariates"
     else:
         table, design = _read_design(model.features, args.input)

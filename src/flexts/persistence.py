@@ -78,7 +78,10 @@ def _jsonable(obj):
 
 
 def save_model(path, method, model, metadata=None):
-    """Write a fitted model with metadata; identical fits yield identical bytes."""
+    """Write a fitted model with metadata; identical fits yield identical bytes.
+
+    A path that cannot be written is a DataError.
+    """
     if not isinstance(model, METHODS.get(method, ())):
         raise ValueError(f"cannot save a {type(model).__name__} as method {method!r}")
     doc = {
@@ -89,8 +92,11 @@ def save_model(path, method, model, metadata=None):
     }
     # without indent, json uses its C encoder
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_jsonable)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _read_value(kind, value, name):

@@ -25,14 +25,15 @@ it fitted them, else None), and how it ``build``s the winner on the fit rows.
 
 nw reads distances through one pass over ROW_BLOCK query rows at a time
 (``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
-memory grows with n_train, not n_eval * n_train. The training rows'
-squared norms, one term of every distance, are computed once per pass,
-not once per block. A one-row tail block goes through BLAS gemv, which
-can round differently from the gemm of larger blocks. The fit's sweep
-over radii (``nw_predict_grid``) sums nested rings: each training point
-within the largest radius lies in one ring between consecutive radii, so
-one sparse product per SLICE_ROWS query rows and a cumulative sum over
-rings give every radius's sums.
+memory grows with n_train, not n_eval * n_train. Every consumer drops a
+block before it asks for the next, so one block is alive at a time. The
+training rows' squared norms, one term of every distance, are computed
+once per pass, not once per block. A one-row tail block goes through BLAS
+gemv, which can round differently from the gemm of larger blocks. The
+fit's sweep over radii (``nw_predict_grid``) sums nested rings: each
+training point within the largest radius lies in one ring between
+consecutive radii, so one sparse product per SLICE_ROWS query rows and a
+cumulative sum over rings give every radius's sums.
 It adds in another order than ``nw_predict``'s dense mask product, so
 the two agree to rounding, with the same neighbors, counts and
 fallbacks. ``nw_predict``, which serves predictions, keeps the dense
@@ -48,8 +49,11 @@ which certifies the order the blocked pass would give. Ties, near ties
 and every other query set go through the blocked pass, so the order, and
 every output bit, is the blocked pass's either way.
 
-Each block's distances are computed on the caller's thread. The per-row
-work after them, ``nw_predict_grid``'s rings, ``knn_order``'s
+Each block's distances come from one ``pairwise_sq_dists`` call on the
+caller's thread, which also computes the block's product a @ b.T whole
+there; the finishing pass (doubling, subtracting from the norm sum,
+clipping) runs in slices of SLICE_ROWS rows on the row threads. The
+per-row work after them, ``nw_predict_grid``'s rings, ``knn_order``'s
 ``nearest_order`` and ``nw_predict``'s neighbor masks and counts in
 slices of SLICE_ROWS rows, and ``neighbor_means``,
 knn's average and NNKCDE's over its kernel rows, in slices of
@@ -126,20 +130,31 @@ def sq_norms(x):
 def pairwise_sq_dists(a, b, b_norms=None):
     """Squared Euclidean distances between rows of a (n, d) and b (m, d).
 
-    Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, formed in place in the
-    product's buffer, SLICE_ROWS rows at a time, and clipped at zero.
-    ``b_norms``, if given, is ``sq_norms(b)`` computed once by the caller.
+    Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j, clipped at zero. The
+    product a @ b.T is one call on the caller's thread, since its bits
+    depend on the row count it is given. The finishing pass (doubling it,
+    subtracting it from the norm sum and clipping) works in the product's
+    buffer, SLICE_ROWS rows a slice, on the row threads (``split_rows``);
+    a block of at most SLICE_ROWS rows, such as every single-row forecast,
+    finishes on the caller's thread. ``b_norms``, if given, is
+    ``sq_norms(b)`` computed once by the caller.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     sq = a @ b.T
-    sq *= 2.0
     a2 = sq_norms(a)
     b2 = sq_norms(b) if b_norms is None else b_norms
-    for start in range(0, a.shape[0], SLICE_ROWS):
-        part = sq[start : start + SLICE_ROWS]
-        np.subtract(a2[start : start + SLICE_ROWS, None] + b2, part, out=part)
+
+    def finish(lo, hi):
+        part = sq[lo:hi]
+        part *= 2.0
+        np.subtract(a2[lo:hi, None] + b2, part, out=part)
         np.maximum(part, 0.0, out=part)
+
+    if a.shape[0] <= SLICE_ROWS:
+        finish(0, a.shape[0])
+    else:
+        split_rows(a.shape[0], SLICE_ROWS, finish)
     return sq
 
 
@@ -149,8 +164,13 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
     Rows where the boolean array ``skip`` is true are left out, and a block
     of skipped rows only is not computed. A block with some rows left out
     is still computed whole, so each row's distances carry the same bits
-    whichever rows around it are skipped. ``train_norms`` is
+    whichever rows around it are skipped; the kept rows are yielded as a
+    copy, and the whole block is freed before that. ``train_norms`` is
     ``sq_norms(train_u)``, computed here once for every block if not given.
+    Each block is computed by one ``pairwise_sq_dists`` call on the
+    caller's thread. Nothing here holds a block once it is yielded, so a
+    caller that drops its block before asking for the next keeps one
+    block alive at a time.
     """
     train_u = np.asarray(train_u, dtype=float)
     eval_u = np.asarray(eval_u, dtype=float)
@@ -162,8 +182,8 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
             yield rows, pairwise_sq_dists(eval_u[rows], train_u, train_norms)
         elif not skip[rows].all():
             keep = np.flatnonzero(~skip[rows])
-            sq = pairwise_sq_dists(eval_u[rows], train_u, train_norms)
-            yield start + keep, sq[keep]
+            yield start + keep, pairwise_sq_dists(eval_u[rows], train_u,
+                                                  train_norms)[keep]
 
 
 def split_rows(n_rows, step, work):
@@ -336,6 +356,7 @@ def nw_predict(train_u, train_phi, eval_u, delta, train_norms=None):
                        partial(_mask_in_place, sq, delta, counts[rows]))
         # whole-block product: its bits depend on the block's row count
         sums[rows] = sq @ train_phi
+        del sq  # freed before the next block is computed
     return _local_means(sums, counts, train_phi)
 
 
@@ -403,6 +424,7 @@ def nw_predict_grid(train_u, train_phi, eval_u, deltas):
 
     for rows, sq in distance_blocks(train_u, eval_u):
         split_rows(sq.shape[0], SLICE_ROWS, partial(add_rings, sq, rows.start))
+        del sq  # freed before the next block is computed
     return [_local_means(s, c, train_phi) for s, c in zip(sums, counts)]
 
 
@@ -588,13 +610,15 @@ def knn_order(train_u, eval_u, k, train_norms=None):
         order = np.empty((eval_u.shape[0], k), dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u, settled, train_norms):
         block = np.empty((sq.shape[0], k), dtype=np.intp)
-
-        def sort(lo, hi, sq=sq, block=block):
-            block[lo:hi] = nearest_order(sq[lo:hi], k)
-
-        split_rows(sq.shape[0], SLICE_ROWS, sort)
+        split_rows(sq.shape[0], SLICE_ROWS, partial(_order_rows, sq, k, block))
+        del sq  # freed before the next block is computed
         order[rows] = block
     return order
+
+
+def _order_rows(sq, k, out, lo, hi):
+    """out[lo:hi] = nearest_order of rows lo..hi of squared distances."""
+    out[lo:hi] = nearest_order(sq[lo:hi], k)
 
 
 def neighbor_means(train_phi, order, ks, scale=1.0):

@@ -363,7 +363,9 @@ def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, fitted_trio):
     out = tmp_path / "out.csv"
     argvs = {"--quantiles": ["evaluate", "--input", data, "--model",
                              models["flexcode"]],
-             "--taus": ["predict", "--input", data, "--model", models["nnkcde"]]}
+             "--taus": ["predict", "--input", data, "--model", models["nnkcde"]],
+             "--u": ["predict", "--model", models["flexcode"]],
+             "--split": ["fit", "--input", data]}
     argvs.update((flag, ["bench"]) for flag in ("--scenarios", "--sizes",
                                                  "--methods", "--seeds", "--lags"))
     for flag, argv in argvs.items():
@@ -372,6 +374,18 @@ def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, fitted_trio):
             assert code == 2, (flag, value)
             assert f"{flag} lists no values" in err
     assert not out.exists()
+
+
+def test_an_unwritable_output_is_a_data_error(tmp_path, capsys):
+    data = simulate(tmp_path, n=300)
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run(["fit", "--input", data, "-o", out], capsys)
+    assert code == 3
+    assert f"cannot write {out}: No such file or directory" in err
+    code, _, err = run(["simulate", "--scenario", "ar", "--n", 100, "-o", ""],
+                       capsys)
+    assert code == 3
+    assert "cannot write : No such file or directory" in err
 
 
 def test_evaluate_custom_quantiles(tmp_path, fitted_trio):

@@ -6,6 +6,8 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -603,6 +605,20 @@ def test_nw_grid_has_the_same_bits_on_any_thread_count(n_eval):
         assert np.array_equal(one.b_hat, two.b_hat)
 
 
+@pytest.mark.parametrize("d", [3, 20])
+def test_pairwise_sq_dists_has_the_same_bits_on_any_thread_count(d):
+    # up to SLICE_ROWS rows finish on the caller's thread; more are split
+    rng = np.random.default_rng(49)
+    b = rng.normal(size=(700, d))
+    for n_rows in [1, 31, 33, ROW_BLOCK, ROW_BLOCK + 1]:
+        a = rng.normal(size=(n_rows, d))
+        (serial, split), (one, two) = sliced_on_one_and_two_threads(
+            partial(pairwise_sq_dists, a, b))
+        assert serial.tobytes() == split.tobytes(), n_rows
+        assert one <= {threading.get_ident()}, n_rows
+        assert split_over_threads(two) == (n_rows > SLICE_ROWS), n_rows
+
+
 @pytest.mark.parametrize("design", ["tree", "blocked", "tied"])
 def test_knn_grid_has_the_same_bits_on_any_thread_count(design):
     d = 20 if design == "blocked" else 3
@@ -699,22 +715,81 @@ def test_kernel_means_has_the_same_bits_on_any_thread_count():
 
 
 def test_distances_are_computed_on_the_callers_thread():
-    # perfbench's tracer keeps one span stack, for the caller's thread
-    callers = []
+    # perfbench's tracer keeps one span stack, for the caller's thread; each
+    # call's finishing pass runs on the row threads once it has two slices
+    calls = []  # (calling thread, query rows, ROW_THREADS, finishing threads)
 
     def spied_dists(a, b, b_norms=None):
-        callers.append(threading.get_ident())
-        return pairwise_sq_dists(a, b, b_norms)
+        finishers = set()
+        with mock.patch.object(regression, "split_rows", checked_split(finishers)):
+            sq = pairwise_sq_dists(a, b, b_norms)
+        calls.append((threading.get_ident(), len(a), regression.ROW_THREADS,
+                      finishers))
+        return sq
 
     y = generate("arma_jump", 4000, seed=5)  # 399 validation rows: 2 blocks
     nw_design = lag_embed(SeriesTable(y), 3)
     knn_design = lag_embed(SeriesTable(y), TREE_MAX_DIM + 3)  # blocked pass
     with mock.patch.object(regression, "pairwise_sq_dists", spied_dists):
-        on_one_and_two_threads(lambda: fit(nw_design))
+        (nw_model, _), _ = on_one_and_two_threads(lambda: fit(nw_design))
         _, (_, runners) = on_one_and_two_threads(
             lambda: fit(knn_design, config=FitConfig(backend="knn")))
+        # a single-row query, as a forecast makes
+        on_one_and_two_threads(
+            lambda: nw_model.backend.predict(nw_model.backend.train_u[:1]))
     assert split_over_threads(runners)  # the knn blocks were split
-    assert len(callers) > 4 and set(callers) == {threading.get_ident()}
+    assert len(calls) > 4 and {n_rows for _, n_rows, _, _ in calls} >= {1, 399 - 256}
+    for caller, n_rows, threads, finishers in calls:
+        assert caller == threading.get_ident()
+        if n_rows <= SLICE_ROWS:
+            assert not finishers  # finished inline, without split_rows
+        elif threads == 1:
+            assert finishers == {caller}
+        else:
+            assert split_over_threads(finishers)
+
+
+@pytest.mark.parametrize("case", ["nw", "nw_grid", "knn_blocked", "knn_skip"])
+def test_a_distance_pass_holds_one_block_at_a_time(case):
+    # four blocks: the peak is one block, on the skip path the kept rows'
+    # copy beside it, each row thread's slice scratch and the outputs,
+    # never the previous block beside the next
+    n_train, k = 6000, 10
+    d = TREE_MAX_DIM + 3 if case == "knn_blocked" else 3
+    train_u, train_phi, eval_u = random_problem(50, n=n_train, d=d, n_targets=6,
+                                                n_eval=4 * ROW_BLOCK)
+    kept = 0
+    if case == "knn_skip":
+        # rows rounded to 0.01: the tree leaves about 30 rows of each block
+        # unsettled, so a block held beside its kept rows would show
+        train_u, eval_u = np.round(train_u, 2), np.round(eval_u, 2)
+        _, settled = regression._tree_order(train_u, eval_u, k, sq_norms(train_u))
+        per_block = (~settled).reshape(-1, ROW_BLOCK).sum(axis=1)
+        assert ((per_block > 0) & (per_block < ROW_BLOCK)).any()
+        kept = per_block.max() * n_train * 8
+    call = {
+        "nw": partial(nw_predict, train_u, train_phi, eval_u, 0.3),
+        "nw_grid": partial(nw_predict_grid, train_u, train_phi, eval_u, [0.1, 0.3]),
+        "knn_blocked": partial(knn_order, train_u, eval_u, k),
+        "knn_skip": partial(knn_order, train_u, eval_u, k),
+    }[case]
+    with mock.patch.object(regression, "ROW_THREADS", 2):
+        call()  # scipy's deferred imports load outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    block = ROW_BLOCK * n_train * 8
+    # two slice temporaries of SLICE_ROWS * n_train values per row thread:
+    # the norm sum, or nearest_order's partition indices and mask
+    slices = regression.ROW_THREADS * 2 * SLICE_ROWS * n_train * 8
+    # the outputs: nw's sums per radius, knn's order and the tree's
+    # (k + 1)-neighbor query; 1 MB more for counts and index arrays
+    outputs = max(2 * eval_u.shape[0] * train_phi.shape[1] * 8,
+                  3 * eval_u.shape[0] * (k + 1) * 8) + 2**20
+    assert peak < block + kept + slices + outputs
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
