@@ -37,7 +37,7 @@ import numpy as np
 
 from flexts.basis import check_grid_size, check_range, check_scale, fit_scaler
 from flexts.errors import DataError, NumericError
-from flexts.estimator import DensityBatch, score_rows
+from flexts.estimator import DensityBatch, density_rows, score_rows
 from flexts.features import FeatureSpec, SplitSpec
 # pairwise_sq_dists is unused here; perfbench/test_perfbench.py reads the binding
 from flexts.regression import (
@@ -110,13 +110,13 @@ class NnkcdeModel:
         """The Gaussian KDE over each row's neighbor responses on grid_y."""
         return kernel_means(self.train_y, neighbors, [self.k], grid_y, self.h)[0]
 
-    def density_rows(self, neighbors, grid_y):
-        """The DensityBatch of the KDE rows (renormalized; they are >= 0)."""
-        return DensityBatch.from_raw(grid_y, self.raw_rows(neighbors, grid_y))
-
     def predict_density_batch(self, eval_u):
-        """Densities on the model's grid; perfbench's nnkcde_predict probe wraps it."""
-        return self.density_rows(self.row_state(eval_u), self.grid()).density
+        """Densities on the model's grid; perfbench's nnkcde_predict probe wraps it.
+
+        It tabulates with ``density_rows``, since a probe of its own wraps
+        ``estimator.predict_density_batch``.
+        """
+        return density_rows(self, self.row_state(eval_u), self.grid()).density
 
 
 def kernel_means(train_y, order, ks, grid_y, h):
@@ -307,9 +307,6 @@ class GarchModel:
 
     def raw_rows(self, state, grid_y):
         return garch_raw_rows(*state, grid_y)
-
-    def density_rows(self, state, grid_y):
-        return garch_density_rows(*state, grid_y)
 
     def unconditional_variance(self):
         return self.omega / (1.0 - self.alpha - self.beta)
@@ -519,5 +516,9 @@ def garch_raw_rows(means, s2, grid_y):
 
 
 def garch_density_rows(means, s2, grid_y):
-    """Renormalized Gaussian predictive densities on a common grid, a DensityBatch."""
+    """Renormalized Gaussian predictive densities on a common grid, a DensityBatch.
+
+    A GARCH model tabulates through ``estimator.density_rows`` like every
+    model; this is the same batch from (means, s2) without a model.
+    """
     return DensityBatch.from_raw(grid_y, garch_raw_rows(means, s2, grid_y))

@@ -11,13 +11,15 @@ Every method (flexcode, nnkcde, garch) is fitted by ``_fit``, and each
 fitted model records its feature spec (``model.features``: the target
 and exogenous columns, lags, rolling statistics) and its ``model.split``,
 which ``evaluate``, ``predict`` and ``importance`` rebuild the design and
-its blocks from. Each model tabulates itself: ``row_state`` computes
-some rows' state once, ``raw_rows`` and ``density_rows`` give their raw
-densities and their ``DensityBatch`` on any response grid, and ``grid()``
-is the fit-time grid (the padded training range at ``grid_size`` points)
-each method is scored on. So ``evaluate``, ``predict`` and ``bench`` take
-one path for every method; ``evaluate`` and ``bench`` score the raw rows
-with ``estimator.score_rows``, a slice at a time.
+its blocks from. Each model tabulates through three members: ``row_state``
+computes some rows' state once, ``raw_rows`` gives their raw densities on
+any response grid, and ``grid()`` is the fit-time grid (the padded
+training range at ``grid_size`` points) each method is scored on. So
+``evaluate``, ``predict`` and ``bench`` take one path for every method:
+``predict`` writes ``estimator.predict_density_batch``, which tabulates
+with ``estimator.density_rows``, the one tabulation on a model's grid,
+and ``evaluate`` and ``bench`` score the raw rows of their test block
+(``_test_block``) with ``estimator.score_rows``, a slice at a time.
 """
 
 import argparse
@@ -125,31 +127,35 @@ def _parse_rolling(specs):
     return out
 
 
-def _listed(flag, text):
-    """The text of a comma list flag; a list of no values is a usage error."""
-    if not text.replace(",", "").strip():
+def _listed(flag, text, read=str):
+    """The entries of a comma list flag, each stripped and read by ``read``.
+
+    A list of no values, an empty entry or an entry ``read`` rejects is a
+    usage error that names the flag.
+    """
+    entries = [entry.strip() for entry in text.split(",")]
+    if not any(entries):
         raise ValueError(f"{flag} lists no values")
-    return text
+    if not all(entries):
+        raise ValueError(f"{flag} has an empty entry in {text!r}")
+    try:
+        return [read(entry) for entry in entries]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _parse_taus(text):
-    taus = [float(p) for p in text.split(",") if p]
-    estimator.check_taus(taus)
-    return taus
+def _level(text):
+    """A quantile level, inside (0, 1)."""
+    return float(estimator.check_taus(float(text))[0])
 
 
-def _parse_int_list(text):
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            a, b = (int(v) for v in part.split("-", 1))
-            if b < a:
-                raise ValueError(f"descending range {part!r}")
-            out.extend(range(a, b + 1))
-        else:
-            out.append(int(part))
-    return out
+def _int_range(text):
+    """An integer, or an ascending range like 0-9, as a range of integers."""
+    ends = text.split("-", 1) if "-" in text[1:] else (text, text)
+    a, b = (int(v) for v in ends)
+    if b < a:
+        raise ValueError(f"descending range {text!r}")
+    return range(a, b + 1)
 
 
 def _default_seed(value):
@@ -314,12 +320,10 @@ def cmd_fit(args):
         if name not in grid_types:
             takes = ", ".join(f"--{n}" for n in grid_types) or "none"
             raise ValueError(f"--{name} is not a grid of this fit (its grids: {takes})")
-        text = _listed(f"--{name}", getattr(args, name))
-        grids[name] = tuple(grid_types[name](v) for v in text.split(","))
+        grids[name] = tuple(_listed(f"--{name}", getattr(args, name), grid_types[name]))
     features = FeatureSpec(args.target, args.lags, _parse_rolling(args.rolling),
                            args.exog or [], args.exog_contemporaneous)
-    split = SplitSpec.from_list(
-        [float(p) for p in _listed("--split", args.split).split(",")])
+    split = SplitSpec.from_list(_listed("--split", args.split, float))
     table, design = _read_design(features, args.input)
     model, _, _, report = _fit(args.method, table, design, split, args.pad,
                                args.grid_size, grids, **flexcode)
@@ -335,6 +339,14 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 
 
+def _test_block(model, table, design):
+    """The covariates, responses and row state of the model's test block."""
+    _, _, te = temporal_split(design.n_rows, model.split)
+    rows = slice(te.start, te.stop)
+    u_te = design.u[rows]
+    return u_te, design.y[rows], model.row_state(u_te, table.response, rows)
+
+
 def _truth(scenario, u_rows, grid_y, sigma_nm):
     """The scenario's true densities of rows lo..hi of u_rows, for score_rows."""
     return lambda lo, hi: scenarios.true_rows(scenario, u_rows[lo:hi], grid_y, sigma_nm)
@@ -345,7 +357,7 @@ DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 def cmd_evaluate(args):
     taus = (list(DEFAULT_TAUS) if args.quantiles is None
-            else _parse_taus(_listed("--quantiles", args.quantiles)))
+            else _listed("--quantiles", args.quantiles, _level))
     header = ["model", "method", "n_test", "n_outside_grid", "cde_loss",
               "cde_loss_se"]
     if args.oracle_scenario:
@@ -357,10 +369,7 @@ def cmd_evaluate(args):
     for path in args.model:
         method, model, _ = persistence.load_model(path)
         table, design = _read_design(model.features, args.input)
-        _, _, te = temporal_split(design.n_rows, model.split)
-        rows = slice(te.start, te.stop)
-        u_te, y_te = design.u[rows], design.y[rows]
-        state = model.row_state(u_te, table.response, rows)
+        u_te, y_te, state = _test_block(model, table, design)
         grid_y = model.grid()
         truth = None
         if args.oracle_scenario:
@@ -402,13 +411,13 @@ def _resolve_row(design, row):
 
 def cmd_predict(args):
     _, model, _ = persistence.load_model(args.model)
-    taus = None if args.taus is None else _parse_taus(_listed("--taus", args.taus))
+    taus = None if args.taus is None else _listed("--taus", args.taus, _level)
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
 
     series = rows = None
     if args.u is not None:
-        u = np.array([float(v) for v in _listed("--u", args.u).split(",")])
+        u = np.array(_listed("--u", args.u, float))
         label = "explicit covariates"
     else:
         table, design = _read_design(model.features, args.input)
@@ -427,7 +436,7 @@ def cmd_predict(args):
             u = design.u[rows]
             label = f"design row {row}"
 
-    batch = model.density_rows(model.row_state(u, series, rows), model.grid())
+    batch = estimator.predict_density_batch(model, u, series, rows)
     if taus is not None:
         q = estimator.quantiles_from_grid_density(batch.grid_y, batch.density[0], taus)
         write_csv(args.output, ["tau", "quantile"], list(zip(taus, q)))
@@ -556,13 +565,9 @@ def run_bench_cell(cell, **settings):
         cell.method, table, design, SplitSpec.from_list(cfg.split), cfg.pad,
         cfg.grid_size, backend=cfg.backend, basis=cfg.basis, i_max=cfg.i_max,
     )
-    _, _, te = temporal_split(design.n_rows, model.split)
-    rows = slice(te.start, te.stop)
-    u_te = design.u[rows]
-    state = model.row_state(u_te, y, rows)
+    u_te, y_te, state = _test_block(model, table, design)
     grid_y = model.grid()
-    rep = estimator.score_rows(grid_y, model.raw_rows(state, grid_y),
-                               design.y[rows]).cde
+    rep = estimator.score_rows(grid_y, model.raw_rows(state, grid_y), y_te).cde
     result = {
         **asdict(cell),
         "status": "ok",
@@ -613,16 +618,20 @@ def cmd_bench(args):
         if unknown:
             raise ValueError(f"unknown bench config keys: {sorted(unknown)}")
 
-    def listed(key, parse=lambda text: text.split(",")):
+    def listed(key, read=str):
         text = getattr(args, key)
-        return None if text is None else parse(_listed(f"--{key}", text))
+        return None if text is None else _listed(f"--{key}", text, read)
+
+    def int_listed(key):
+        ranges = listed(key, _int_range)
+        return None if ranges is None else list(itertools.chain.from_iterable(ranges))
 
     flags = {
         "scenarios": listed("scenarios"),
-        "sizes": listed("sizes", _parse_int_list),
+        "sizes": int_listed("sizes"),
         "methods": listed("methods"),
-        "seeds": listed("seeds", _parse_int_list),
-        "lags": listed("lags", _parse_int_list),
+        "seeds": int_listed("seeds"),
+        "lags": int_listed("lags"),
         "backend": args.backend,
         "output": args.output,
     }
@@ -719,7 +728,9 @@ def build_parser():
     p_pred = sub.add_parser("predict", help="density or quantiles for one query")
     p_pred.add_argument("--model", required=True)
     query = p_pred.add_mutually_exclusive_group(required=True)
-    query.add_argument("--u", help="comma list of covariate values")
+    query.add_argument("--u", help="comma list of covariate values; write "
+                       "--u=-0.5,0.1 when the first is negative, since a "
+                       "separate value led by '-' reads as a flag")
     query.add_argument("--input", help="CSV series for one-step-ahead forecasting")
     p_pred.add_argument("--row", type=int, default=None)
     p_pred.add_argument("--taus", help="comma list of quantile levels")

@@ -9,12 +9,14 @@ block. Predicted densities are post-processed (negative part clipped,
 mass renormalized) before consumption.
 
 Every fitted model, this one and the ``baselines``, tabulates through
-``grid()``, ``row_state``, ``raw_rows`` (the method's density rows before
-post-processing) and ``density_rows`` (a ``DensityBatch`` of them, post-
-processed by ``renormalize_rows``); ``predict_density_batch``,
-``predict_density`` and ``predict_quantiles`` are that call on the model's
-grid, for any model whose state needs only u. ``score_rows`` scores raw
-rows against held-out responses in slices on the row threads.
+``grid()``, ``row_state`` and ``raw_rows`` (the method's density rows before
+post-processing). ``density_rows(model, state, grid_y)`` is the one
+tabulation of those rows as a ``DensityBatch``, post-processed by
+``renormalize_rows``; ``predict_density_batch`` is that call on the model's
+grid, the one place a model's rows are tabulated there, and
+``predict_density`` and ``predict_quantiles`` call it for models whose
+state needs only u. ``score_rows`` scores raw rows against held-out
+responses in slices on the row threads.
 """
 
 import warnings
@@ -163,10 +165,6 @@ class CoefficientModel:
             )
         return (state.b_hat[:, : self.i_selected + 1] @ phi_grid.T) / self.scaler.width
 
-    def density_rows(self, state, grid_y):
-        """The DensityBatch of row_state's rows on any response grid."""
-        return DensityBatch.from_raw(grid_y, self.raw_rows(state, grid_y))
-
 
 @dataclass
 class DensityBatch:
@@ -214,6 +212,11 @@ def renormalize_rows(raw, grid_y):
     if degenerate.any():
         density[degenerate] = 1.0 / (grid_y[-1] - grid_y[0])
     return density, degenerate
+
+
+def density_rows(model, state, grid_y):
+    """The DensityBatch of any model's row_state rows on any response grid."""
+    return DensityBatch.from_raw(grid_y, model.raw_rows(state, grid_y))
 
 
 def fit(design, split=SplitSpec(), config=FitConfig()):
@@ -307,13 +310,14 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     )
 
 
-def predict_density_batch(model, u):
-    """Post-processed conditional densities for many covariate rows.
+def predict_density_batch(model, u, series=None, rows=None):
+    """Post-processed conditional densities of some rows on the model's grid.
 
-    Any model whose row state needs only covariates (flexcode, NNKCDE)
-    tabulates here on its fit-time grid; GARCH's needs the series.
+    ``series`` and ``rows`` go to ``row_state``: a flexcode or NNKCDE
+    model reads only the covariate rows ``u``, a GARCH model only the
+    series, its design ``rows`` or, with rows=None, one step past its end.
     """
-    return model.density_rows(model.row_state(u), model.grid())
+    return density_rows(model, model.row_state(u, series, rows), model.grid())
 
 
 def predict_density(model, u):
@@ -365,15 +369,16 @@ def score_rows(grid_y, raw, eval_y=None, truth=None, taus=None):
 
     ``raw`` holds a method's density rows before post-processing (its
     ``raw_rows``). Each slice of max(1, SLICE_ELEMS // grid size) rows is
-    clipped and renormalized as ``density_rows`` does, then scored: the
-    grid-form loss against the responses ``eval_y``, the oracle loss
-    against ``truth(lo, hi)`` (the true density of rows lo..hi on grid_y)
-    and the quantiles at ``taus``, each when given. The slices run on the
-    row threads (``split_rows``) and write only their own rows'
-    contributions, so the reports and quantiles equal ``cde_loss_grid``,
-    ``oracle_cde_loss`` and ``quantiles_from_grid_density`` of the whole
-    post-processed density bit for bit, while no array the size of
-    ``raw`` is allocated. ``truth`` runs on the row threads too.
+    clipped and renormalized as ``density_rows``, the one tabulation of a
+    model's densities, does, then scored: the grid-form loss against the
+    responses ``eval_y``, the oracle loss against ``truth(lo, hi)`` (the
+    true density of rows lo..hi on grid_y) and the quantiles at ``taus``,
+    each when given. The slices run on the row threads (``split_rows``)
+    and write only their own rows' contributions, so the reports and
+    quantiles equal ``cde_loss_grid``, ``oracle_cde_loss`` and
+    ``quantiles_from_grid_density`` of the whole post-processed density
+    bit for bit, while no array the size of ``raw`` is allocated.
+    ``truth`` runs on the row threads too.
     """
     if eval_y is not None:
         eval_y = np.asarray(eval_y, dtype=float)

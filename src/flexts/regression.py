@@ -70,8 +70,10 @@ together cover no more rows than the block. ``nw_predict`` writes each
 slice's 0/1 mask over its distances in place, then multiplies the whole
 block by train_phi on the caller's thread: that product, like the
 distance product, rounds by the block's row count, so it stays one call
-per block. A block of one slice (every single-row forecast) starts no
-thread.
+per block. ``split_rows`` alone decides the case of one slice, or none:
+it runs that slice on the caller's thread without building runs or
+starting a thread, so a block of at most SLICE_ROWS rows (every
+single-row forecast) finishes inline.
 
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
@@ -134,9 +136,9 @@ def pairwise_sq_dists(a, b, b_norms=None):
     product a @ b.T is one call on the caller's thread, since its bits
     depend on the row count it is given. The finishing pass (doubling it,
     subtracting it from the norm sum and clipping) works in the product's
-    buffer, SLICE_ROWS rows a slice, on the row threads (``split_rows``);
-    a block of at most SLICE_ROWS rows, such as every single-row forecast,
-    finishes on the caller's thread. ``b_norms``, if given, is
+    buffer, SLICE_ROWS rows a slice, on the row threads (``split_rows``,
+    which finishes a block of one slice, such as every single-row
+    forecast, on the caller's thread). ``b_norms``, if given, is
     ``sq_norms(b)`` computed once by the caller.
     """
     a = np.asarray(a, dtype=float)
@@ -151,10 +153,7 @@ def pairwise_sq_dists(a, b, b_norms=None):
         np.subtract(a2[lo:hi, None] + b2, part, out=part)
         np.maximum(part, 0.0, out=part)
 
-    if a.shape[0] <= SLICE_ROWS:
-        finish(0, a.shape[0])
-    else:
-        split_rows(a.shape[0], SLICE_ROWS, finish)
+    split_rows(a.shape[0], SLICE_ROWS, finish)
     return sq
 
 
@@ -189,13 +188,18 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
 def split_rows(n_rows, step, work):
     """work(lo, hi) on slices of ``step`` rows covering n_rows rows.
 
-    Contiguous runs of slices, at most ROW_THREADS of them, go to threads
-    started for this call and joined before it returns; the caller's
-    thread runs the first run, so one slice starts no thread. ``work``
+    One slice, or none, runs here on the caller's thread, with no runs
+    built and no thread started. Otherwise contiguous runs of slices, at
+    most ROW_THREADS of them, go to threads started for this call and
+    joined before it returns; the caller's thread runs the first. ``work``
     must write only to its own rows and each row's result must depend on
     that row alone: then the results are the same bits for any ROW_THREADS
     and any step. An exception in any run is raised here once all are done.
     """
+    if n_rows <= step:
+        if n_rows > 0:
+            work(0, n_rows)
+        return
     starts = range(0, n_rows, step)
     per_run = max(1, -(-len(starts) // ROW_THREADS))
     runs = [starts[i : i + per_run] for i in range(0, len(starts), per_run)]
@@ -211,8 +215,7 @@ def split_rows(n_rows, step, work):
     threads = [threading.Thread(target=run, args=(firsts,)) for firsts in runs[1:]]
     for thread in threads:
         thread.start()
-    if runs:
-        run(runs[0])
+    run(runs[0])
     for thread in threads:
         thread.join()
     if errors:
@@ -349,11 +352,8 @@ def nw_predict(train_u, train_phi, eval_u, delta, train_norms=None):
     sums = np.empty((eval_u.shape[0], train_phi.shape[1]))
     counts = np.empty(eval_u.shape[0], dtype=np.intp)
     for rows, sq in distance_blocks(train_u, eval_u, train_norms=train_norms):
-        if sq.shape[0] <= SLICE_ROWS:  # every single-row forecast
-            _mask_in_place(sq, delta, counts[rows], 0, sq.shape[0])
-        else:
-            split_rows(sq.shape[0], SLICE_ROWS,
-                       partial(_mask_in_place, sq, delta, counts[rows]))
+        split_rows(sq.shape[0], SLICE_ROWS,
+                   partial(_mask_in_place, sq, delta, counts[rows]))
         # whole-block product: its bits depend on the block's row count
         sums[rows] = sq @ train_phi
         del sq  # freed before the next block is computed

@@ -132,7 +132,7 @@ def test_nnkcde_on_tied_design_matches_full_sort(monkeypatch):
                 fast.h * np.sqrt(2.0 * np.pi)
             )
         want = renormalize_rows(raw, grid)[0]
-        got = fast.density_rows(fast.row_state(u_va), grid).density
+        got = estimator.density_rows(fast, fast.row_state(u_va), grid).density
         assert np.array_equal(got, want)
 
     fallback_rows = []
@@ -179,7 +179,7 @@ def test_nnkcde_tabulation_peaks_at_its_kernel_matrix_and_outputs():
     grid = model.grid()
     tracemalloc.start()
     try:
-        batch = model.density_rows(neighbors, grid)
+        batch = estimator.density_rows(model, neighbors, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -368,11 +368,37 @@ def test_an_empty_comma_list_is_a_usage_error(tmp_path, capsys, fitted_trio):
              "--split": ["fit", "--input", data]}
     argvs.update((flag, ["bench"]) for flag in ("--scenarios", "--sizes",
                                                  "--methods", "--seeds", "--lags"))
+    # a list with an empty entry among its values is as much an error
+    with_a_gap = {"--quantiles": "0.5,,", "--taus": "0.1,,0.5", "--u": "0.1,,0.2",
+                  "--split": "0.7,,0.2,0.1", "--scenarios": "ar,,ar",
+                  "--sizes": "300,,400", "--methods": ",flexcode",
+                  "--seeds": "0, ,1", "--lags": "3,"}
     for flag, argv in argvs.items():
         for value in ("", ","):
             code, _, err = run([*argv, flag, value, "-o", out], capsys)
             assert code == 2, (flag, value)
             assert f"{flag} lists no values" in err
+        code, _, err = run([*argv, flag, with_a_gap[flag], "-o", out], capsys)
+        assert code == 2, flag
+        assert f"{flag} has an empty entry in {with_a_gap[flag]!r}" in err
+    assert not out.exists()
+
+
+def test_an_unreadable_list_entry_names_its_flag(tmp_path, capsys, fitted_trio):
+    data, models = fitted_trio
+    out = tmp_path / "out.csv"
+    for argv, message in [
+            (["predict", "--model", models["flexcode"], "--u", "0.1,x,0.2"],
+             "--u: could not convert string to float: 'x'"),
+            (["predict", "--input", data, "--model", models["flexcode"],
+              "--taus", "0.5,1.5"], "--taus: quantile level 1.5 outside (0, 1)"),
+            (["bench", "--sizes", "300,4e2"],
+             "--sizes: invalid literal for int() with base 10: '4e2'"),
+            (["bench", "--seeds", "0-x"],
+             "--seeds: invalid literal for int() with base 10: 'x'")]:
+        code, _, err = run([*argv, "-o", out], capsys)
+        assert code == 2, argv
+        assert message in err
     assert not out.exists()
 
 
@@ -420,8 +446,8 @@ def test_predict_density_from_covariates(tmp_path, fitted_trio, monkeypatch):
     _, models = fitted_trio
     out = tmp_path / "dens.csv"
     calls = []
-    tabulate = estimator.CoefficientModel.density_rows
-    monkeypatch.setattr(estimator.CoefficientModel, "density_rows",
+    tabulate = estimator.density_rows
+    monkeypatch.setattr(estimator, "density_rows",
                         lambda *args: calls.append(1) or tabulate(*args))
     assert run(["predict", "--model", models["flexcode"], "--u", "0.1,0.2,0.0",
                 "-o", out]) == 0
@@ -432,6 +458,23 @@ def test_predict_density_from_covariates(tmp_path, fitted_trio, monkeypatch):
     dens = np.array([float(r[1]) for r in rows[1:]])
     assert np.all(dens >= 0.0)
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_predict_reads_a_negative_first_covariate_after_an_equals_sign(
+        tmp_path, fitted_trio, capsys):
+    _, models = fitted_trio
+    out, want = tmp_path / "dens.csv", tmp_path / "want.csv"
+    # a separate value led by '-' reads as a flag
+    code, _, err = run(["predict", "--model", models["flexcode"],
+                        "--u", "-0.5,0.1,0.2", "-o", out], capsys)
+    assert code == 2 and "--u: expected one argument" in err
+    assert run(["predict", "--model", models["flexcode"], "--u=-0.5,0.1,0.2",
+                "-o", out]) == 0
+    est = estimator.predict_density(load_model(models["flexcode"])[1],
+                                    np.array([-0.5, 0.1, 0.2]))
+    cli.write_csv(want, ["y", "density", "raw_density"],
+                  list(zip(est.grid_y, est.density, est.raw_density)))
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_predict_quantiles_monotone(tmp_path, fitted_trio):
@@ -715,7 +758,7 @@ def test_row_state_tabulates_like_the_per_grid_calls(tmp_path, fitted_trio):
         grid_y = model.grid()
         fine = np.linspace(grid_y[0], grid_y[-1], 2001)
         for grid in (grid_y, fine):
-            got = model.density_rows(state, grid).density
+            got = estimator.density_rows(model, state, grid).density
             if method == "garch":
                 means, s2 = baselines.garch_filter(model, table.response)
                 want = baselines.garch_density_rows(means[rows], s2[rows], grid)
@@ -734,20 +777,24 @@ def test_every_method_tabulates_one_density_batch(tmp_path, fitted_trio):
         _, _, te = temporal_split(design.n_rows, model.split)
         for rows in (slice(te.start, te.stop), slice(design.n_rows - 1, None)):
             state = model.row_state(design.u[rows], table.response, rows)
-            batch = model.density_rows(state, model.grid())
+            batch = estimator.density_rows(model, state, model.grid())
             density, degenerate = estimator.renormalize_rows(
                 np.maximum(batch.raw_density, 0.0), batch.grid_y)
             assert density.tobytes() == batch.density.tobytes(), method
             assert np.array_equal(degenerate, batch.degenerate), method
-        # predict writes the last row's batch: the density and its raw form
-        out = tmp_path / f"row_{method}.csv"
-        assert run(["predict", "--model", path, "--input", data, "--row", -1,
-                    "-o", out]) == 0
-        written = read_rows(out)
-        assert written[0] == ["y", "density", "raw_density"], method
-        for j, column in enumerate((batch.grid_y, batch.density[0],
-                                    batch.raw_density[0])):
-            assert [float(r[j]) for r in written[1:]] == column.tolist(), method
+        # predict writes the last row's batch, and without --row the forecast
+        # step's: the density and its raw form
+        forecast = estimator.predict_density_batch(model, design.next_u,
+                                                   table.response, None)
+        for flags, want in ((["--row", -1], batch), ([], forecast)):
+            out = tmp_path / f"row_{method}.csv"
+            assert run(["predict", "--model", path, "--input", data, *flags,
+                        "-o", out]) == 0
+            written = read_rows(out)
+            assert written[0] == ["y", "density", "raw_density"], method
+            for j, column in enumerate((want.grid_y, want.density[0],
+                                        want.raw_density[0])):
+                assert [float(r[j]) for r in written[1:]] == column.tolist(), method
 
 
 # usage errors of one method's fit: a NaN penalty, a grid flag it does not read
@@ -757,13 +804,18 @@ FIT_USAGE_ERRORS = {
                  (("--backend", "knn", "--delta", 0.5), "--delta is not a grid"),
                  (("--select-postprocessed",), "unrecognized arguments"),
                  (("--delta", ""), "--delta lists no values"),
+                 (("--delta", "0.1,,0.2"), "--delta has an empty entry"),
+                 (("--backend", "knn", "--k", "5,2.5"),
+                  "--k: invalid literal for int() with base 10: '2.5'"),
                  (("--backend", "knn", "--k", ""), "--k lists no values"),
                  (("--backend", "lasso", "--lam", ","), "--lam lists no values")],
     "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)"),
                (("--k", ""), "--k lists no values"),
-               (("--h", ""), "--h lists no values")],
+               (("--h", ""), "--h lists no values"),
+               (("--k", "5,,7"), "--k has an empty entry")],
     "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)"),
-              (("--h", ""), "--h is not a grid of this fit (its grids: none)")],
+              (("--h", ""), "--h is not a grid of this fit (its grids: none)"),
+              (("--split", "0.7,,0.2,0.1"), "--split has an empty entry")],
 }
 
 

@@ -18,6 +18,7 @@ from flexts.errors import DataError, NumericError
 from flexts.estimator import (
     CoefficientModel,
     FitConfig,
+    density_rows,
     fit,
     importance,
     predict_density,
@@ -82,8 +83,8 @@ def test_every_model_checks_query_rows_alike():
     for model in (manual_model([1.0, 0.2]), small_nnkcde()):
         one_row = model.row_state(np.array([0.3, -0.1]), None, None)
         rows = model.row_state(np.array([[0.3, -0.1]]), None, None)
-        assert np.array_equal(model.density_rows(one_row, model.grid()).density,
-                              model.density_rows(rows, model.grid()).density)
+        assert np.array_equal(density_rows(model, one_row, model.grid()).density,
+                              density_rows(model, rows, model.grid()).density)
         for bad, match in [(np.zeros(3), "2 columns"),
                            (np.zeros((4, 1)), "2 columns"),
                            (np.array([[0.0, np.nan]]), "non-finite")]:
@@ -341,7 +342,7 @@ def test_density_batch_grid_override():
     model = fit(ar_design(n=400))
     u = np.zeros((2, 3))
     fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
-    batch = model.density_rows(model.row_state(u), fine)
+    batch = density_rows(model, model.row_state(u), fine)
     assert batch.grid_y.shape == (2001,)
     assert batch.density.shape == (2, 2001)
     np.testing.assert_allclose(np.trapezoid(batch.density, fine, axis=1), 1.0)
@@ -349,7 +350,7 @@ def test_density_batch_grid_override():
     # the basis is the one the model prepared or tabulated afresh on a copy
     batch = predict_density_batch(model, u)
     for grid_y in (model.grid(), np.array(model.grid())):
-        own = model.density_rows(model.row_state(u), grid_y)
+        own = density_rows(model, model.row_state(u), grid_y)
         assert own.density.tobytes() == batch.density.tobytes()
         assert own.raw_density.tobytes() == batch.raw_density.tobytes()
 
@@ -362,14 +363,14 @@ def test_estimator_helpers_are_one_protocol_call():
                              design.y[400:500], scaler.lo, scaler.hi))
     u, taus = design.u[-15:], np.linspace(0.05, 0.95, 19)
     for model in models:
-        want = model.density_rows(model.row_state(u), model.grid())
+        want = density_rows(model, model.row_state(u), model.grid())
         got = predict_density_batch(model, u)
         for name in ("grid_y", "density", "raw_density", "degenerate"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         q = quantiles_from_grid_density(want.grid_y, want.density, taus)
         assert predict_quantiles(model, u, taus).tobytes() == q.tobytes()
         # one row: the same call on a one-row batch
-        want = model.density_rows(model.row_state(u[:1]), model.grid())
+        want = density_rows(model, model.row_state(u[:1]), model.grid())
         one = predict_density(model, u[0])
         assert one.density.tobytes() == want.density[0].tobytes()
         assert one.raw_density.tobytes() == want.raw_density[0].tobytes()
@@ -545,7 +546,7 @@ def model_states(draw, grid_y):
 @given(data=st.data(), grid_y=response_grids())
 def test_density_rows_are_nonnegative_with_unit_mass(data, grid_y):
     model, state = data.draw(model_states(grid_y))
-    dens = model.density_rows(state, grid_y).density
+    dens = density_rows(model, state, grid_y).density
     assert np.all(dens >= 0.0)
     np.testing.assert_allclose(np.trapezoid(dens, grid_y, axis=1), 1.0, rtol=1e-12)
 

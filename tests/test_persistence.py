@@ -110,7 +110,7 @@ def test_forecasts_reuse_what_the_loaded_model_prepared(tmp_path, monkeypatch):
 
     # another grid is tabulated afresh; a new grid size builds a new model
     fine = np.linspace(model.scaler.lo, model.scaler.hi, 2001)
-    fresh = model.density_rows(model.row_state(rows[:1]), fine)
+    fresh = estimator.density_rows(model, model.row_state(rows[:1]), fine)
     assert len(basis_calls) == 1
     regridded = dataclasses.replace(model, grid_size=2001)
     assert len(basis_calls) == 2
@@ -466,8 +466,7 @@ def fuzzed_densities(method, model):
     """The densities a loaded model gives on FUZZ_SERIES: every design row and
     the forecast one step past its end."""
     if method == "garch":
-        return [model.density_rows(model.row_state(None, FUZZ_SERIES, rows),
-                                   model.grid())
+        return [predict_density_batch(model, None, FUZZ_SERIES, rows)
                 for rows in (slice(None), None)]
     width = len(model.feature_names) if method == "flexcode" else model.train_u.shape[1]
     spec = model.features or FeatureSpec("y", width)

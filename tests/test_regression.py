@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from flexts import baselines, regression
 from flexts.baselines import SQRT_2PI, kernel_means, nnkcde_fit
 from flexts.errors import DataError
-from flexts.estimator import FitConfig, fit
+from flexts.estimator import FitConfig, density_rows, fit
 from flexts.features import SeriesTable, lag_embed
 from flexts.regression import (
     ROW_BLOCK,
@@ -592,6 +592,20 @@ def split_over_threads(ran):
     return threading.get_ident() in ran and len(ran) >= 2
 
 
+@contextlib.contextmanager
+def spied_thread_starts():
+    """A list of every thread started inside the block."""
+    started = []
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    with mock.patch.object(threading.Thread, "start", counted_start):
+        yield started
+
+
 @pytest.mark.parametrize("n_eval", [ROW_BLOCK + 1, 300, 1999])
 def test_nw_grid_has_the_same_bits_on_any_thread_count(n_eval):
     # ROW_BLOCK + 1 query rows end in a one-row block, which is not split
@@ -607,16 +621,19 @@ def test_nw_grid_has_the_same_bits_on_any_thread_count(n_eval):
 
 @pytest.mark.parametrize("d", [3, 20])
 def test_pairwise_sq_dists_has_the_same_bits_on_any_thread_count(d):
-    # up to SLICE_ROWS rows finish on the caller's thread; more are split
+    # up to SLICE_ROWS rows finish on the caller's thread, starting no
+    # thread; more are split
     rng = np.random.default_rng(49)
     b = rng.normal(size=(700, d))
     for n_rows in [1, 31, 33, ROW_BLOCK, ROW_BLOCK + 1]:
         a = rng.normal(size=(n_rows, d))
-        (serial, split), (one, two) = sliced_on_one_and_two_threads(
-            partial(pairwise_sq_dists, a, b))
+        with spied_thread_starts() as started:
+            (serial, split), (one, two) = sliced_on_one_and_two_threads(
+                partial(pairwise_sq_dists, a, b))
         assert serial.tobytes() == split.tobytes(), n_rows
         assert one <= {threading.get_ident()}, n_rows
         assert split_over_threads(two) == (n_rows > SLICE_ROWS), n_rows
+        assert (started == []) == (n_rows <= SLICE_ROWS), n_rows
 
 
 @pytest.mark.parametrize("design", ["tree", "blocked", "tied"])
@@ -645,7 +662,7 @@ def test_nnkcde_fit_has_the_same_bits_on_any_thread_count():
     def fit_and_tabulate():
         model = nnkcde_fit(u[:2000], y[:2000], u[2000:], y[2000:],
                            lo=y.min(), hi=y.max(), grid_size=201)
-        return model, model.density_rows(model.row_state(u[2000:]), model.grid())
+        return model, density_rows(model, model.row_state(u[2000:]), model.grid())
 
     ((serial, serial_rows), (split, split_rows)), (_, runners) = (
         on_one_and_two_threads(fit_and_tabulate))
@@ -717,14 +734,16 @@ def test_kernel_means_has_the_same_bits_on_any_thread_count():
 def test_distances_are_computed_on_the_callers_thread():
     # perfbench's tracer keeps one span stack, for the caller's thread; each
     # call's finishing pass runs on the row threads once it has two slices
-    calls = []  # (calling thread, query rows, ROW_THREADS, finishing threads)
+    # (calling thread, query rows, ROW_THREADS, finishing threads, threads started)
+    calls = []
 
     def spied_dists(a, b, b_norms=None):
         finishers = set()
-        with mock.patch.object(regression, "split_rows", checked_split(finishers)):
+        with mock.patch.object(regression, "split_rows", checked_split(finishers)), \
+                spied_thread_starts() as started:
             sq = pairwise_sq_dists(a, b, b_norms)
         calls.append((threading.get_ident(), len(a), regression.ROW_THREADS,
-                      finishers))
+                      finishers, started))
         return sq
 
     y = generate("arma_jump", 4000, seed=5)  # 399 validation rows: 2 blocks
@@ -738,11 +757,12 @@ def test_distances_are_computed_on_the_callers_thread():
         on_one_and_two_threads(
             lambda: nw_model.backend.predict(nw_model.backend.train_u[:1]))
     assert split_over_threads(runners)  # the knn blocks were split
-    assert len(calls) > 4 and {n_rows for _, n_rows, _, _ in calls} >= {1, 399 - 256}
-    for caller, n_rows, threads, finishers in calls:
+    assert len(calls) > 4 and {call[1] for call in calls} >= {1, 399 - 256}
+    for caller, n_rows, threads, finishers, started in calls:
         assert caller == threading.get_ident()
         if n_rows <= SLICE_ROWS:
-            assert not finishers  # finished inline, without split_rows
+            # finished inline, starting no thread
+            assert finishers == {caller} and started == []
         elif threads == 1:
             assert finishers == {caller}
         else:
@@ -821,17 +841,13 @@ def test_a_forked_child_splits_blocks_on_threads_of_its_own():
 @given(n_rows=st.integers(0, 2000), step=st.integers(1, 600),
        threads=st.integers(1, 4))
 @example(n_rows=0, step=1, threads=2)
+@example(n_rows=0, step=32, threads=2)  # no slice: no call, no thread
+@example(n_rows=1, step=32, threads=2)  # one slice: the caller's thread alone
 def test_split_rows_hands_contiguous_runs_of_slices_to_its_threads(n_rows, step,
                                                                     threads):
-    calls, started = [], []  # (thread, lo, hi) per work call; threads started
-    real_start = threading.Thread.start
-
-    def counted_start(thread):
-        started.append(thread)
-        real_start(thread)
-
+    calls = []  # (thread, lo, hi) per work call
     with mock.patch.object(regression, "ROW_THREADS", threads), \
-            mock.patch.object(threading.Thread, "start", counted_start):
+            spied_thread_starts() as started:
         split_rows(n_rows, step, lambda lo, hi: calls.append(
             (threading.current_thread(), lo, hi)))
     slices = [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
