@@ -730,7 +730,7 @@ def build_parser():
     query = p_pred.add_mutually_exclusive_group(required=True)
     query.add_argument("--u", help="comma list of covariate values; write "
                        "--u=-0.5,0.1 when the first is negative, since a "
-                       "separate value led by '-' reads as a flag")
+                       "separate value led by '-' can read as a flag")
     query.add_argument("--input", help="CSV series for one-step-ahead forecasting")
     p_pred.add_argument("--row", type=int, default=None)
     p_pred.add_argument("--taus", help="comma list of quantile levels")

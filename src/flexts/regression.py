@@ -71,9 +71,8 @@ slice's 0/1 mask over its distances in place, then multiplies the whole
 block by train_phi on the caller's thread: that product, like the
 distance product, rounds by the block's row count, so it stays one call
 per block. ``split_rows`` alone decides the case of one slice, or none:
-it runs that slice on the caller's thread without building runs or
-starting a thread, so a block of at most SLICE_ROWS rows (every
-single-row forecast) finishes inline.
+its caller's thread runs the first run of slices, so a block of at most
+SLICE_ROWS rows (every single-row forecast) starts no thread.
 
 A fitted nw or knn model (the NNKCDE baseline likewise) is frozen and,
 when a fit or a model-file load builds it, checks its training arrays and
@@ -188,18 +187,14 @@ def distance_blocks(train_u, eval_u, skip=None, train_norms=None):
 def split_rows(n_rows, step, work):
     """work(lo, hi) on slices of ``step`` rows covering n_rows rows.
 
-    One slice, or none, runs here on the caller's thread, with no runs
-    built and no thread started. Otherwise contiguous runs of slices, at
-    most ROW_THREADS of them, go to threads started for this call and
-    joined before it returns; the caller's thread runs the first. ``work``
-    must write only to its own rows and each row's result must depend on
-    that row alone: then the results are the same bits for any ROW_THREADS
-    and any step. An exception in any run is raised here once all are done.
+    Contiguous runs of slices, at most ROW_THREADS of them, go to threads
+    started for this call and joined before it returns; the caller's
+    thread runs the first run, so one slice starts no thread and zero rows
+    run nothing. ``work`` must write only to its own rows and each row's
+    result must depend on that row alone: then the results are the same
+    bits for any ROW_THREADS and any step. An exception in any run is
+    raised here once all are done.
     """
-    if n_rows <= step:
-        if n_rows > 0:
-            work(0, n_rows)
-        return
     starts = range(0, n_rows, step)
     per_run = max(1, -(-len(starts) // ROW_THREADS))
     runs = [starts[i : i + per_run] for i in range(0, len(starts), per_run)]
@@ -215,7 +210,8 @@ def split_rows(n_rows, step, work):
     threads = [threading.Thread(target=run, args=(firsts,)) for firsts in runs[1:]]
     for thread in threads:
         thread.start()
-    run(runs[0])
+    if runs:
+        run(runs[0])
     for thread in threads:
         thread.join()
     if errors:

@@ -464,10 +464,6 @@ def test_predict_reads_a_negative_first_covariate_after_an_equals_sign(
         tmp_path, fitted_trio, capsys):
     _, models = fitted_trio
     out, want = tmp_path / "dens.csv", tmp_path / "want.csv"
-    # a separate value led by '-' reads as a flag
-    code, _, err = run(["predict", "--model", models["flexcode"],
-                        "--u", "-0.5,0.1,0.2", "-o", out], capsys)
-    assert code == 2 and "--u: expected one argument" in err
     assert run(["predict", "--model", models["flexcode"], "--u=-0.5,0.1,0.2",
                 "-o", out]) == 0
     est = estimator.predict_density(load_model(models["flexcode"])[1],
