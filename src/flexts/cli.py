@@ -149,6 +149,14 @@ def _level(text):
     return float(estimator.check_taus(float(text))[0])
 
 
+def _distinct(name, values):
+    """``values``, or a usage error naming ``name`` and a value it repeats."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} repeats {value!r}")
+    return values
+
+
 def _int_range(text):
     """An integer, or an ascending range like 0-9, as a range of integers."""
     ends = text.split("-", 1) if "-" in text[1:] else (text, text)
@@ -356,8 +364,8 @@ DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 
 def cmd_evaluate(args):
-    taus = (list(DEFAULT_TAUS) if args.quantiles is None
-            else _listed("--quantiles", args.quantiles, _level))
+    taus = (list(DEFAULT_TAUS) if args.quantiles is None else
+            _distinct("--quantiles", _listed("--quantiles", args.quantiles, _level)))
     header = ["model", "method", "n_test", "n_outside_grid", "cde_loss",
               "cde_loss_se"]
     if args.oracle_scenario:
@@ -411,7 +419,8 @@ def _resolve_row(design, row):
 
 def cmd_predict(args):
     _, model, _ = persistence.load_model(args.model)
-    taus = None if args.taus is None else _listed("--taus", args.taus, _level)
+    taus = (None if args.taus is None
+            else _distinct("--taus", _listed("--taus", args.taus, _level)))
     if args.row is not None and args.input is None:
         raise ValueError("--row selects a row of --input, which is not given")
 
@@ -494,6 +503,8 @@ class BenchConfig:
     the rules of what reads them, so a bad value fails before any cell
     runs: each size, seed, the burn-in and sigma_nm as a ScenarioSpec,
     each lag count as a FeatureSpec, i_max and grid_size as a FitConfig.
+    Each of the lists a cell is drawn from holds at least one value, none
+    repeated, so no cell runs twice.
     """
 
     scenarios: list[str] = field(default_factory=lambda: ["ar"])
@@ -513,6 +524,9 @@ class BenchConfig:
     output: str = "bench_results.csv"
 
     def __post_init__(self):
+        for name in ("scenarios", "sizes", "methods", "seeds", "lags"):
+            if not _distinct(repr(name), getattr(self, name)):
+                raise ValueError(f"{name!r} holds no values")
         SplitSpec.from_list(self.split)
         # burn_in and sigma_nm, then each size and seed, by a cell's series rules
         spec = scenarios.ScenarioSpec("ar", 100, 0, self.burn_in, self.sigma_nm)

@@ -14,6 +14,9 @@ Backends:
   lower training index.
 * LASSO via cyclic coordinate descent on standardized covariates with
   an unpenalized intercept, objective (1/2n)||y - Xb||^2 + lam*||b||_1.
+  ``lasso_path`` standardizes, centres the targets and forms X'X/n and
+  X'(y - ybar)/n once for all its penalties, warm-starting each from the
+  last; ``lasso_fit`` is a path of one penalty.
 
 ``BACKENDS`` = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso":
 LassoModel} is the one table of backends. Each class states its
@@ -434,13 +437,13 @@ def _local_means(sums, counts, train_phi):
     return CoefficientPredictions(b_hat=sums, n_fallback=n_fallback)
 
 
-def default_delta_grid(train_u, n_candidates=8):
+def default_delta_grid(train_u):
     """Radii bracketing a dimension-aware reference bandwidth.
 
     The center is the median pairwise distance shrunk by T^(-1/(2+d)),
     the rate at which the smoothing radius should contract for Lipschitz
-    conditional densities in d effective dimensions. The grid spans a
-    factor of four each way on a log scale.
+    conditional densities in d effective dimensions. The grid is 8 radii
+    spanning a factor of four each way on a log scale.
     """
     train_u = np.asarray(train_u, dtype=float)
     n, d = train_u.shape
@@ -456,7 +459,7 @@ def default_delta_grid(train_u, n_candidates=8):
     if median == 0.0:
         raise DataError("covariates are degenerate; pairwise distances all zero")
     center = median * n ** (-1.0 / (2.0 + d))
-    return np.geomspace(center / 4.0, center * 4.0, n_candidates)
+    return np.geomspace(center / 4.0, center * 4.0, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -769,13 +772,22 @@ class LassoModel:
         return lasso_path(train_u, train_phi, hypers)[-1]
 
 
-def _standardize(train_u):
+def _lasso_moments(train_u, train_phi):
+    """What a lasso fit computes before its penalty: once per path.
+
+    Standardizes the covariates by their column means and population
+    standard deviations (a constant column keeps scale 1), centres the
+    targets, and returns (mu, scale, ybar, gram, cov) with gram = X'X/n
+    and cov = X'(y - ybar)/n on the standardized X.
+    """
+    n = train_u.shape[0]
     mu = train_u.mean(axis=0)
     scale = train_u.std(axis=0)
-    constant = scale == 0.0
-    scale = np.where(constant, 1.0, scale)
+    scale[scale == 0.0] = 1.0
     x = (train_u - mu) / scale
-    return x, mu, scale
+    ybar = train_phi.mean(axis=0)
+    cov = (x.T @ (train_phi - ybar)) / n
+    return mu, scale, ybar, (x.T @ x) / n, cov
 
 
 def _cd_solve(gram, cov, lam, beta0, max_iter, tol):
@@ -819,69 +831,61 @@ def check_penalty(lam):
     return lam
 
 
-def lasso_fit(
-    train_u, train_phi, lam, max_iter=10000, tol=1e-7, warm_start=None
-):
+def lasso_fit(train_u, train_phi, lam, max_iter=10000, tol=1e-7):
     """Fit one LASSO model per target column at a shared penalty.
 
-    The objective for each column is (1/2n)||yc - Xb||^2 + lam*||b||_1
+    It is ``lasso_path`` at the one penalty ``lam``. The objective for each column is (1/2n)||yc - Xb||^2 + lam*||b||_1
     with X standardized (population std) and yc centered; the intercept
     absorbs the target mean and is never penalized. Constant covariate
     columns get zero coefficients. Non-convergence in ``max_iter``
     cycles is a warning, not an error.
     """
+    return lasso_path(train_u, train_phi, [lam], max_iter, tol)[0]
+
+
+def lasso_path(train_u, train_phi, lams, max_iter=10000, tol=1e-7):
+    """Fit ``lasso_fit``'s model at each of a non-increasing list of penalties.
+
+    The standardization, the target means, X'X/n and X'(y - ybar)/n do not
+    depend on the penalty, so they are computed once; each penalty's
+    coordinate descent starts from the previous penalty's solution.
+    """
     train_u, train_phi = check_training(train_u, train_phi)
-    lam = check_penalty(lam)
-    n, d = train_u.shape
-    x, mu, scale = _standardize(train_u)
-    ybar = train_phi.mean(axis=0)
-    yc = train_phi - ybar
-    gram = (x.T @ x) / n
-    cov = (x.T @ yc) / n
-    beta0 = np.zeros_like(cov) if warm_start is None else warm_start
-    beta, converged, n_iter = _cd_solve(gram, cov, lam, beta0, max_iter, tol)
-    if not converged.all():
-        warnings.warn(
-            f"lasso did not converge for {int((~converged).sum())} target "
-            f"column(s) in {max_iter} cycles at lam={lam:g}",
-            RuntimeWarning,
-        )
-    coef = beta / scale[:, None]
-    intercept = ybar - mu @ coef
-    return LassoModel(intercept=intercept, coef=coef, coef_std=beta, lam=lam,
-                      feature_mean=mu, feature_scale=scale, converged=converged,
-                      n_iter=n_iter)
-
-
-def lasso_path(train_u, train_phi, lams):
-    """Fit a decreasing penalty path with warm starts, at lasso_fit's defaults."""
-    lams = list(lams)
-    if any(lams[i] < lams[i + 1] for i in range(len(lams) - 1)):
+    lams = [check_penalty(lam) for lam in lams]
+    if any(a < b for a, b in zip(lams, lams[1:])):
         raise ValueError("penalty path must be non-increasing")
+    mu, scale, ybar, gram, cov = _lasso_moments(train_u, train_phi)
+    beta = np.zeros_like(cov)
     models = []
-    warm = None
     for lam in lams:
-        model = lasso_fit(train_u, train_phi, lam, warm_start=warm)
-        warm = model.coef_std
-        models.append(model)
+        beta, converged, n_iter = _cd_solve(gram, cov, lam, beta, max_iter, tol)
+        if not converged.all():
+            warnings.warn(
+                f"lasso did not converge for {int((~converged).sum())} target "
+                f"column(s) in {max_iter} cycles at lam={lam:g}",
+                RuntimeWarning,
+            )
+        coef = beta / scale[:, None]
+        models.append(LassoModel(
+            intercept=ybar - mu @ coef, coef=coef, coef_std=beta, lam=lam,
+            feature_mean=mu, feature_scale=scale, converged=converged,
+            n_iter=n_iter))
     return models
 
 
-def default_lambda_grid(train_u, train_phi, n_candidates=10, ratio=1e-4):
+def default_lambda_grid(train_u, train_phi, n_candidates=10):
     """Log-spaced penalties from the smallest lam that zeroes every slope.
 
     lam_max = max_j,c |x_j' (y_c - mean(y_c))| / n on standardized
     covariates; at that value the zero vector is stationary for every
-    target, so the path starts fully sparse and relaxes.
+    target, so the path starts fully sparse and relaxes, down to
+    lam_max * 1e-4 at the last of ``n_candidates`` penalties.
     """
     train_u, train_phi = check_training(train_u, train_phi)
-    n = train_u.shape[0]
-    x, _, _ = _standardize(train_u)
-    yc = train_phi - train_phi.mean(axis=0)
-    lam_max = float(np.abs(x.T @ yc).max() / n)
+    lam_max = float(np.abs(_lasso_moments(train_u, train_phi)[-1]).max())
     if lam_max <= 0.0 or not np.isfinite(lam_max):
         raise DataError("all targets are constant; penalty grid is undefined")
-    return np.geomspace(lam_max, lam_max * ratio, n_candidates)
+    return np.geomspace(lam_max, lam_max * 1e-4, n_candidates)
 
 
 # the backend table: each kind's model class, which states the rest

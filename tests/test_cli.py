@@ -402,6 +402,22 @@ def test_an_unreadable_list_entry_names_its_flag(tmp_path, capsys, fitted_trio):
     assert not out.exists()
 
 
+def test_a_repeated_quantile_level_is_a_usage_error(tmp_path, capsys, fitted_trio):
+    # a repeat would write two pinball_0.5 columns, or the 0.5 row twice
+    data, models = fitted_trio
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    for argv, message in [
+            (["evaluate", "--input", data, "--model", models["flexcode"],
+              "--quantiles", "0.5,0.9,0.50"], "--quantiles repeats 0.5"),
+            (["predict", "--input", data, "--model", models["nnkcde"],
+              "--taus", "0.1,0.1"], "--taus repeats 0.1")]:
+        code, stdout, err = run([*argv, "-o", out], capsys)
+        assert (code, stdout) == (2, ""), argv
+        assert message in err
+    assert not out.exists()
+
+
 def test_an_unwritable_output_is_a_data_error(tmp_path, capsys):
     data = simulate(tmp_path, n=300)
     out = tmp_path / "missing" / "x.json"
@@ -888,6 +904,28 @@ def test_bench_rejects_descending_ranges(tmp_path, capsys):
         code, _, err = run(["bench", flag, "5-3", "-o", out], capsys)
         assert code == 2, flag
         assert "descending range '5-3'" in err
+    assert not out.exists()
+
+
+def test_bench_lists_hold_values_none_repeated(tmp_path, capsys):
+    # flags (after their ranges expand) and config files follow one rule
+    out = tmp_path / "bench.csv"
+    flag_cases = [(["--scenarios", "ar,ar"], "'scenarios' repeats 'ar'"),
+                  (["--sizes", "300,300"], "'sizes' repeats 300"),
+                  (["--methods", "garch,flexcode,garch"], "'methods' repeats 'garch'"),
+                  (["--seeds", "0-1,1"], "'seeds' repeats 1"),
+                  (["--lags", "1-3,2-4"], "'lags' repeats 2")]
+    config_cases = [({key: []}, f"'{key}' holds no values")
+                    for key in ("scenarios", "sizes", "methods", "seeds", "lags")]
+    config_cases.append(({"sizes": [300.0, 300]}, "'sizes' repeats 300"))
+    for i, (doc, message) in enumerate(config_cases):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps(doc))
+        flag_cases.append((["--config", cfg], message))
+    for argv, message in flag_cases:
+        code, stdout, err = run(["bench", *argv, "-o", out], capsys)
+        assert (code, stdout) == (2, ""), argv  # no cell ran
+        assert message in err
     assert not out.exists()
 
 

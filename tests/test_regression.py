@@ -1004,6 +1004,61 @@ def test_lasso_path_matches_cold_fits():
         lasso_path(train_u, train_phi, lams[::-1])
 
 
+def per_penalty_path(train_u, train_phi, lams, max_iter):
+    """The path as one fit per penalty: each standardizes, centres and forms
+    its Gram and cross-moments anew, warm-started from the last coef_std."""
+    n = len(train_u)
+    warm, fits = None, []
+    for lam in lams:
+        mu = train_u.mean(axis=0)
+        scale = train_u.std(axis=0)
+        scale = np.where(scale == 0.0, 1.0, scale)
+        x = (train_u - mu) / scale
+        ybar = train_phi.mean(axis=0)
+        yc = train_phi - ybar
+        gram = (x.T @ x) / n
+        cov = (x.T @ yc) / n
+        beta0 = np.zeros_like(cov) if warm is None else warm
+        beta, converged, n_iter = regression._cd_solve(gram, cov, lam, beta0,
+                                                       max_iter, 1e-7)
+        coef = beta / scale[:, None]
+        fits.append({"intercept": ybar - mu @ coef, "coef": coef, "coef_std": beta,
+                     "feature_mean": mu, "feature_scale": scale,
+                     "converged": converged, "n_iter": n_iter})
+        warm = beta
+    return fits, float(np.abs(x.T @ yc).max() / n)
+
+
+@pytest.mark.filterwarnings("ignore:lasso did not converge")
+@settings(max_examples=40, deadline=None)
+@example(seed=0, n=40, d=3, n_targets=2, constant=1, fractions=[1.0, 0.1, 0.0])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), d=st.integers(1, 4),
+       n_targets=st.integers(1, 3), constant=st.integers(-1, 3),
+       fractions=st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.01, 0.0])
+                          | st.floats(0.0, 2.0), min_size=1, max_size=5))
+def test_lasso_path_is_the_per_penalty_fits_bit_for_bit(seed, n, d, n_targets,
+                                                        constant, fractions):
+    rng = np.random.default_rng(seed)
+    train_u = rng.normal(size=(n, d))
+    if 0 <= constant < d:
+        train_u[:, constant] = 3.0  # a constant column, or (-1) none
+    train_phi = rng.normal(size=(n, n_targets))
+    _, lam_max = per_penalty_path(train_u, train_phi, [0.0], 1)
+    lams = sorted((f * (lam_max or 1.0) for f in fractions), reverse=True)
+    expected, _ = per_penalty_path(train_u, train_phi, lams, 200)
+    path = lasso_path(train_u, train_phi, lams, max_iter=200)
+    assert [m.lam for m in path] == lams
+    for model, want in zip(path, expected, strict=True):
+        for name, value in want.items():
+            assert getattr(model, name).tobytes() == value.tobytes(), name
+    if lam_max > 0:
+        grid = default_lambda_grid(train_u, train_phi)
+        assert (grid[0], grid[-1]) == (lam_max, lam_max * 1e-4)
+    else:
+        with pytest.raises(DataError):
+            default_lambda_grid(train_u, train_phi)
+
+
 def test_lasso_constant_column_gets_zero_coefficient():
     train_u, train_phi, eval_u = random_problem(21)
     train_u[:, 1] = 42.0
