@@ -44,7 +44,7 @@ from flexts.features import (
     lag_embed,
     temporal_split,
 )
-from flexts.regression import BACKEND_KINDS, BACKENDS, HYPER_NAMES
+from flexts.regression import BACKENDS
 
 PROG = "flexts"
 
@@ -253,9 +253,9 @@ def _fit(method, table, design, split, pad, grid_size, grids=None, **config):
     tr, va, _ = temporal_split(design.n_rows, split)
     if method == "flexcode":
         config = estimator.FitConfig(pad=pad, grid_size=grid_size, **config)
-        config = replace(config, hyper_grid=grids.get(HYPER_NAMES[config.backend]))
+        hyper_name = BACKENDS[config.backend].hyper_name
+        config = replace(config, hyper_grid=grids.get(hyper_name))
         model = estimator.fit(design, split, config)
-        hyper_name = model.backend.hyper_name
         hyper = getattr(model.backend, hyper_name)
         report = [
             f"method: flexcode backend={model.backend_kind}",
@@ -304,7 +304,7 @@ def _fit(method, table, design, split, pad, grid_size, grids=None, **config):
 def _grid_types(method, backend):
     """The grid flags a fit reads: {the model field each names: its type}."""
     if method == "flexcode":
-        model_cls, names = BACKENDS[backend], {HYPER_NAMES[backend]}
+        model_cls, names = BACKENDS[backend], {BACKENDS[backend].hyper_name}
     elif method == "nnkcde":
         model_cls, names = baselines.NnkcdeModel, {"k", "h"}
     else:  # garch tunes no grid
@@ -364,6 +364,7 @@ DEFAULT_TAUS = [i / 100 for i in range(5, 100, 5)]
 
 
 def cmd_evaluate(args):
+    _distinct("--model", args.model)
     taus = (list(DEFAULT_TAUS) if args.quantiles is None else
             _distinct("--quantiles", _listed("--quantiles", args.quantiles, _level)))
     header = ["model", "method", "n_test", "n_outside_grid", "cde_loss",
@@ -542,7 +543,7 @@ class BenchConfig:
         for name, values, known in [
             ("scenarios", self.scenarios, scenarios.SCENARIO_NAMES),
             ("methods", self.methods, tuple(persistence.METHODS)),
-            ("backend", [self.backend], BACKEND_KINDS),
+            ("backend", [self.backend], tuple(BACKENDS)),
             ("basis", [self.basis], BASIS_KINDS),
         ]:
             for value in values:
@@ -718,7 +719,7 @@ def build_parser():
     # flexcode flags, None when absent so that a baseline fit can reject them
     p_fit.add_argument("--basis", choices=BASIS_KINDS)
     p_fit.add_argument("--i-max", type=int)
-    p_fit.add_argument("--backend", choices=BACKEND_KINDS)
+    p_fit.add_argument("--backend", choices=BACKENDS)
     p_fit.add_argument("--refit-final", action="store_true", default=None)
     p_fit.add_argument("--delta", help="comma list of nw radii")
     p_fit.add_argument("--k", help="comma list of neighbor counts")
@@ -766,7 +767,7 @@ def build_parser():
     p_bench.add_argument("--methods")
     p_bench.add_argument("--seeds", help="comma list, ranges like 1-10 allowed")
     p_bench.add_argument("--lags")
-    p_bench.add_argument("--backend", choices=BACKEND_KINDS)
+    p_bench.add_argument("--backend", choices=BACKENDS)
     p_bench.add_argument("-o", "--output")
     p_bench.set_defaults(func=cmd_bench)
 

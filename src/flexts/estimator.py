@@ -246,8 +246,7 @@ def fit(design, split=SplitSpec(), config=FitConfig()):
     z_va = scaler.transform(y_va)
 
     backend_cls = BACKENDS[config.backend]
-    hypers = backend_cls.candidates(config.hyper_grid, u_tr, phi_tr)
-    preds, swept = backend_cls.sweep(u_tr, phi_tr, u_va, hypers)
+    hypers, preds, swept = backend_cls.sweep(u_tr, phi_tr, u_va, config.hyper_grid)
 
     # (candidates x cutoffs) tables of validation losses and their SEs
     losses, ses = cde_loss_curve([pred.b_hat for pred in preds], z_va, config.basis)

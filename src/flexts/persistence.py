@@ -23,9 +23,7 @@ n responses determine. A flexcode file therefore stores those responses
 validation rows') in place of the matrix, and ``decode`` rebuilds the
 matrix with ``basis_matrix`` before the backend is built; ``basis_matrix``
 checks ``i_max`` against its ceiling first, so an oversized file fails
-before it allocates. The
-forecast-nw-n20k benchmark's model (n_train 14,000, i_max 15) takes
-1.16 MB in this format against 5.08 MB in version 2. Rebuilt rows equal
+before it allocates. Rebuilt rows equal
 the fitted ones bit for bit because ``basis_matrix`` computes each row on
 its own, the way the fit did, so a loaded model reproduces the saved
 model's predictions bit for bit on the numpy build that saved it; on

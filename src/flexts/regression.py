@@ -15,16 +15,18 @@ Backends:
 * LASSO via cyclic coordinate descent on standardized covariates with
   an unpenalized intercept, objective (1/2n)||y - Xb||^2 + lam*||b||_1.
   ``lasso_path`` standardizes, centres the targets and forms X'X/n and
-  X'(y - ybar)/n once for all its penalties, warm-starting each from the
+  X'(y - ybar)/n once for all its penalties, reads its default penalties
+  from the same X'(y - ybar)/n, and warm-starts each penalty from the
   last; ``lasso_fit`` is a path of one penalty.
 
 ``BACKENDS`` = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso":
 LassoModel} is the one table of backends. Each class states its
 ``hyper_name`` (the field holding its hyperparameter), whether it
 ``scores_from_coefficients`` (else importance is by permutation), its
-``candidates`` (the default grid, or a given one cleaned), its validation
-``sweep`` over them, which returns (predictions, the candidates' models if
-it fitted them, else None), and how it ``build``s the winner on the fit rows.
+validation ``sweep(train_u, train_phi, eval_u, hyper_grid=None)``, which
+picks its candidates (its default grid, or the given one cleaned) and
+returns (candidates, predictions, the candidates' models if it fitted
+them, else None), and how it ``build``s the winner on the fit rows.
 
 nw reads distances through one pass over ROW_BLOCK query rows at a time
 (``distance_blocks``), whose scratch is ROW_BLOCK * n_train values, so
@@ -318,15 +320,11 @@ class NadarayaWatsonModel:
                           self.train_norms)
 
     @staticmethod
-    def candidates(hyper_grid, train_u, train_phi):
+    def sweep(train_u, train_phi, eval_u, hyper_grid=None):
         """default_delta_grid, or the given radii as floats in their order."""
-        if hyper_grid is None:
-            return list(default_delta_grid(train_u))
-        return [float(h) for h in hyper_grid]
-
-    @staticmethod
-    def sweep(train_u, train_phi, eval_u, hypers):
-        return nw_predict_grid(train_u, train_phi, eval_u, hypers), None
+        hypers = (list(default_delta_grid(train_u)) if hyper_grid is None
+                  else [float(h) for h in hyper_grid])
+        return hypers, nw_predict_grid(train_u, train_phi, eval_u, hypers), None
 
     @classmethod
     def build(cls, train_u, train_phi, hypers):
@@ -489,12 +487,9 @@ class KnnModel:
                                 self.train_norms)[0]
 
     @staticmethod
-    def candidates(hyper_grid, train_u, train_phi):
-        return k_candidates(hyper_grid, train_u.shape[0])
-
-    @staticmethod
-    def sweep(train_u, train_phi, eval_u, hypers):
-        return knn_predict_grid(train_u, train_phi, eval_u, hypers), None
+    def sweep(train_u, train_phi, eval_u, hyper_grid=None):
+        hypers = k_candidates(hyper_grid, train_u.shape[0])
+        return hypers, knn_predict_grid(train_u, train_phi, eval_u, hypers), None
 
     @classmethod
     def build(cls, train_u, train_phi, hypers):
@@ -755,16 +750,12 @@ class LassoModel:
         return CoefficientPredictions(b_hat=eval_u @ self.coef + self.intercept)
 
     @staticmethod
-    def candidates(hyper_grid, train_u, train_phi):
-        """default_lambda_grid, or the given penalties sorted descending."""
-        if hyper_grid is None:
-            return list(default_lambda_grid(train_u, train_phi))
-        return sorted((check_penalty(lam) for lam in hyper_grid), reverse=True)
-
-    @staticmethod
-    def sweep(train_u, train_phi, eval_u, hypers):
-        models = lasso_path(train_u, train_phi, hypers)
-        return [m.predict(eval_u) for m in models], models
+    def sweep(train_u, train_phi, eval_u, hyper_grid=None):
+        """default_lambda_grid's path, or the given penalties sorted descending."""
+        lams = (None if hyper_grid is None else
+                sorted((check_penalty(lam) for lam in hyper_grid), reverse=True))
+        models = lasso_path(train_u, train_phi, lams)
+        return [m.lam for m in models], [m.predict(eval_u) for m in models], models
 
     @staticmethod
     def build(train_u, train_phi, hypers):
@@ -843,18 +834,20 @@ def lasso_fit(train_u, train_phi, lam, max_iter=10000, tol=1e-7):
     return lasso_path(train_u, train_phi, [lam], max_iter, tol)[0]
 
 
-def lasso_path(train_u, train_phi, lams, max_iter=10000, tol=1e-7):
+def lasso_path(train_u, train_phi, lams=None, max_iter=10000, tol=1e-7):
     """Fit ``lasso_fit``'s model at each of a non-increasing list of penalties.
 
     The standardization, the target means, X'X/n and X'(y - ybar)/n do not
     depend on the penalty, so they are computed once; each penalty's
     coordinate descent starts from the previous penalty's solution.
+    ``lams=None`` takes ``default_lambda_grid``'s penalties, read from the
+    path's own X'(y - ybar)/n.
     """
     train_u, train_phi = check_training(train_u, train_phi)
-    lams = [check_penalty(lam) for lam in lams]
+    mu, scale, ybar, gram, cov = _lasso_moments(train_u, train_phi)
+    lams = [check_penalty(lam) for lam in (_lambda_grid(cov) if lams is None else lams)]
     if any(a < b for a, b in zip(lams, lams[1:])):
         raise ValueError("penalty path must be non-increasing")
-    mu, scale, ybar, gram, cov = _lasso_moments(train_u, train_phi)
     beta = np.zeros_like(cov)
     models = []
     for lam in lams:
@@ -882,7 +875,12 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10):
     lam_max * 1e-4 at the last of ``n_candidates`` penalties.
     """
     train_u, train_phi = check_training(train_u, train_phi)
-    lam_max = float(np.abs(_lasso_moments(train_u, train_phi)[-1]).max())
+    return _lambda_grid(_lasso_moments(train_u, train_phi)[-1], n_candidates)
+
+
+def _lambda_grid(cov, n_candidates=10):
+    """default_lambda_grid's penalties from X'(y - ybar)/n on standardized X."""
+    lam_max = float(np.abs(cov).max())
     if lam_max <= 0.0 or not np.isfinite(lam_max):
         raise DataError("all targets are constant; penalty grid is undefined")
     return np.geomspace(lam_max, lam_max * 1e-4, n_candidates)
@@ -890,5 +888,3 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10):
 
 # the backend table: each kind's model class, which states the rest
 BACKENDS = {"nw": NadarayaWatsonModel, "knn": KnnModel, "lasso": LassoModel}
-BACKEND_KINDS = tuple(BACKENDS)
-HYPER_NAMES = {kind: cls.hyper_name for kind, cls in BACKENDS.items()}

@@ -418,6 +418,23 @@ def test_a_repeated_quantile_level_is_a_usage_error(tmp_path, capsys, fitted_tri
     assert not out.exists()
 
 
+def test_a_repeated_model_is_a_usage_error_before_any_load(tmp_path, capsys,
+                                                           monkeypatch):
+    # a repeat would write the same model's row twice
+    data = simulate(tmp_path, n=300)
+    model = str(fit(tmp_path, data))
+    capsys.readouterr()
+    loads, load_model = [], cli.persistence.load_model
+    monkeypatch.setattr(cli.persistence, "load_model",
+                        lambda path: loads.append(path) or load_model(path))
+    out = tmp_path / "eval.csv"
+    code, stdout, err = run(["evaluate", "--input", data, "--model", model,
+                             "--model", model, "-o", out], capsys)
+    assert (code, stdout, loads) == (2, "", [])
+    assert f"--model repeats {model!r}" in err
+    assert not out.exists()
+
+
 def test_an_unwritable_output_is_a_data_error(tmp_path, capsys):
     data = simulate(tmp_path, n=300)
     out = tmp_path / "missing" / "x.json"

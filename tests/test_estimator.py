@@ -221,12 +221,12 @@ def spy_on_sweep(monkeypatch, backend, edit=lambda c, b_hat: b_hat):
     cls, seen = BACKENDS[backend], []
     sweep = cls.sweep
 
-    def spy(train_u, train_phi, eval_u, hypers):
-        preds, swept = sweep(train_u, train_phi, eval_u, hypers)
+    def spy(train_u, train_phi, eval_u, hyper_grid=None):
+        hypers, preds, swept = sweep(train_u, train_phi, eval_u, hyper_grid)
         preds = [CoefficientPredictions(edit(c, p.b_hat.copy()), p.n_fallback)
                  for c, p in enumerate(preds)]
         seen.append((list(hypers), preds))
-        return preds, swept
+        return hypers, preds, swept
 
     monkeypatch.setattr(cls, "sweep", staticmethod(spy))
     return seen
@@ -275,6 +275,24 @@ def test_fit_picks_the_brute_force_minimum(monkeypatch, backend, tie):
                                rtol=0, atol=1e-12)
     if tie:
         assert i_best == 2 and ref[c_best, 3] == loss
+
+
+@pytest.mark.parametrize("refit_final, paths", [(False, 1), (True, 2)])
+def test_a_default_lasso_fit_forms_the_moments_once_per_path(monkeypatch, refit_final,
+                                                              paths):
+    # the default penalties come from the sweep's own path, not a pass of their own
+    seen = []
+    moments = regression._lasso_moments
+
+    def counting(train_u, train_phi):
+        seen.append(train_u.shape)
+        return moments(train_u, train_phi)
+
+    monkeypatch.setattr(regression, "_lasso_moments", counting)
+    model = fit(ar_design(n=600), config=FitConfig(backend="lasso",
+                                                    refit_final=refit_final))
+    n_tr = model.diagnostics["n_train"]
+    assert seen[0] == (n_tr, 3) and len(seen) == paths
 
 
 def test_fit_split_preconditions():

@@ -32,7 +32,7 @@ from flexts.features import (
     lag_embed,
 )
 from flexts.persistence import FORMAT_VERSION, decode, load_model, save_model
-from flexts.regression import BACKEND_KINDS
+from flexts.regression import BACKENDS
 from flexts.scenarios import generate
 from model_fixtures import NAMES, data_dir, fit_models
 
@@ -318,7 +318,7 @@ SERIES = st.tuples(
 
 @pytest.mark.parametrize(
     "backend,basis,refit_final",
-    list(itertools.product(BACKEND_KINDS, BASIS_KINDS, (False, True))),
+    list(itertools.product(BACKENDS, BASIS_KINDS, (False, True))),
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @PROPERTY_SETTINGS

@@ -21,9 +21,11 @@ from flexts.errors import DataError
 from flexts.estimator import FitConfig, density_rows, fit
 from flexts.features import SeriesTable, lag_embed
 from flexts.regression import (
+    BACKENDS,
     ROW_BLOCK,
     SLICE_ROWS,
     TREE_MAX_DIM,
+    LassoModel,
     default_delta_grid,
     default_k_grid,
     default_lambda_grid,
@@ -1057,6 +1059,86 @@ def test_lasso_path_is_the_per_penalty_fits_bit_for_bit(seed, n, d, n_targets,
     else:
         with pytest.raises(DataError):
             default_lambda_grid(train_u, train_phi)
+
+
+def same_lasso_models(got, want):
+    """Every LassoModel field equal, arrays bit for bit; lam a float in both."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a.lam) is type(b.lam) is float
+        for f in dataclasses.fields(LassoModel):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(y, np.ndarray):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                           y.tobytes()), f.name
+            else:
+                assert x == y, f.name
+
+
+@pytest.mark.filterwarnings("ignore:lasso did not converge")
+@settings(max_examples=40, deadline=None)
+@example(seed=0, n=40, d=3, n_targets=2, constant=1, constant_targets=False)
+@example(seed=0, n=40, d=3, n_targets=2, constant=1, constant_targets=True)
+@example(seed=0, n=1, d=2, n_targets=1, constant=-1, constant_targets=False)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50), d=st.integers(1, 4),
+       n_targets=st.integers(1, 3), constant=st.integers(-1, 3),
+       constant_targets=st.booleans())
+def test_a_default_lasso_path_is_the_path_over_default_lambda_grid(
+        seed, n, d, n_targets, constant, constant_targets):
+    rng = np.random.default_rng(seed)
+    train_u = rng.normal(size=(n, d))
+    if 0 <= constant < d:
+        train_u[:, constant] = 3.0  # a constant column, or (-1) none
+    train_phi = rng.normal(size=(n, n_targets))
+    if constant_targets:  # integers, so each column's mean is exact
+        train_phi[:] = rng.integers(-3, 4, size=n_targets)
+    try:
+        lams = default_lambda_grid(train_u, train_phi)
+    except DataError as err:
+        with pytest.raises(DataError) as path_err:
+            lasso_path(train_u, train_phi, max_iter=200)
+        assert str(path_err.value) == str(err)
+        return
+    assert not constant_targets
+    same_lasso_models(lasso_path(train_u, train_phi, max_iter=200),
+                      lasso_path(train_u, train_phi, lams, max_iter=200))
+
+
+@pytest.mark.parametrize("kind", list(BACKENDS))
+def test_a_sweep_without_a_grid_tries_the_default_grid(kind):
+    train_u, train_phi, eval_u = random_problem(40, n=300)
+    default = {"nw": lambda: default_delta_grid(train_u),
+               "knn": lambda: default_k_grid(len(train_u)),
+               "lasso": lambda: default_lambda_grid(train_u, train_phi)}[kind]()
+    hypers, preds, models = BACKENDS[kind].sweep(train_u, train_phi, eval_u)
+    assert np.asarray(hypers).tobytes() == np.asarray(default).tobytes()
+    assert [p.b_hat.shape for p in preds] == [(len(eval_u), 4)] * len(hypers)
+    if kind == "lasso":
+        same_lasso_models(models, lasso_path(train_u, train_phi, default))
+    else:
+        assert models is None
+
+
+def test_a_sweep_cleans_a_given_grid():
+    train_u, train_phi, eval_u = random_problem(41, n=50)
+    sweep = {kind: partial(cls.sweep, train_u, train_phi, eval_u)
+             for kind, cls in BACKENDS.items()}
+    # nw: floats in the given order, repeats kept
+    hypers, _, _ = sweep["nw"]([0.5, 2, 0.5, np.float32(1.25)])
+    assert hypers == [0.5, 2.0, 0.5, 1.25]
+    assert all(type(h) is float for h in hypers)
+    # knn: a k above the training size is skipped with a warning
+    with pytest.warns(RuntimeWarning, match="skipping k=51"):
+        hypers, preds, _ = sweep["knn"]([7, 51, 3.0])
+    assert hypers == [7, 3] and len(preds) == 2
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="no usable k"):
+        sweep["knn"]([51])
+    # lasso: sorted descending, each nonnegative and finite
+    hypers, _, models = sweep["lasso"]([0.01, 0.1, 0.0, 0.05])
+    assert hypers == [0.1, 0.05, 0.01, 0.0] == [m.lam for m in models]
+    for bad in (-0.1, np.inf):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            sweep["lasso"]([0.1, bad])
 
 
 def test_lasso_constant_column_gets_zero_coefficient():
