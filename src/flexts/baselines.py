@@ -3,14 +3,27 @@
 NNKCDE places a Gaussian kernel density on the responses of the k
 nearest training neighbors of the query covariates, renormalized on the
 evaluation grid: a knn average (``kernel_means``) whose targets are the
-neighbors' Gaussian kernel rows on the grid. Its (k, h) pair is tuned by
-the grid-form density loss on the validation block, each candidate's rows
-scored by ``estimator.score_rows`` in slices. The kernel rows, one
-per training response some query row uses, fill one matrix, and
+neighbors' Gaussian kernel rows on the grid. The kernel rows, one per
+training response some query row uses, fill one matrix, and
 ``neighbor_means`` averages them into the outputs. Both run in slices of
 max(1, SLICE_ELEMS // grid size) rows on ``regression``'s row threads
 (``split_rows``), so the only full-size arrays are that matrix and the
 outputs, and every output keeps its bits for any thread count.
+
+Its (k, h) pair is tuned on the validation block in coefficient form,
+without the response grid. On the cosine basis of [lo, hi] (width w), a
+Gaussian kernel of bandwidth h, reflected at the ends, has the
+coefficients phi_i(z_j) * exp(-(pi i h / w)^2 / 2): the discrete-cosine
+form of the reflected KDE (Botev, Grotowski and Kroese, Ann. Statist.
+2010). So each candidate's loss is the coefficient-form density loss of
+one taper of its neighbors' mean basis row, as FlexCode tunes (Izbicki
+and Lee, EJS 2017), at the cutoff I = ceil(6.5 w / (pi min h)), where the
+narrowest kernel's taper is below 7e-10. The grid form, every candidate's
+kernel means scored by ``estimator.score_rows``, remains where that
+identity does not serve: I above ``MAX_I_MAX`` (a bandwidth below about
+0.002 w), or a used training response outside [lo, hi]. Either way only
+the choice is made so; the fitted model, its kernel rows and its
+densities are the same.
 
 The AR-GARCH model is an AR(p) mean with intercept and GARCH(1, 1)
 innovations fit by Gaussian quasi-maximum-likelihood:
@@ -35,7 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexts.basis import check_grid_size, check_range, check_scale, fit_scaler
+from flexts.basis import (
+    MAX_I_MAX,
+    basis_matrix,
+    check_grid_size,
+    check_range,
+    check_scale,
+    fit_scaler,
+)
 from flexts.errors import DataError, NumericError
 from flexts.estimator import DensityBatch, density_rows, score_rows
 from flexts.features import FeatureSpec, SplitSpec
@@ -173,15 +193,23 @@ def nnkcde_fit(
     h_grid=None,
     grid_size=1001,
 ):
-    """Tune (k, h) by grid-form density loss on the validation block.
+    """Tune (k, h) by the density loss on the validation block.
 
-    Candidate k larger than the training size are skipped with a
-    warning. Ties prefer the pair appearing earlier in (h, k) scan
-    order with k varying fastest.
+    The loss is in coefficient form (``_coefficient_search``): one basis
+    matrix of the used training responses up to the cutoff
+    I = ceil(6.5 (hi - lo) / (pi min h)) and one ``neighbor_means`` call
+    for every k, after which each (k, h) costs two dot products. Where
+    I > MAX_I_MAX or a used training response lies outside [lo, hi], it
+    is in grid form on the ``grid_size``-point grid (``_grid_search``).
+    The model is built from the chosen pair alone, so its densities do
+    not depend on the form. Candidate k larger than the training size
+    are skipped with a warning. Ties prefer the pair appearing earlier
+    in (h, k) scan order with k varying fastest.
     """
     train_u = np.asarray(train_u, dtype=float)
     check_grid_size(grid_size)
     check_range(lo, hi)
+    lo, hi = float(lo), float(hi)
     val_u = np.asarray(val_u, dtype=float)
     val_y = np.asarray(val_y, dtype=float)
     n_tr = train_u.shape[0]
@@ -202,25 +230,73 @@ def nnkcde_fit(
         h_grid = default_bandwidth_grid(train_y)
     h_grid = check_bandwidths(h_grid)
 
-    grid_y = np.linspace(lo, hi, grid_size)
     # one neighbor ordering shared by every candidate pair
     order = knn_order(train_u, val_u, max(k_grid))
+    used, where = np.unique(order, return_inverse=True)
+    centers = train_y[used]
+    # the cosine cutoff at which the narrowest kernel's taper is below 7e-10
+    i_max = np.ceil(6.5 * (hi - lo) / (np.pi * min(h_grid)))
+    if i_max <= MAX_I_MAX and lo <= centers.min() and centers.max() <= hi:
+        ih, ik = _coefficient_search(centers, where.reshape(order.shape), val_y,
+                                     k_grid, h_grid, lo, hi, int(i_max))
+    else:
+        ih, ik = _grid_search(train_y, order, val_y, k_grid, h_grid,
+                              np.linspace(lo, hi, grid_size))
+    return NnkcdeModel(
+        train_u=train_u,
+        train_y=train_y,
+        k=k_grid[ik],
+        h=h_grid[ih],
+        lo=lo,
+        hi=hi,
+        grid_size=grid_size,
+    )
 
+
+def _coefficient_search(centers, neighbors, val_y, k_grid, h_grid, lo, hi, i_max):
+    """(ih, ik) of the least coefficient-form loss on the cosine basis of [lo, hi].
+
+    A Gaussian kernel of bandwidth h at z_j, reflected at the ends of
+    [0, 1], has the coefficients phi_i(z_j) * t_i with the taper
+    t_i = exp(-(pi i h / width)^2 / 2). So a candidate's coefficient rows
+    are t times the mean m of its neighbors' phi(z_j), and its loss,
+    mean(sum (t m)^2) - 2 mean(t m . phi(z_val)) over the validation rows
+    (in scale units, which rank the pairs as response units do), is
+    (t t) . A_k - 2 t . B_k: A_k is the mean of m^2 over the rows, and
+    B_k the sum of m phi(z_val) over the in-range rows, over the row count.
+    ``neighbors`` indexes ``centers``, the used training responses, each in
+    [lo, hi]. Ties keep the first pair, h outer and k inner.
+    """
+    width = hi - lo
+    phi = basis_matrix("cosine", (centers - lo) / width, i_max)
+    inside = (val_y >= lo) & (val_y <= hi)
+    phi_val = np.zeros((val_y.size, i_max + 1))  # out-of-range rows add nothing
+    phi_val[inside] = basis_matrix("cosine", (val_y[inside] - lo) / width, i_max)
+    means = neighbor_means(phi, neighbors, k_grid)
+    sq = np.array([np.einsum("ri,ri->i", m, m) for m in means]) / val_y.size
+    cross = np.array([np.einsum("ri,ri->i", m, phi_val) for m in means]) / val_y.size
+    # t_0 is 1 for every h, an infinite one too (whose inf * 0 is NaN)
+    taper = np.ones((len(h_grid), i_max + 1))
+    freq = np.pi * np.arange(1, i_max + 1) / width
+    taper[:, 1:] = np.exp(-0.5 * np.square(np.multiply.outer(h_grid, freq)))
+    loss = (taper * taper) @ sq.T - 2.0 * taper @ cross.T  # (h, k)
+    ih, ik = np.unravel_index(np.argmin(loss), loss.shape)
+    return int(ih), int(ik)
+
+
+def _grid_search(train_y, order, val_y, k_grid, h_grid, grid_y):
+    """(ih, ik) of the least grid-form loss, each candidate tabulated on grid_y.
+
+    Each candidate's kernel means are scored by ``score_rows``. Ties keep
+    the first pair, h outer and k inner.
+    """
     keys = (  # (loss, h index, k index)
         (score_rows(grid_y, raw, val_y).cde.loss, ih, ik)
         for ih, h in enumerate(h_grid)
         for ik, raw in enumerate(kernel_means(train_y, order, k_grid, grid_y, h))
     )
     _, ih, ik = min(keys)
-    return NnkcdeModel(
-        train_u=train_u,
-        train_y=train_y,
-        k=k_grid[ik],
-        h=h_grid[ih],
-        lo=float(lo),
-        hi=float(hi),
-        grid_size=grid_size,
-    )
+    return ih, ik
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +581,25 @@ def garch_forecast(model, y):
 
 
 def garch_raw_rows(means, s2, grid_y):
-    """Gaussian predictive densities on a common grid, before renormalization."""
+    """Gaussian predictive densities on a common grid, before renormalization.
+
+    Every step runs in place in the one output array, so no temporary of
+    its size is allocated. Halving zz^2, not zz, keeps the bits of
+    exp(-0.5 * zz * zz): scaling by 0.5 is exact, and where zz^2 is so
+    small that halving it rounds, exp gives 1 either way.
+    """
     means = np.asarray(means, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     if np.any(s2 <= 0):
         raise NumericError("nonpositive conditional variance in garch filter")
-    sd = np.sqrt(s2)
-    zz = (grid_y[None, :] - means[:, None]) / sd[:, None]
-    return np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
+    sd = np.sqrt(s2)[:, None]
+    out = np.subtract(grid_y[None, :], means[:, None])
+    out /= sd
+    out *= out
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= sd * SQRT_2PI
+    return out
 
 
 def garch_density_rows(means, s2, grid_y):

@@ -845,7 +845,8 @@ def lasso_path(train_u, train_phi, lams=None, max_iter=10000, tol=1e-7):
     """
     train_u, train_phi = check_training(train_u, train_phi)
     mu, scale, ybar, gram, cov = _lasso_moments(train_u, train_phi)
-    lams = [check_penalty(lam) for lam in (_lambda_grid(cov) if lams is None else lams)]
+    lams = [check_penalty(lam)
+            for lam in (_lambda_grid(gram, cov) if lams is None else lams)]
     if any(a < b for a, b in zip(lams, lams[1:])):
         raise ValueError("penalty path must be non-increasing")
     beta = np.zeros_like(cov)
@@ -875,11 +876,19 @@ def default_lambda_grid(train_u, train_phi, n_candidates=10):
     lam_max * 1e-4 at the last of ``n_candidates`` penalties.
     """
     train_u, train_phi = check_training(train_u, train_phi)
-    return _lambda_grid(_lasso_moments(train_u, train_phi)[-1], n_candidates)
+    _, _, _, gram, cov = _lasso_moments(train_u, train_phi)
+    return _lambda_grid(gram, cov, n_candidates)
 
 
-def _lambda_grid(cov, n_candidates=10):
-    """default_lambda_grid's penalties from X'(y - ybar)/n on standardized X."""
+def _lambda_grid(gram, cov, n_candidates=10):
+    """default_lambda_grid's penalties from X'X/n and X'(y - ybar)/n on standardized X.
+
+    lam_max is 0 when the standardized X is zero (every covariate column
+    constant, or one row) or every target is constant; the error names the
+    covariates in the first case.
+    """
+    if not np.diag(gram).any():
+        raise DataError("covariates are degenerate; penalty grid is undefined")
     lam_max = float(np.abs(cov).max())
     if lam_max <= 0.0 or not np.isfinite(lam_max):
         raise DataError("all targets are constant; penalty grid is undefined")

@@ -5,12 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import signal, stats
 
 from flexts import baselines, estimator, regression
 from flexts.errors import DataError
 from flexts.baselines import (
     PERSISTENCE_CAP,
+    SQRT_2PI,
     GarchModel,
     _lag_matrix,
     NnkcdeModel,
@@ -19,12 +22,16 @@ from flexts.baselines import (
     garch_fit,
     garch_forecast,
     garch_negloglik,
+    garch_raw_rows,
     garch_starting_points,
     default_bandwidth_grid,
+    kernel_means,
     nnkcde_fit,
 )
+from flexts.basis import fit_scaler
 from flexts.estimator import quantiles_from_grid_density, renormalize_rows
-from flexts.regression import ROW_BLOCK, pairwise_sq_dists
+from flexts.features import SeriesTable, SplitSpec, lag_embed, temporal_split
+from flexts.regression import ROW_BLOCK, k_candidates, knn_order, pairwise_sq_dists
 from flexts.scenarios import generate
 
 
@@ -216,6 +223,106 @@ def test_nnkcde_checks_its_arrays_before_the_search(monkeypatch):
             nnkcde_fit(u_tr, y_tr, val_u, val_y, lo=-3, hi=3)
 
 
+def test_default_bandwidth_grid_is_silverman_times_the_ladder():
+    y = generate("nonlinear_mean", 700, 11)
+    silverman = 1.06 * float(y.std(ddof=1)) * y.size ** (-0.2)
+    assert default_bandwidth_grid(y) == [silverman * m for m in (0.25, 0.5, 1.0, 2.0, 4.0)]
+
+
+def bench_like_inputs(scenario, n, seed, n_lags):
+    """A CLI fit's NNKCDE inputs: lag design, default split, padded range."""
+    design = lag_embed(SeriesTable(generate(scenario, n, seed)), n_lags)
+    tr, va, _ = temporal_split(design.n_rows, SplitSpec())
+    scaler = fit_scaler(design.y[tr.start : tr.stop])
+    return (design.u[tr.start : tr.stop], design.y[tr.start : tr.stop],
+            design.u[va.start : va.stop], design.y[va.start : va.stop],
+            scaler.lo, scaler.hi)
+
+
+def the_two_searches(u_tr, y_tr, u_va, y_va, lo, hi):
+    """Calls of the coefficient-form and the grid-form search on default grids."""
+    k_grid, h_grid = k_candidates(None, y_tr.size), default_bandwidth_grid(y_tr)
+    order = knn_order(u_tr, u_va, max(k_grid))
+    used, where = np.unique(order, return_inverse=True)
+    assert lo <= y_tr[used].min() and y_tr[used].max() <= hi
+    i_max = int(np.ceil(6.5 * (hi - lo) / (np.pi * min(h_grid))))
+    return (
+        lambda: baselines._coefficient_search(y_tr[used], where.reshape(order.shape),
+                                              y_va, k_grid, h_grid, lo, hi, i_max),
+        lambda: baselines._grid_search(y_tr, order, y_va, k_grid, h_grid,
+                                       np.linspace(lo, hi, 1001)),
+    )
+
+
+@pytest.mark.slow  # 24 designs, each searched both ways
+def test_coefficient_search_picks_the_grid_search_pair():
+    for scenario in ("ar", "nonlinear_mean", "nonlinear_variance", "arma_jump"):
+        for n_lags in (3, 10):
+            for seed in range(3):
+                inputs = bench_like_inputs(scenario, 2000, seed, n_lags)
+                coef, grid = (search() for search in the_two_searches(*inputs))
+                assert coef == grid, (scenario, n_lags, seed)
+
+
+def grid_form_pair(u_tr, y_tr, u_va, y_va, lo, hi, k_grid, h_grid, grid_size=1001):
+    """(k, h) of the grid-form search as nnkcde_fit first wrote it."""
+    grid_y = np.linspace(lo, hi, grid_size)
+    order = knn_order(u_tr, u_va, max(k_grid))
+    keys = (
+        (estimator.score_rows(grid_y, raw, y_va).cde.loss, ih, ik)
+        for ih, h in enumerate(h_grid)
+        for ik, raw in enumerate(kernel_means(y_tr, order, k_grid, grid_y, h))
+    )
+    _, ih, ik = min(keys)
+    return k_grid[ik], h_grid[ih]
+
+
+def test_nnkcde_takes_the_grid_form_only_where_the_identity_fails(monkeypatch):
+    u_tr, y_tr, u_va, y_va, lo, hi = bench_like_inputs("ar", 1200, 12, 3)
+    k_grid = [5, 10, 20, 40]
+
+    def refuse(*args):
+        raise AssertionError("the search took the wrong path")
+
+    # in range with a cutoff of at most MAX_I_MAX: the coefficient form,
+    # also beside an infinite bandwidth (a uniform density in either form)
+    h_grid = default_bandwidth_grid(y_tr)
+    monkeypatch.setattr(baselines, "_grid_search", refuse)
+    for bandwidths in (h_grid, [np.inf] + h_grid):
+        model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo, hi, k_grid=k_grid,
+                           h_grid=bandwidths)
+        assert (model.k, model.h) == grid_form_pair(u_tr, y_tr, u_va, y_va, lo, hi,
+                                                    k_grid, bandwidths)
+    monkeypatch.undo()
+    monkeypatch.setattr(baselines, "_coefficient_search", refuse)
+    width = hi - lo
+    fallbacks = [
+        # a bandwidth whose cutoff 6.5 width / (pi h) passes MAX_I_MAX
+        (lo, hi, [0.0015 * width] + h_grid),
+        # used training responses outside [lo, hi]
+        (lo + 0.3 * width, hi - 0.3 * width, h_grid),
+    ]
+    for fit_lo, fit_hi, bandwidths in fallbacks:
+        model = nnkcde_fit(u_tr, y_tr, u_va, y_va, fit_lo, fit_hi, k_grid=k_grid,
+                           h_grid=bandwidths)
+        assert (model.k, model.h) == grid_form_pair(u_tr, y_tr, u_va, y_va, fit_lo,
+                                                    fit_hi, k_grid, bandwidths)
+
+
+def test_coefficient_search_peaks_below_the_grid_form():
+    inputs = bench_like_inputs("nonlinear_mean", 2000, 13, 3)
+    peaks = []
+    for search in the_two_searches(*inputs):
+        tracemalloc.start()
+        try:
+            search()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    coef_peak, grid_peak = peaks
+    assert coef_peak < grid_peak
+
+
 def test_nnkcde_and_garch_need_a_finite_increasing_range():
     y = generate("ar", 200, 3)
     u_tr, y_tr, u_va, y_va = split_series(y)
@@ -385,6 +492,56 @@ def test_garch_input_validation():
         garch_fit(np.array([1.0, np.nan] + [0.0] * 100), p=0)
     with pytest.raises(ValueError):
         garch_fit(np.random.default_rng(9).normal(size=200), p=-1)
+
+
+def test_garch_forecast_matches_a_direct_loop():
+    model = GarchModel(
+        c=0.2, ar=np.array([0.5, -0.3]), omega=0.1, alpha=0.2, beta=0.6,
+        s2_init=0.8, lo=-4.0, hi=4.0, grid_size=101,
+    )
+    y = np.random.default_rng(14).normal(size=30)
+    s2 = 0.8  # the variance of y[2]; each step gives the next one's
+    for t in range(2, 30):
+        eps = y[t] - (0.2 + 0.5 * y[t - 1] - 0.3 * y[t - 2])
+        s2 = 0.1 + 0.2 * eps**2 + 0.6 * s2
+    next_mean, next_s2 = garch_forecast(model, y)
+    np.testing.assert_allclose(next_mean, 0.2 + 0.5 * y[29] - 0.3 * y[28], rtol=1e-12)
+    np.testing.assert_allclose(next_s2, s2, rtol=1e-12)
+
+
+def expression_raw_rows(means, s2, grid_y):
+    """garch_raw_rows as one expression, each step a new array."""
+    sd = np.sqrt(s2)
+    zz = (grid_y[None, :] - means[:, None]) / sd[:, None]
+    return np.exp(-0.5 * zz * zz) / (sd[:, None] * SQRT_2PI)
+
+
+@settings(max_examples=200, deadline=None)
+@example(means=[1e300, -1e300, 0.0], log_s2=[-12.0, 12.0, 0.0])
+@given(means=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+       log_s2=st.lists(st.floats(-12.0, 12.0), min_size=8, max_size=8))
+def test_garch_raw_rows_keep_the_bits_of_the_expression(means, log_s2):
+    # means far outside the grid, and s2 from 1e-12 to 1e12
+    means = np.array(means)
+    s2 = 10.0 ** np.array(log_s2[: means.size])
+    grid = np.linspace(-5.0, 5.0, 201)
+    with np.errstate(over="ignore", under="ignore"):
+        got = garch_raw_rows(means, s2, grid)
+        want = expression_raw_rows(means, s2, grid)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_garch_raw_rows_peak_at_the_output():
+    rng = np.random.default_rng(15)
+    means, s2 = rng.normal(size=1000), rng.uniform(0.1, 2.0, size=1000)
+    grid = np.linspace(-5.0, 5.0, 2001)
+    tracemalloc.start()
+    try:
+        out = garch_raw_rows(means, s2, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20
 
 
 def test_garch_density_rows_are_renormalized_gaussians():

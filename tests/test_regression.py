@@ -1188,5 +1188,18 @@ def test_lasso_objective_not_worse_than_perturbations():
 
 def test_degenerate_targets_reject_lambda_grid():
     train_u, train_phi, _ = random_problem(26)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="all targets are constant"):
         default_lambda_grid(train_u, np.ones_like(train_phi))
+
+
+def test_degenerate_covariates_are_named_by_lasso_and_nw():
+    rng = np.random.default_rng(27)
+    train_phi = rng.normal(size=(50, 4))
+    # every covariate column constant, or one row: the standardized X is zero
+    for train_u in (np.full((50, 2), 3.0), rng.normal(size=(1, 2))):
+        rows = train_phi[: train_u.shape[0]]
+        for grid in (default_lambda_grid, lasso_path):
+            with pytest.raises(DataError, match="covariates are degenerate"):
+                grid(train_u, rows)
+    with pytest.raises(DataError, match="covariates are degenerate"):
+        default_delta_grid(np.full((50, 2), 3.0))
