@@ -4,11 +4,13 @@ NNKCDE places a Gaussian kernel density on the responses of the k
 nearest training neighbors of the query covariates, renormalized on the
 evaluation grid: a knn average (``kernel_means``) whose targets are the
 neighbors' Gaussian kernel rows on the grid. The kernel rows, one per
-training response some query row uses, fill one matrix, and
-``neighbor_means`` averages them into the outputs. Both run in slices of
-max(1, SLICE_ELEMS // grid size) rows on ``regression``'s row threads
-(``split_rows``), so the only full-size arrays are that matrix and the
-outputs, and every output keeps its bits for any thread count.
+training response some query row uses, are tabulated one block of
+KERNEL_BLOCK_ELEMS // (used responses) grid columns at a time, and
+``neighbor_means`` averages each block straight into those columns of the
+outputs. Both run in row slices of about SLICE_ELEMS values on
+``regression``'s row threads (``split_rows``), so the memory is one
+(used responses, block columns) block beside the outputs, and every
+output keeps its bits for any block width and thread count.
 
 Its (k, h) pair is tuned on the validation block in coefficient form,
 without the response grid. On the cosine basis of [lo, hi] (width w), a
@@ -76,6 +78,9 @@ from flexts.regression import (
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 LOG_2PI = np.log(2.0 * np.pi)
+# values per block of kernel_means' kernel rows (8 MB of floats): it spans
+# KERNEL_BLOCK_ELEMS // (used responses) grid columns
+KERNEL_BLOCK_ELEMS = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +148,46 @@ def kernel_means(train_y, order, ks, grid_y, h):
     """Gaussian KDE on grid_y over each order row's first k, per k in ks.
 
     The kernel row of each training response in ``order`` is evaluated
-    once, into one (responses, grid) matrix allocated here and filled in
-    row slices of about SLICE_ELEMS values on the row threads
-    (``split_rows``); ``neighbor_means`` averages its rows.
+    once, one block of grid columns at a time: a (responses, columns)
+    block, allocated here once, is filled in row slices of about
+    SLICE_ELEMS values on the row threads (``split_rows``), and
+    ``neighbor_means`` averages its rows into the block's columns of the
+    outputs. A block has KERNEL_BLOCK_ELEMS // responses columns, so a
+    single row's k responses, up to 524 on a 2001-point grid, take the
+    whole grid in one block. Each output value comes from the same
+    operations in the same rank order for any block width, so it keeps
+    its bits.
     """
     used, where = np.unique(order, return_inverse=True)
+    neighbors = where.reshape(order.shape)
     centers = train_y[used]
-    kern = np.empty((used.size, grid_y.size))
+    means = [np.empty((order.shape[0], grid_y.size)) for _ in ks]
+    step = max(1, KERNEL_BLOCK_ELEMS // max(used.size, 1))  # no rows: one block
+    block = np.empty(used.size * min(step, grid_y.size))
+    for first in range(0, grid_y.size, step):
+        cols = grid_y[first : first + step]
+        # contiguous, also the narrower last block
+        kern = block[: used.size * cols.size].reshape(used.size, cols.size)
 
-    def fill(lo, hi):
-        diff = grid_y - centers[lo:hi, None]
-        diff /= h
-        rows = kern[lo:hi]
-        np.multiply(-0.5, diff, out=rows)
-        rows *= diff
-        np.exp(rows, out=rows)
+        def fill(lo, hi):
+            diff = cols - centers[lo:hi, None]
+            diff /= h
+            rows = kern[lo:hi]
+            np.multiply(-0.5, diff, out=rows)
+            rows *= diff
+            np.exp(rows, out=rows)
 
-    split_rows(used.size, max(1, SLICE_ELEMS // grid_y.size), fill)
-    return neighbor_means(kern, where.reshape(order.shape), ks, scale=h * SQRT_2PI)
+        split_rows(used.size, max(1, SLICE_ELEMS // cols.size), fill)
+        neighbor_means(kern, neighbors, ks, scale=h * SQRT_2PI,
+                       out=[m[:, first : first + cols.size] for m in means])
+    return means
 
 
 def check_bandwidths(h_grid):
-    """Kernel bandwidths as floats, each positive (NaN is not)."""
+    """Kernel bandwidths as floats, each positive and finite (NaN is not)."""
     h_grid = [float(h) for h in h_grid]
-    if not all(h > 0 for h in h_grid):
-        raise ValueError(f"bandwidths must be positive, got {h_grid}")
+    if not all(0 < h < np.inf for h in h_grid):
+        raise ValueError(f"bandwidths must be positive and finite, got {h_grid}")
     return h_grid
 
 
@@ -275,10 +295,8 @@ def _coefficient_search(centers, neighbors, val_y, k_grid, h_grid, lo, hi, i_max
     means = neighbor_means(phi, neighbors, k_grid)
     sq = np.array([np.einsum("ri,ri->i", m, m) for m in means]) / val_y.size
     cross = np.array([np.einsum("ri,ri->i", m, phi_val) for m in means]) / val_y.size
-    # t_0 is 1 for every h, an infinite one too (whose inf * 0 is NaN)
-    taper = np.ones((len(h_grid), i_max + 1))
-    freq = np.pi * np.arange(1, i_max + 1) / width
-    taper[:, 1:] = np.exp(-0.5 * np.square(np.multiply.outer(h_grid, freq)))
+    freq = np.pi * np.arange(i_max + 1) / width
+    taper = np.exp(-0.5 * np.square(np.multiply.outer(h_grid, freq)))
     loss = (taper * taper) @ sq.T - 2.0 * taper @ cross.T  # (h, k)
     ih, ik = np.unravel_index(np.argmin(loss), loss.shape)
     return int(ih), int(ik)

@@ -61,7 +61,7 @@ clipping) runs in slices of SLICE_ROWS rows on the row threads. The
 per-row work after them, ``nw_predict_grid``'s rings, ``knn_order``'s
 ``nearest_order`` and ``nw_predict``'s neighbor masks and counts in
 slices of SLICE_ROWS rows, and ``neighbor_means``,
-knn's average and NNKCDE's over its kernel rows, in slices of
+knn's average and NNKCDE's over a block of its kernel rows, in slices of
 max(1, SLICE_ELEMS // width) rows (about SLICE_ELEMS values, 256 KB, that
 stay in cache), go through ``split_rows``: it hands contiguous runs of
 slices to at most ROW_THREADS threads, the CPUs the process may run on
@@ -106,7 +106,7 @@ ROW_BLOCK = 256
 # pairwise_sq_dists, nw_predict_grid's ring indicator), which stay
 # SLICE_ROWS * n_train values, much smaller than the block's distances
 SLICE_ROWS = 32
-# values per row slice of neighbor_means and NNKCDE's kernel_means (256 KB
+# values per row slice of neighbor_means and NNKCDE's kernel blocks (256 KB
 # of floats, which stay in cache): max(1, SLICE_ELEMS // width) rows a slice
 SLICE_ELEMS = 32 * 1024
 # threads that share split_rows' slices: the CPUs this process may run on
@@ -615,17 +615,18 @@ def _order_rows(sq, k, out, lo, hi):
     out[lo:hi] = nearest_order(sq[lo:hi], k)
 
 
-def neighbor_means(train_phi, order, ks, scale=1.0):
+def neighbor_means(train_phi, order, ks, scale=1.0, out=None):
     """Mean of train_phi's rows over each order row's first k, per k in ks.
 
     Each mean is (total / k) / ``scale``, where a row's total adds its
     neighbors one rank at a time: a sequential sum, over k. The outputs,
-    one per entry of ks, are allocated here; the rows are summed in slices
-    of about SLICE_ELEMS values on the row threads (``split_rows``), each
-    slice with a running total of its own.
+    one per entry of ks, are allocated here, or are the (rows, width)
+    arrays of ``out``, which may be column views of wider arrays; the rows
+    are summed in slices of about SLICE_ELEMS values on the row threads
+    (``split_rows``), each slice with a running total of its own.
     """
     n_rows, width = order.shape[0], train_phi.shape[1]
-    means = [np.empty((n_rows, width)) for _ in ks]
+    means = [np.empty((n_rows, width)) for _ in ks] if out is None else out
 
     def add(lo, hi):
         total = train_phi[order[lo:hi, 0]]  # fancy indexing copies

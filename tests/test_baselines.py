@@ -164,10 +164,12 @@ def test_nnkcde_rejects_degenerate_inputs():
         default_bandwidth_grid(np.ones(50))
     y = generate("ar", 200, 3)
     u_tr, y_tr, u_va, y_va = split_series(y)
-    for h in (0.0, np.nan):  # NaN passes a `<= 0` test
-        with pytest.raises(ValueError, match="bandwidths must be positive"):
+    for h in (0.0, np.nan, np.inf):  # NaN passes a `<= 0` test
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
             nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3, h_grid=[0.5, h])
     model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo=-3, hi=3)
+    with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+        dataclasses.replace(model, h=np.inf)
     with pytest.raises(DataError):
         estimator.predict_density(model, np.zeros(5))
     with pytest.raises(ValueError, match="k must be an integer"):
@@ -196,6 +198,31 @@ def test_nnkcde_tabulation_peaks_at_its_kernel_matrix_and_outputs():
     # total and a rank's rows) and 1 MB for the index arrays
     slack = regression.ROW_THREADS * 2 * regression.SLICE_ELEMS * 8 + 2**20
     assert peak < kernel_matrix + outputs + slack
+
+
+def test_nnkcde_kernel_rows_peak_at_one_block_beside_the_outputs():
+    # 1000 query rows on a 2001-point grid over 2989 used responses: their
+    # whole kernel matrix, 48 MB, would pass the bound of one 8 MB block
+    rng = np.random.default_rng(49)
+    u = rng.normal(size=(4000, 3))
+    y = rng.normal(size=4000)
+    model = NnkcdeModel(u[:3000], y[:3000], k=20, h=0.3, lo=-4.0, hi=4.0,
+                        grid_size=2001)
+    neighbors = model.row_state(u[3000:])
+    grid = model.grid()
+    assert np.unique(neighbors).size * grid.size > 5 * baselines.KERNEL_BLOCK_ELEMS
+    tracemalloc.start()
+    try:
+        raw = model.raw_rows(neighbors, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = baselines.KERNEL_BLOCK_ELEMS * 8
+    # slack: each row thread's two slices of SLICE_ELEMS floats (a running
+    # total and a rank's rows, or a block slice's differences) and 1 MB for
+    # the index arrays
+    slack = regression.ROW_THREADS * 2 * regression.SLICE_ELEMS * 8 + 2**20
+    assert peak < raw.nbytes + block + slack
 
 
 def test_nnkcde_checks_its_arrays_before_the_search(monkeypatch):
@@ -284,15 +311,16 @@ def test_nnkcde_takes_the_grid_form_only_where_the_identity_fails(monkeypatch):
     def refuse(*args):
         raise AssertionError("the search took the wrong path")
 
-    # in range with a cutoff of at most MAX_I_MAX: the coefficient form,
-    # also beside an infinite bandwidth (a uniform density in either form)
+    # in range with a cutoff of at most MAX_I_MAX: the coefficient form
     h_grid = default_bandwidth_grid(y_tr)
     monkeypatch.setattr(baselines, "_grid_search", refuse)
-    for bandwidths in (h_grid, [np.inf] + h_grid):
-        model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo, hi, k_grid=k_grid,
-                           h_grid=bandwidths)
-        assert (model.k, model.h) == grid_form_pair(u_tr, y_tr, u_va, y_va, lo, hi,
-                                                    k_grid, bandwidths)
+    model = nnkcde_fit(u_tr, y_tr, u_va, y_va, lo, hi, k_grid=k_grid, h_grid=h_grid)
+    assert (model.k, model.h) == grid_form_pair(u_tr, y_tr, u_va, y_va, lo, hi,
+                                                k_grid, h_grid)
+    # an infinite bandwidth takes neither form
+    with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+        nnkcde_fit(u_tr, y_tr, u_va, y_va, lo, hi, k_grid=k_grid,
+                   h_grid=[np.inf] + h_grid)
     monkeypatch.undo()
     monkeypatch.setattr(baselines, "_coefficient_search", refuse)
     width = hi - lo

@@ -841,6 +841,8 @@ FIT_USAGE_ERRORS = {
     "nnkcde": [(("--lam", 0.1), "is not a grid of this fit (its grids: --k, --h)"),
                (("--k", ""), "--k lists no values"),
                (("--h", ""), "--h lists no values"),
+               (("--h", "0"), "bandwidths must be positive and finite"),
+               (("--h", "inf"), "bandwidths must be positive and finite"),
                (("--k", "5,,7"), "--k has an empty entry")],
     "garch": [(("--k", 5), "--k is not a grid of this fit (its grids: none)"),
               (("--h", ""), "--h is not a grid of this fit (its grids: none)"),

@@ -524,3 +524,14 @@ def test_a_model_range_whose_square_leaves_the_floats_is_a_data_error(tmp_path,
         file.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="reciprocal square is not a finite"):
             load_model(file)
+
+
+def test_an_nnkcde_file_with_a_bandwidth_of_zero_or_inf_is_a_data_error(tmp_path):
+    # every kernel row of h=inf is 0: its densities would all be uniform
+    for h in (0.0, float("inf")):
+        doc = committed_doc("nnkcde")
+        doc["model"]["h"] = h
+        file = tmp_path / "bandwidth.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="bandwidths must be positive and finite"):
+            load_model(file)

@@ -733,6 +733,62 @@ def test_kernel_means_has_the_same_bits_on_any_thread_count():
     assert one == {threading.get_ident()} and split_over_threads(two)
 
 
+@contextlib.contextmanager
+def block_widths():
+    """A list of the grid columns of each kernel block kernel_means averages."""
+    widths = []
+
+    def spied_means(train_phi, *args, **kwargs):
+        widths.append(train_phi.shape[1])
+        return regression.neighbor_means(train_phi, *args, **kwargs)
+
+    with mock.patch.object(baselines, "neighbor_means", spied_means):
+        yield widths
+
+
+GRID_SIZES = {"one point": lambda width: 1, "width - 1": lambda width: width - 1,
+              "width": lambda width: width, "width + 1": lambda width: width + 1,
+              "paper grid": lambda width: 2001}
+
+
+@settings(max_examples=100, deadline=None)
+@given(width=st.integers(2, 40), grid=st.sampled_from(sorted(GRID_SIZES)),
+       n_rows=st.sampled_from([1, 2, 57]),
+       ks=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       slice_elems=st.sampled_from([1, 7, 64, regression.SLICE_ELEMS]),
+       threads=st.sampled_from([1, 2]), h=st.floats(0.01, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_means_in_blocks_keeps_the_bits_of_one_matrix(
+        width, grid, n_rows, ks, slice_elems, threads, h, seed):
+    # blocks of `width` grid columns, row slices down to one value, one or
+    # two row threads; one query row uses at most max(ks) responses
+    rng = np.random.default_rng(seed)
+    train_y = rng.normal(size=60)
+    order = rng.integers(0, 60, size=(n_rows, max(ks)))
+    used = np.unique(order).size
+    grid_y = np.linspace(-4.0, 4.0, GRID_SIZES[grid](width))
+    # the rule floors KERNEL_BLOCK_ELEMS / used: `width` columns a block
+    with on_row_threads(threads, set()), \
+            mock.patch.object(baselines, "KERNEL_BLOCK_ELEMS", width * used + used - 1), \
+            mock.patch.object(baselines, "SLICE_ELEMS", slice_elems), \
+            mock.patch.object(regression, "SLICE_ELEMS", slice_elems), \
+            block_widths() as widths:
+        got = kernel_means(train_y, order, ks, grid_y, h)
+    assert_same_bits(got, dense_kernel_means(train_y, order, ks, grid_y, h))
+    full, rest = divmod(grid_y.size, width)
+    assert widths == [width] * full + [rest] * (rest > 0)
+
+
+def test_one_forecast_row_tabulates_its_kernel_rows_in_one_block():
+    # used = k responses; the default k grid of a 100k-row fit reaches 316
+    rng = np.random.default_rng(50)
+    train_y = rng.normal(size=400)
+    with block_widths() as widths:
+        kernel_means(train_y, rng.permutation(400)[None, :316], [316],
+                     np.linspace(-4.0, 4.0, 2001), 0.3)
+    assert widths == [2001]
+
+
 def test_distances_are_computed_on_the_callers_thread():
     # perfbench's tracer keeps one span stack, for the caller's thread; each
     # call's finishing pass runs on the row threads once it has two slices
